@@ -756,7 +756,7 @@ func obsMain(args []string) {
 //
 //	tdraudit obs report -spans spool-traces/
 //	tdraudit obs report -spans spool-traces/spans.ndjson -json
-//	tdraudit obs report -spans spool-traces/ -baseline BENCH_2026-08-08.json
+//	tdraudit obs report -spans spool-traces/ -baseline BENCH_2026-10-01.json
 func obsReportMain(args []string) {
 	fs := flag.NewFlagSet("tdraudit obs report", flag.ExitOnError)
 	spans := fs.String("spans", "", "spans.ndjson file, or a trace dir holding it plus rotated generations (required)")

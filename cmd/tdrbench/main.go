@@ -14,7 +14,7 @@
 // baseline:
 //
 //	tdrbench bench -json
-//	tdrbench bench -json -short -check BENCH_2026-08-08.json
+//	tdrbench bench -json -short -check BENCH_2026-10-01.json
 package main
 
 import (

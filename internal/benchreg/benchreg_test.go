@@ -205,22 +205,28 @@ func TestFormatStageDelta(t *testing.T) {
 }
 
 func TestCheckEnforcesTriageOverheadCap(t *testing.T) {
-	// The overhead ratio is allocation-based (scoring cost is
-	// deterministic in bytes, noise-bound in time), so the synthetic
+	// The budget is allocation-based (scoring cost is deterministic in
+	// bytes, noise-bound in time) and absolute — bytes per admitted
+	// trace, whatever plain ingest itself allocates — so the synthetic
 	// reports vary BytesPerOp and keep ns/op equal.
-	withIngest := func(overhead float64) *Report {
+	withIngest := func(plain, perTrace int64) *Report {
 		r := report(3.0, 10, true, 1000)
-		r.Benchmarks[BenchIngestPlain] = Measurement{N: 20, NsPerOp: 10e6, AllocsPerOp: 100, BytesPerOp: 1 << 20}
-		r.Benchmarks[BenchIngestTriaged] = Measurement{N: 20, NsPerOp: 10e6, AllocsPerOp: 120, BytesPerOp: int64((1 << 20) * (1 + overhead))}
+		r.IngestTraces = 12
+		r.Benchmarks[BenchIngestPlain] = Measurement{N: 20, NsPerOp: 10e6, AllocsPerOp: 100, BytesPerOp: plain}
+		r.Benchmarks[BenchIngestTriaged] = Measurement{N: 20, NsPerOp: 10e6, AllocsPerOp: 120, BytesPerOp: plain + 12*perTrace}
 		r.Finalize()
 		return r
 	}
-	if v := Check(nil, withIngest(0.05)); len(v) != 0 {
-		t.Fatalf("5%% triage overhead flagged: %v", v)
-	}
-	v := Check(nil, withIngest(0.30))
-	if len(v) != 1 || !strings.Contains(v[0], "triage") {
-		t.Fatalf("30%% triage overhead not flagged: %v", v)
+	// 8 KB per trace passes whether admission allocates 11 MB per
+	// upload (it once did) or 80 KB: the budget has no denominator.
+	for _, plain := range []int64{12 * 11 << 20, 12 * 80 << 10} {
+		if v := Check(nil, withIngest(plain, 8<<10)); len(v) != 0 {
+			t.Fatalf("8 KB/trace of triage over %d B of ingest flagged: %v", plain, v)
+		}
+		v := Check(nil, withIngest(plain, 40<<10))
+		if len(v) != 1 || !strings.Contains(v[0], "triage") {
+			t.Fatalf("40 KB/trace of triage over %d B of ingest not flagged: %v", plain, v)
+		}
 	}
 	// Reports without the ingest pair (older harness versions) must
 	// not trip the cap.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"sanity/internal/asm"
@@ -151,6 +152,11 @@ func Run(short bool, seed uint64) (*Report, error) {
 	// process-wide alloc deltas exact per stage.
 	report.Stages = make(map[string]map[string]obs.StageSummary)
 	stagePass := func(name string, cfg pipeline.Config) error {
+		// One P: with more, a pooled block can sit in the other P's
+		// private sync.Pool slot, out of reach, and the load that
+		// wanted it allocates a fresh megabyte — a coin-flip far
+		// outside the load-stage gate's tolerance.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		reg := obs.NewRegistry()
 		sm := obs.NewStageMetrics(reg)
 		ctx := obs.NewObserver(nil, sm).Context(context.Background())
@@ -187,8 +193,8 @@ func Run(short bool, seed uint64) (*Report, error) {
 	// actually have, where admission pays for the whole container but
 	// triage only ever touches the IPD section. The pair isolates
 	// exactly what ingest-time suspicion scoring adds to the upload
-	// hot path; the derived TriageOverhead allocation ratio is what
-	// the gate caps. Measured last: churning corpus-sized admissions
+	// hot path; the derived TriageBytesPerTrace allocation budget is
+	// what the gate caps. Measured last: churning corpus-sized admissions
 	// through the buffer pools would otherwise perturb the
 	// near-deterministic load-stage numbers the instrumented passes
 	// above just recorded.
@@ -198,6 +204,7 @@ func Run(short bool, seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchreg: encoding ingest corpus: %w", err)
 	}
+	report.IngestTraces = len(ingestRaws)
 	ingestErr := error(nil)
 	ingest := func(triaged bool) func(b *testing.B) {
 		return func(b *testing.B) {

@@ -17,8 +17,11 @@
 package bufpool
 
 import (
+	"bufio"
+	"io"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Size classes are powers of two from minClass (4KB) to maxClass
@@ -35,6 +38,14 @@ const (
 
 var classes [numClasses]sync.Pool
 
+// live counts the pooled blocks arenas currently hold, process-wide.
+var live atomic.Int64
+
+// Live reports how many pooled blocks are held by arenas that have not
+// been released — leak accounting for tests of paths that must hand
+// everything back (or never take anything).
+func Live() int64 { return live.Load() }
+
 func classFor(n int) int {
 	if n <= 1<<minClassBits {
 		return 0
@@ -46,11 +57,19 @@ func classFor(n int) int {
 	return b - minClassBits
 }
 
-func getClass(c int) []byte {
+// block is one pooled buffer. The pools hold *block, not []byte: a
+// slice header stored in an interface is boxed, which would cost an
+// allocation per returned block.
+type block struct {
+	buf []byte
+	cls int
+}
+
+func getClass(c int) *block {
 	if v := classes[c].Get(); v != nil {
-		return v.([]byte)
+		return v.(*block)
 	}
-	return make([]byte, 1<<(minClassBits+c))
+	return &block{buf: make([]byte, 1<<(minClassBits+c)), cls: c}
 }
 
 // An Arena hands out byte slices carved from pooled blocks and
@@ -58,14 +77,8 @@ func getClass(c int) []byte {
 // zero value is ready to use. An Arena is not safe for concurrent
 // use; decode paths are single-goroutine.
 type Arena struct {
-	blocks []poolBlock // pooled blocks to return on Release
-	cur    []byte      // remaining tail of the current block
-	curCls int
-}
-
-type poolBlock struct {
-	buf []byte
-	cls int
+	blocks []*block // pooled blocks to return on Release
+	cur    []byte   // remaining tail of the current block
 }
 
 // Alloc returns a zeroed-length-n slice owned by the arena. The
@@ -91,12 +104,11 @@ func (a *Arena) Alloc(n int) []byte {
 	// Start a new block. Carving from a fresh block wastes the old
 	// tail, but blocks are already tracked for release so nothing
 	// leaks — at most one partial tail per block is unused.
-	buf := getClass(c)
-	a.blocks = append(a.blocks, poolBlock{buf: buf, cls: c})
-	s := buf[:n:n]
-	a.cur = buf[n:]
-	a.curCls = c
-	return s
+	b := getClass(c)
+	live.Add(1)
+	a.blocks = append(a.blocks, b)
+	a.cur = b.buf[n:]
+	return b.buf[:n:n]
 }
 
 // Copy is Alloc followed by copy: a pooled duplicate of src.
@@ -117,11 +129,11 @@ func (a *Arena) Release() {
 	if a == nil {
 		return
 	}
-	for i := range a.blocks {
-		b := a.blocks[i]
-		classes[b.cls].Put(b.buf[:cap(b.buf)])
-		a.blocks[i] = poolBlock{}
+	for i, b := range a.blocks {
+		classes[b.cls].Put(b)
+		a.blocks[i] = nil
 	}
+	live.Add(-int64(len(a.blocks)))
 	a.blocks = a.blocks[:0]
 	a.cur = nil
 }
@@ -151,4 +163,15 @@ func (s *Scratch) Grow(n int) []byte {
 		s.buf = make([]byte, n+n/4)
 	}
 	return s.buf[:n]
+}
+
+// Discard skips n bytes of br, failing exactly as io.ReadFull into an
+// n-byte buffer would — for walks that validate a stream's framing
+// without keeping its payloads.
+func Discard(br *bufio.Reader, n int) error {
+	d, err := br.Discard(n)
+	if err == io.EOF && d > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }

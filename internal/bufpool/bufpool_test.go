@@ -55,6 +55,28 @@ func TestArenaAllocAndRelease(t *testing.T) {
 	a.Release()
 }
 
+// TestArenaSteadyStateDoesNotAllocate: once the pools and the arena's
+// block list are warm, an alloc→release cycle is pool round-trips
+// only. Pooling []byte directly boxed a slice header per returned
+// block (staticcheck SA6002); pooling *block does not.
+func TestArenaSteadyStateDoesNotAllocate(t *testing.T) {
+	var a Arena
+	cycle := func() {
+		for j := 0; j < 8; j++ {
+			a.Alloc(3000)
+		}
+		a.Alloc(100 << 10)
+		a.Release()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 && !raceEnabled {
+		t.Fatalf("warm alloc→release cycle allocates %v times, want 0", n)
+	}
+	if Live() != 0 {
+		t.Fatalf("Live() = %d after Release", Live())
+	}
+}
+
 func TestArenaSliceCapsAreTight(t *testing.T) {
 	// Appending to an arena slice must not scribble over a sibling.
 	var a Arena

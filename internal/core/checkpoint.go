@@ -91,50 +91,50 @@ func encodeRing(buf *bytes.Buffer, st ringbuf.RingState) {
 	}
 }
 
-// skipRing structurally validates an encoded ring state without
-// materializing it — the restore path decodes the play-side rings
-// only to check the blob's shape (the cursors are re-derived from the
-// record prefix; see resumeAt), so allocating slot slices for them
-// was pure churn in the windowed hot loop.
-func skipRing(r *bytes.Reader) error {
-	var b [8]byte
+// skipRing structurally validates the encoded ring state at the head
+// of b without materializing it, and returns what follows — the
+// restore path walks the play-side rings only to check the blob's
+// shape (the cursors are re-derived from the record prefix; see
+// resumeAt).
+func skipRing(b []byte) ([]byte, error) {
 	get := func() (int64, error) {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
+		if len(b) < 8 {
+			b = nil
+			return 0, io.ErrUnexpectedEOF
 		}
-		return int64(binary.LittleEndian.Uint64(b[:])), nil
+		v := int64(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return v, nil
 	}
 	for i := 0; i < 3; i++ { // head, tail, count
 		if _, err := get(); err != nil {
-			return fmt.Errorf("core: checkpoint ring header: %w", err)
+			return nil, fmt.Errorf("core: checkpoint ring header: %w", err)
 		}
 	}
 	n, err := get()
 	if err != nil {
-		return fmt.Errorf("core: checkpoint ring header: %w", err)
+		return nil, fmt.Errorf("core: checkpoint ring header: %w", err)
 	}
 	if n < 0 || n > ringSlotCap {
-		return fmt.Errorf("core: checkpoint ring of %d slots", n)
+		return nil, fmt.Errorf("core: checkpoint ring of %d slots", n)
 	}
 	for i := int64(0); i < n; i++ {
 		ln, err := get()
 		if err != nil {
-			return fmt.Errorf("core: checkpoint ring slot %d: %w", i, err)
+			return nil, fmt.Errorf("core: checkpoint ring slot %d: %w", i, err)
 		}
 		if ln < 0 {
 			continue
 		}
 		if ln > ringSlotCap {
-			return fmt.Errorf("core: checkpoint ring slot of %d words", ln)
+			return nil, fmt.Errorf("core: checkpoint ring slot of %d words", ln)
 		}
-		if int64(r.Len()) < 8*ln {
-			return fmt.Errorf("core: checkpoint ring slot %d words: %w", i, io.ErrUnexpectedEOF)
+		if int64(len(b)) < 8*ln {
+			return nil, fmt.Errorf("core: checkpoint ring slot %d words: %w", i, io.ErrUnexpectedEOF)
 		}
-		if _, err := r.Seek(8*ln, io.SeekCurrent); err != nil {
-			return fmt.Errorf("core: checkpoint ring slot %d words: %w", i, err)
-		}
+		b = b[8*ln:]
 	}
-	return nil
+	return b, nil
 }
 
 // ReplayTDRWindow reproduces only the IPD window [fromIPD, toIPD) of
@@ -186,6 +186,7 @@ func ReplayTDRWindowCtx(ctx context.Context, prog *svm.Program, log *replaylog.L
 		e.boundaries = boundaryOutputs(log)
 	} else {
 		_, sp := obs.StartSpan(ctx, obs.StageRestore)
+		e.scratch = scratchPool.Get().(*svm.RestoreScratch)
 		err := e.resumeAt(log, win)
 		sp.End()
 		if err != nil {
@@ -202,21 +203,20 @@ func ReplayTDRWindowCtx(ctx context.Context, prog *svm.Program, log *replaylog.L
 }
 
 // resumeAt restores the engine's functional state from a window's
-// checkpoint and positions every cursor for the record suffix.
+// checkpoint and positions every cursor for the record suffix. The
+// restored VM heap is carved from e.scratch, which the caller has set:
+// it stays the VM's until release hands it back, and nothing the
+// engine returns (Execution, log) points into it.
 func (e *engine) resumeAt(full *replaylog.Log, win *replaylog.LogWindow) error {
 	c := win.Start
-	r := bytes.NewReader(c.State)
-	version, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint state: %w", err)
+	blob := c.State
+	if len(blob) < 2 { // version, DMA flag
+		return fmt.Errorf("core: checkpoint state header: %w", io.ErrUnexpectedEOF)
 	}
-	if version != ckptBlobVersion {
+	if version := blob[0]; version != ckptBlobVersion {
 		return fmt.Errorf("core: unsupported checkpoint state version %d", version)
 	}
-	dma, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("core: checkpoint DMA flag: %w", err)
-	}
+	dma := blob[1]
 	// The play-side ring states are decoded for structural validation
 	// but deliberately NOT restored: entries pending in the S-T ring
 	// at the boundary are inputs the SC had pushed that the TC had
@@ -229,13 +229,14 @@ func (e *engine) resumeAt(full *replaylog.Log, win *replaylog.LogWindow) error {
 	// is the ring *cursors*, which determine the virtual addresses
 	// the TC's buffer traffic is charged at; they are re-derived from
 	// the record prefix below, matching the full replay's exactly.
-	if err := skipRing(r); err != nil {
+	blob, err := skipRing(blob[2:])
+	if err != nil {
 		return err
 	}
-	if err := skipRing(r); err != nil {
+	if blob, err = skipRing(blob); err != nil {
 		return err
 	}
-	if err := e.vm.RestoreState(r); err != nil {
+	if err := e.vm.RestoreState(blob, e.scratch); err != nil {
 		return err
 	}
 	valuesBefore := c.Records - win.SkippedPackets

@@ -222,6 +222,8 @@ type engine struct {
 	exec *Execution
 	rng  *hw.RNG // play-side source for sys.rand
 	recs *recBufs
+	// scratch backs a resumed VM's heap (resumeAt); nil otherwise.
+	scratch *svm.RestoreScratch
 
 	pollIterInstr  int64
 	pollIterCycles int64
@@ -329,10 +331,16 @@ func (e *engine) setReplayLog(log *replaylog.Log) {
 	e.logValues = e.recs.values
 }
 
-// release returns pooled scratch — the record-split buffers and the
-// platform — to their pools. The engine must not be used afterwards;
-// nothing an engine has returned to its caller references either.
+// release returns pooled scratch — the record-split buffers, the
+// restore scratch and the platform — to their pools. The engine (and
+// its VM, whose restored heap is the scratch) must not be used
+// afterwards; nothing an engine has returned to its caller references
+// any of them.
 func (e *engine) release() {
+	if e.scratch != nil {
+		scratchPool.Put(e.scratch)
+		e.scratch = nil
+	}
 	if e.recs != nil {
 		e.logPackets, e.logValues = nil, nil
 		e.recs.release()

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"sanity/internal/replaylog"
+	"sanity/internal/svm"
 )
 
 // recBufs is the per-replay scratch an engine needs to walk a log:
@@ -18,6 +19,11 @@ type recBufs struct {
 }
 
 var recBufPool = sync.Pool{New: func() any { return &recBufs{} }}
+
+// scratchPool recycles checkpoint-restore scratch across engines, so
+// consecutive windowed audits on one worker carve their VM heaps from
+// the same slabs. An engine owns its scratch from resumeAt to release.
+var scratchPool = sync.Pool{New: func() any { return new(svm.RestoreScratch) }}
 
 // splitRecords partitions the record stream into pooled per-kind
 // slices. Callers must release() the result when the run is over.

@@ -6,6 +6,8 @@ import (
 
 	"sanity/internal/asm"
 	"sanity/internal/hw"
+	"sanity/internal/replaylog"
+	"sanity/internal/svm"
 )
 
 // manyInputs builds n inputs a few virtual milliseconds apart with
@@ -208,5 +210,106 @@ func TestReplayWindowValidation(t *testing.T) {
 	log.Program = "someothersoftware"
 	if _, err := ReplayTDRWindow(prog, log, testConfig(2), 0, 1); err == nil {
 		t.Fatal("wrong program accepted")
+	}
+}
+
+// stampSrc answers every packet from one long-lived reply buffer: the
+// byte array it sends was allocated before the first checkpoint, so in
+// a resumed replay it is carved from the restore scratch.
+const stampSrc = `
+.program stamp
+.func main 0 2
+    iconst 4
+    newarr byte
+    store 1
+loop:
+    ncall io.recvblock 0
+    store 0
+    load 0
+    ifnull done
+    load 1
+    iconst 0
+    load 0
+    iconst 0
+    aload
+    astore
+    load 1
+    ncall io.send 1
+    pop
+    goto loop
+done:
+    ret
+.end`
+
+// replayWindowThrough is ReplayTDRWindow's resumed path with the
+// restore scratch supplied by the test, which keeps owning it: the
+// engine is released without pooling it.
+func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program, log *replaylog.Log, cfg Config, from, to int) *Execution {
+	t.Helper()
+	win, err := log.Window(from, to)
+	if err != nil || win.Start == nil {
+		t.Fatalf("window [%d,%d) has no checkpoint to resume from: %v", from, to, err)
+	}
+	e, err := newEngine(prog, cfg, ModeReplayTDR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.stopAfterOutputs = int64(to) + 1
+	e.scratch = sc
+	if err := e.resumeAt(log, win); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.run(); err != nil {
+		t.Fatal(err)
+	}
+	e.scratch = nil
+	e.release()
+	return e.exec
+}
+
+// TestRestoreScratchIsNotAliased pins the restore scratch's ownership
+// rule: it is the resumed VM's heap until the engine is released and
+// nothing after. Scribbling it once the engine is gone leaves the
+// returned execution — outputs, payload bytes, timings — untouched,
+// and a second windowed replay carved from the same scribbled slabs is
+// bit-identical to one carved from fresh memory and to the public
+// (pooled-scratch) path.
+func TestRestoreScratchIsNotAliased(t *testing.T) {
+	prog := asm.MustAssemble("stamp", stampSrc)
+	playCfg := testConfig(41)
+	playCfg.CheckpointEveryOutputs = 4
+	play, log, err := Play(prog, manyInputs(24, 0xFEED), playCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(play.OutputIPDs())
+	cfg := testConfig(42)
+	want, err := ReplayTDRWindow(prog, log, cfg, n-6, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sc := new(svm.RestoreScratch)
+	// While the slabs are still growing, early carvings sit in outgrown
+	// slabs Scribble cannot reach; two restores settle their size.
+	for i := 0; i < 2; i++ {
+		replayWindowThrough(t, sc, prog, log, cfg, n-6, n)
+	}
+	first := replayWindowThrough(t, sc, prog, log, cfg, n-6, n)
+	if !reflect.DeepEqual(first, want) {
+		t.Fatal("replay through a supplied scratch differs from the pooled path")
+	}
+	sc.Scribble()
+	if !reflect.DeepEqual(first, want) {
+		t.Fatal("scribbling the released scratch changed a returned execution")
+	}
+	// A different window first, so the slabs hold another checkpoint's
+	// heap (and junk) when the original window is restored again.
+	replayWindowThrough(t, sc, prog, log, cfg, n-14, n-9)
+	sc.Scribble()
+	again := replayWindowThrough(t, sc, prog, log, cfg, n-6, n)
+	fresh := replayWindowThrough(t, new(svm.RestoreScratch), prog, log, cfg, n-6, n)
+	if !reflect.DeepEqual(again, fresh) || !reflect.DeepEqual(again, want) {
+		t.Fatal("a replay through reused scratch differs from one through fresh scratch")
 	}
 }

@@ -114,19 +114,31 @@ func newAuditor(s *Shard, cfg Config) (*auditor, error) {
 // pipeline configured for whole-trace audits ignores Job.Window
 // entirely (ok == false), so stale overrides can never silently
 // shrink an audit's coverage.
-func (a *auditor) windowFor(job Job, tr *Trace) (from, to int, ok bool) {
+func (a *auditor) windowFor(job Job, ipds int) (from, to int, ok bool) {
 	if a.tdrWindow <= 0 {
 		return 0, 0, false
 	}
 	if job.Window != nil {
 		return job.Window.From, job.Window.To, true
 	}
-	n := len(tr.IPDs)
-	from = n - a.tdrWindow
-	if from < 0 {
-		from = 0
+	return max(ipds-a.tdrWindow, 0), ipds, true
+}
+
+// load materializes a job's trace. A sequential windowed audit
+// restores exactly one checkpoint — the one its window resumes from —
+// so when the job offers a windowed loader it is told where the window
+// opens, by the same rule windowFor applies after the load, and keeps
+// only that state. Segment-parallel audits restore interior
+// checkpoints too, and the full-replay reference restores none; both
+// load everything.
+func (a *auditor) load(job Job) (*Trace, error) {
+	if job.LoadWindow == nil || a.tdrWindow <= 0 || a.segWorkers > 1 || a.refWindow {
+		return job.Load()
 	}
-	return from, n, true
+	return job.LoadWindow(func(ipds int) int {
+		from, _, _ := a.windowFor(job, ipds)
+		return from
+	})
 }
 
 // audit scores one job with every detector the trace supports and
@@ -143,7 +155,7 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 	tr := job.Trace
 	if tr == nil {
 		_, sp := obs.StartSpan(ctx, obs.StageLoad)
-		loaded, err := job.Load()
+		loaded, err := a.load(job)
 		sp.End()
 		if err == nil && loaded == nil {
 			err = fmt.Errorf("loader returned no trace")
@@ -172,7 +184,7 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 		v.Scores = append(v.Scores, Score{Detector: d.Name(), Value: s})
 	}
 	statSpan.End()
-	from, to, windowed := a.windowFor(job, tr)
+	from, to, windowed := a.windowFor(job, len(tr.IPDs))
 	if a.tdr != nil && tr.Log != nil && tr.Play != nil {
 		tctx, tdrSpan := obs.StartSpan(ctx, obs.StageTDR)
 		var cmp *core.TimingComparison

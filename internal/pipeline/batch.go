@@ -65,6 +65,13 @@ type Job struct {
 	// once. A load failure degrades to a per-job error verdict, not a
 	// batch failure. Load must be safe for concurrent use across jobs.
 	Load func() (*Trace, error)
+	// LoadWindow, optionally set alongside Load, is Load for a
+	// sequential windowed audit, whose IPD range is known before the
+	// trace is: resume maps the trace's IPD count to the IPD the window
+	// opens at, and the loader may drop every checkpoint state that
+	// window never restores (store.LoadTraceWindow). Optional; when nil
+	// the auditor calls Load.
+	LoadWindow func(resume func(ipds int) int) (*Trace, error)
 	// LoadIPDs, optionally set alongside Load, materializes only the
 	// job's inter-packet delays, skipping the (much larger) log and
 	// execution sections. Statistical prefilters — the audit planner's

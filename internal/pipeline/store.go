@@ -118,6 +118,10 @@ func storeJob(st *store.Store, e store.Entry) Job {
 			_, tr, err := st.LoadTrace(file)
 			return tr, err
 		},
+		LoadWindow: func(resume func(ipds int) int) (*Trace, error) {
+			_, tr, err := st.LoadTraceWindow(file, resume)
+			return tr, err
+		},
 		LoadIPDs: func() ([]int64, error) {
 			return st.LoadIPDs(file)
 		},

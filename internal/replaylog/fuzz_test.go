@@ -147,22 +147,32 @@ func corrupt(valid []byte, f func([]byte)) []byte {
 	return b
 }
 
+// decodeSeeds is the decoder's seed corpus: every record kind in both
+// encodings, truncations of each, bare magics, and junk.
+func decodeSeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	for seed := uint64(1); seed <= 3; seed++ {
+		seeds = append(seeds, encodeLog(t, fixtures.RoundTripLog(seed)))
+		seeds = append(seeds, encodeLog(t, fixtures.RoundTripLogCheckpointed(seed)))
+	}
+	valid := encodeLog(t, fixtures.RoundTripLog(9))
+	ckpt := encodeLog(t, fixtures.RoundTripLogCheckpointed(9))
+	return append(seeds,
+		valid[:len(valid)/2],
+		ckpt[:len(ckpt)-7],
+		[]byte("SANLOG1\n"),
+		[]byte("SANLOG2\n"),
+		bytes.Repeat([]byte{0xff}, 64))
+}
+
 // FuzzDecode is the round-trip fuzz target: any input that decodes
 // must re-encode and re-decode to the identical log; any input that
 // does not decode must fail with an error, not a panic or a runaway
 // allocation.
 func FuzzDecode(f *testing.F) {
-	for seed := uint64(1); seed <= 3; seed++ {
-		f.Add(encodeLog(f, fixtures.RoundTripLog(seed)))
-		f.Add(encodeLog(f, fixtures.RoundTripLogCheckpointed(seed)))
+	for _, seed := range decodeSeeds(f) {
+		f.Add(seed)
 	}
-	valid := encodeLog(f, fixtures.RoundTripLog(9))
-	f.Add(valid[:len(valid)/2])
-	ckpt := encodeLog(f, fixtures.RoundTripLogCheckpointed(9))
-	f.Add(ckpt[:len(ckpt)-7])
-	f.Add([]byte("SANLOG1\n"))
-	f.Add([]byte("SANLOG2\n"))
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := replaylog.Decode(bytes.NewReader(data))
 		if err != nil {
@@ -187,4 +197,103 @@ func FuzzDecode(f *testing.F) {
 func isIOError(err error) bool {
 	s := err.Error()
 	return strings.Contains(s, "EOF")
+}
+
+// walksAgree is the shared-walker differential: Validate, Decode and
+// DecodeWindow are one parser under three retention policies, so on
+// any input they accept or reject together, with the same error text,
+// and agree on identity, counts, records and the checkpoint index. A
+// windowed decode additionally answers the Window query it was loaded
+// for with the very bytes a full decode restores from, and holds no
+// other State.
+func walksAgree(t testing.TB, data []byte, from int) {
+	t.Helper()
+	full, derr := replaylog.Decode(bytes.NewReader(data))
+	sum, verr := replaylog.Validate(bytes.NewReader(data))
+	win, werr := replaylog.DecodeWindow(bytes.NewReader(data), from)
+	if derr != nil {
+		for name, err := range map[string]error{"Validate": verr, "DecodeWindow": werr} {
+			if err == nil || err.Error() != derr.Error() {
+				t.Fatalf("Decode rejected with %q, %s with %v", derr, name, err)
+			}
+		}
+		return
+	}
+	defer full.Release()
+	if verr != nil || werr != nil {
+		t.Fatalf("Decode accepted; Validate: %v, DecodeWindow: %v", verr, werr)
+	}
+	defer win.Release()
+	if sum != *full.Summary() || sum != *win.Summary() {
+		t.Fatalf("summaries differ: Validate %+v, Decode %+v, DecodeWindow %+v", sum, full.Summary(), win.Summary())
+	}
+	from = max(from, 0)
+	want, err := full.Window(from, from+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := win.Window(from, from+1)
+	if err != nil {
+		t.Fatalf("windowed decode cannot answer its own window: %v", err)
+	}
+	if (got.Start == nil) != (want.Start == nil) || got.SkippedPackets != want.SkippedPackets || got.SkippedRandoms != want.SkippedRandoms {
+		t.Fatalf("window plans differ: %+v vs %+v", got, want)
+	}
+	held := 0
+	for i, c := range win.Checkpoints {
+		if c.State != nil {
+			held++
+		}
+		c.State = full.Checkpoints[i].State
+		win.Checkpoints[i] = c
+	}
+	if want.Start != nil && !bytes.Equal(got.Start.State, want.Start.State) {
+		t.Fatal("windowed decode retained different state bytes")
+	}
+	if (want.Start == nil && held != 0) || (want.Start != nil && held != 1) {
+		t.Fatalf("windowed decode holds %d states", held)
+	}
+	// With the dropped States filled back in, the two logs are equal.
+	if !win.Equal(full) {
+		t.Fatal("windowed decode differs from the full decode beyond the dropped states")
+	}
+}
+
+// TestWalksAgreeOnSeeds runs the differential over FuzzDecode's seed
+// corpus at window starts before, between and past the checkpoints.
+func TestWalksAgreeOnSeeds(t *testing.T) {
+	for _, seed := range decodeSeeds(t) {
+		for _, from := range []int{0, 7, 8, 17, 1 << 20} {
+			walksAgree(t, seed, from)
+		}
+	}
+}
+
+// TestWindowedDecodeRefusesOtherWindows: a State that was not kept is
+// an error at planning time, never a restore from nothing.
+func TestWindowedDecodeRefusesOtherWindows(t *testing.T) {
+	data := encodeLog(t, fixtures.RoundTripLogCheckpointed(5)) // checkpoints at outputs 8, 16, 24
+	l, err := replaylog.DecodeWindow(bytes.NewReader(data), 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	if _, err := l.Window(17, 30); err != nil {
+		t.Fatalf("own window: %v", err)
+	}
+	if _, err := l.Window(3, 30); err != nil {
+		t.Fatalf("a window before every checkpoint needs no state: %v", err)
+	}
+	for _, from := range []int{8, 24} {
+		if _, err := l.Window(from, 30); err == nil {
+			t.Fatalf("window from %d planned a restore of a dropped state", from)
+		}
+	}
+}
+
+func FuzzValidateAgreesWithDecode(f *testing.F) {
+	for i, seed := range decodeSeeds(f) {
+		f.Add(seed, i*5)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, from int) { walksAgree(t, data, from) })
 }

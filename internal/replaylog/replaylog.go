@@ -91,6 +91,11 @@ type Log struct {
 	// Release returns them to the shared pools. Nil for logs built by
 	// AppendPacket/AppendValue, whose Release is a no-op.
 	arena *bufpool.Arena
+	// held, for a DecodeWindow-produced log, indexes the one checkpoint
+	// whose State was retained (-1: the window opens before the first
+	// checkpoint, so none was). Only meaningful when windowed is set.
+	held     int
+	windowed bool
 }
 
 // New creates an empty log with the given identity.
@@ -312,125 +317,189 @@ func (l *Log) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// brPool recycles the decoder's bufio.Reader: Decode runs once per
-// audited trace (and once more per LoadIPDs fallback), and the 4KB
-// reader buffer is pure churn otherwise.
+// brPool recycles the walker's bufio.Reader: a log is walked once per
+// admitted upload and once per audited trace, and the 4KB reader
+// buffer is pure churn otherwise.
 var brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// Summary is what a walk learns about a log whether or not it keeps
+// it: the identity the log claims and the sizes of its two sections.
+type Summary struct {
+	Program, Machine, Profile string
+	Records, Checkpoints      int
+}
+
+// Summary describes an in-memory log the way Validate describes an
+// encoded one; nil for a nil log.
+func (l *Log) Summary() *Summary {
+	if l == nil {
+		return nil
+	}
+	return &Summary{l.Program, l.Machine, l.Profile, len(l.Records), len(l.Checkpoints)}
+}
 
 // Decode reads a log in the binary format produced by Encode. Packet
 // payloads and checkpoint states in the returned log are backed by
 // pooled buffers; the caller that owns the log should call Release
 // when finished with it (see Log.Release for the aliasing rules).
-func Decode(r io.Reader) (*Log, error) {
+func Decode(r io.Reader) (*Log, error) { return decode(r, -1) }
+
+// DecodeWindow is Decode for an audit that will only replay a window
+// opening at IPD fromIPD: records and every checkpoint's index entry
+// are kept (the replay re-quiesces at each boundary it crosses), but
+// of the States only the one Window(fromIPD, ·) resumes from. The
+// encoding is read and checked exactly as Decode does; a Window query
+// that would resume from a dropped State fails.
+func DecodeWindow(r io.Reader, fromIPD int) (*Log, error) {
+	return decode(r, int64(max(fromIPD, 0)))
+}
+
+// Validate is Decode keeping nothing: every check applies — magic,
+// string caps, record kinds, payload and state caps, checkpoint
+// monotonicity and cursor bounds, trailing garbage — and fails with
+// the same error, but payloads and states are discarded as they
+// stream past. Admission cross-checks the summary it returns.
+func Validate(r io.Reader) (Summary, error) { return walk(r, nil, -1) }
+
+func decode(r io.Reader, resume int64) (*Log, error) {
+	l := &Log{arena: &bufpool.Arena{}, held: -1, windowed: resume >= 0}
+	if _, err := walk(r, l, resume); err != nil {
+		// Return the partially-filled pooled buffers immediately
+		// instead of waiting for GC.
+		l.Release()
+		return nil, err
+	}
+	return l, nil
+}
+
+// walker is the one parser of the SANLOG1/2 encoding. What it retains
+// is the caller's policy: log == nil keeps nothing (Validate), resume
+// < 0 keeps everything (Decode), resume >= 0 keeps everything but the
+// checkpoint States a window opening at IPD resume never restores
+// (DecodeWindow).
+type walker struct {
+	br     *bufio.Reader
+	buf    [8]byte
+	log    *Log
+	resume int64
+}
+
+func (w *walker) i64() (int64, error) {
+	if _, err := io.ReadFull(w.br, w.buf[:]); err != nil {
+		return 0, err
+	}
+	return int64(binary.LittleEndian.Uint64(w.buf[:])), nil
+}
+
+func (w *walker) str() (string, error) {
+	if _, err := io.ReadFull(w.br, w.buf[:4]); err != nil {
+		return "", err
+	}
+	n := binary.LittleEndian.Uint32(w.buf[:4])
+	if n > 1<<20 {
+		return "", fmt.Errorf("replaylog: implausible string length %d", n)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(w.br, b); err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// fill reads len(dst) bytes, or skips n when dst is nil.
+func (w *walker) fill(dst []byte, n int) error {
+	if dst == nil {
+		return bufpool.Discard(w.br, n)
+	}
+	_, err := io.ReadFull(w.br, dst)
+	return err
+}
+
+func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 	br := brPool.Get().(*bufio.Reader)
 	br.Reset(r)
 	defer func() {
 		br.Reset(nil)
 		brPool.Put(br)
 	}()
-	var magicBuf [8]byte // len(magic) == len(magicV2) == 8
-	got := magicBuf[:]
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("replaylog: reading magic: %w", err)
+	w := &walker{br: br, log: l, resume: resume}
+	var s Summary
+	magicBuf := w.buf[:] // len(magic) == len(magicV2) == 8
+	if _, err := io.ReadFull(br, magicBuf); err != nil {
+		return s, fmt.Errorf("replaylog: reading magic: %w", err)
 	}
 	var version int
-	switch string(got) {
+	switch string(magicBuf) {
 	case string(magic):
 		version = 1
 	case string(magicV2):
 		version = 2
 	default:
-		return nil, fmt.Errorf("replaylog: bad magic %q", got)
+		return s, fmt.Errorf("replaylog: bad magic %q", magicBuf)
 	}
-	readStr := func() (string, error) {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return "", err
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > 1<<20 {
-			return "", fmt.Errorf("replaylog: implausible string length %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	l := &Log{arena: &bufpool.Arena{}}
-	decoded := false
-	defer func() {
-		// Any error path returns the partially-filled pooled buffers
-		// immediately instead of waiting for GC.
-		if !decoded {
-			l.Release()
-		}
-	}()
 	var err error
-	if l.Program, err = readStr(); err != nil {
-		return nil, fmt.Errorf("replaylog: program name: %w", err)
+	if s.Program, err = w.str(); err != nil {
+		return s, fmt.Errorf("replaylog: program name: %w", err)
 	}
-	if l.Machine, err = readStr(); err != nil {
-		return nil, fmt.Errorf("replaylog: machine name: %w", err)
+	if s.Machine, err = w.str(); err != nil {
+		return s, fmt.Errorf("replaylog: machine name: %w", err)
 	}
-	if l.Profile, err = readStr(); err != nil {
-		return nil, fmt.Errorf("replaylog: profile name: %w", err)
+	if s.Profile, err = w.str(); err != nil {
+		return s, fmt.Errorf("replaylog: profile name: %w", err)
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return nil, err
+	n, err := w.i64()
+	if err != nil {
+		return s, err
 	}
-	count := binary.LittleEndian.Uint64(buf[:])
+	count := uint64(n)
 	if count > 1<<30 {
-		return nil, fmt.Errorf("replaylog: implausible record count %d", count)
+		return s, fmt.Errorf("replaylog: implausible record count %d", count)
 	}
-	// Cap the preallocation independently of the declared count: a
-	// corrupted or hostile header must not be able to demand gigabytes
-	// before a single record has parsed. The slice still grows to the
-	// real count via append.
-	capHint := count
-	if capHint > 4096 {
-		capHint = 4096
+	if l != nil {
+		l.Program, l.Machine, l.Profile = s.Program, s.Machine, s.Profile
+		// Cap the preallocation independently of the declared count: a
+		// corrupted or hostile header must not be able to demand
+		// gigabytes before a single record has parsed. The slice still
+		// grows to the real count via append.
+		l.Records = make([]Record, 0, min(count, 4096))
 	}
-	l.Records = make([]Record, 0, capHint)
 	for i := uint64(0); i < count; i++ {
 		kind, err := br.ReadByte()
 		if err != nil {
-			return nil, fmt.Errorf("replaylog: record %d: %w", i, err)
+			return s, fmt.Errorf("replaylog: record %d: %w", i, err)
 		}
-		var rec Record
-		rec.Kind = Kind(kind)
+		rec := Record{Kind: Kind(kind)}
 		switch rec.Kind {
 		case KindPacket, KindTimeRead, KindRandom:
 		default:
-			return nil, fmt.Errorf("replaylog: record %d has unknown kind %q", i, kind)
+			return s, fmt.Errorf("replaylog: record %d has unknown kind %q", i, kind)
 		}
-		for _, dst := range []*int64{&rec.Instr, &rec.PlayPs} {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, err
+		for _, dst := range []*int64{&rec.Instr, &rec.PlayPs, &rec.Value} {
+			if *dst, err = w.i64(); err != nil {
+				return s, err
 			}
-			*dst = int64(binary.LittleEndian.Uint64(buf[:]))
-		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
 		}
 		if rec.Kind == KindPacket {
-			n := binary.LittleEndian.Uint64(buf[:])
+			n := uint64(rec.Value)
+			rec.Value = 0
 			if n > 1<<24 {
-				return nil, fmt.Errorf("replaylog: record %d payload too large (%d)", i, n)
+				return s, fmt.Errorf("replaylog: record %d payload too large (%d)", i, n)
 			}
-			rec.Payload = l.arena.Alloc(int(n))
-			if _, err := io.ReadFull(br, rec.Payload); err != nil {
-				return nil, err
+			if l != nil {
+				rec.Payload = l.arena.Alloc(int(n))
 			}
-		} else {
-			rec.Value = int64(binary.LittleEndian.Uint64(buf[:]))
+			if err := w.fill(rec.Payload, int(n)); err != nil {
+				return s, err
+			}
 		}
-		l.Records = append(l.Records, rec)
+		if l != nil {
+			l.Records = append(l.Records, rec)
+		}
+		s.Records++
 	}
 	if version >= 2 {
-		if err := decodeCheckpoints(br, l); err != nil {
-			return nil, err
+		if err := w.checkpoints(&s); err != nil {
+			return s, err
 		}
 	}
 	// The counts are authoritative: anything after the last record (or
@@ -438,62 +507,71 @@ func Decode(r io.Reader) (*Log, error) {
 	// padding.
 	if _, err := br.ReadByte(); err != io.EOF {
 		if err != nil {
-			return nil, fmt.Errorf("replaylog: after last record: %w", err)
+			return s, fmt.Errorf("replaylog: after last record: %w", err)
 		}
-		return nil, fmt.Errorf("replaylog: trailing garbage after record %d", count)
+		return s, fmt.Errorf("replaylog: trailing garbage after record %d", count)
 	}
-	decoded = true
-	return l, nil
+	return s, nil
 }
 
-// decodeCheckpoints reads and validates the v2 checkpoint section.
-// The indexing invariants are enforced here — strictly increasing
+// checkpoints walks and validates the v2 checkpoint section. The
+// indexing invariants are enforced here — strictly increasing
 // boundaries with record cursors inside the record stream — so
 // everything downstream (Window, the replay engine) can trust a
 // decoded log's segment index structurally.
-func decodeCheckpoints(br *bufio.Reader, l *Log) error {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
+func (w *walker) checkpoints(s *Summary) error {
+	n, err := w.i64()
+	if err != nil {
 		return fmt.Errorf("replaylog: checkpoint count: %w", err)
 	}
-	count := binary.LittleEndian.Uint64(buf[:])
+	count := uint64(n)
 	if count > maxCheckpoints {
 		return fmt.Errorf("replaylog: implausible checkpoint count %d", count)
 	}
-	capHint := count
-	if capHint > 4096 {
-		capHint = 4096
+	l := w.log
+	if l != nil {
+		l.Checkpoints = make([]Checkpoint, 0, min(count, 4096))
 	}
-	l.Checkpoints = make([]Checkpoint, 0, capHint)
+	var prev Checkpoint
 	for i := uint64(0); i < count; i++ {
 		var c Checkpoint
 		var stateLen int64
 		for _, dst := range []*int64{&c.Instr, &c.Outputs, &c.Records, &c.PlayCycles, &stateLen} {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
+			if *dst, err = w.i64(); err != nil {
 				return fmt.Errorf("replaylog: checkpoint %d: %w", i, err)
 			}
-			*dst = int64(binary.LittleEndian.Uint64(buf[:]))
 		}
 		if c.Instr < 0 || c.Outputs < 0 || c.PlayCycles < 0 {
 			return fmt.Errorf("replaylog: checkpoint %d has negative index", i)
 		}
-		if c.Records < 0 || c.Records > int64(len(l.Records)) {
-			return fmt.Errorf("replaylog: checkpoint %d record cursor %d outside the %d-record stream", i, c.Records, len(l.Records))
+		if c.Records < 0 || c.Records > int64(s.Records) {
+			return fmt.Errorf("replaylog: checkpoint %d record cursor %d outside the %d-record stream", i, c.Records, s.Records)
 		}
-		if i > 0 {
-			prev := l.Checkpoints[i-1]
-			if c.Instr <= prev.Instr || c.Outputs <= prev.Outputs || c.Records < prev.Records {
-				return fmt.Errorf("replaylog: checkpoint %d is not past checkpoint %d (overlapping windows)", i, i-1)
-			}
+		if i > 0 && (c.Instr <= prev.Instr || c.Outputs <= prev.Outputs || c.Records < prev.Records) {
+			return fmt.Errorf("replaylog: checkpoint %d is not past checkpoint %d (overlapping windows)", i, i-1)
 		}
 		if stateLen < 0 || stateLen > maxCheckpointState {
 			return fmt.Errorf("replaylog: checkpoint %d state of %d bytes", i, stateLen)
 		}
-		c.State = l.arena.Alloc(int(stateLen))
-		if _, err := io.ReadFull(br, c.State); err != nil {
+		if l != nil && (w.resume < 0 || c.Outputs <= w.resume) {
+			if w.resume >= 0 {
+				// The newest eligible checkpoint is the one a window
+				// at resume restores; its predecessor no longer is.
+				if l.held >= 0 {
+					l.Checkpoints[l.held].State = nil
+				}
+				l.held = int(i)
+			}
+			c.State = l.arena.Alloc(int(stateLen))
+		}
+		if err := w.fill(c.State, int(stateLen)); err != nil {
 			return fmt.Errorf("replaylog: checkpoint %d state: %w", i, err)
 		}
-		l.Checkpoints = append(l.Checkpoints, c)
+		if l != nil {
+			l.Checkpoints = append(l.Checkpoints, c)
+		}
+		prev = c
+		s.Checkpoints++
 	}
 	return nil
 }
@@ -541,6 +619,9 @@ func (l *Log) Window(fromIPD, toIPD int) (*LogWindow, error) {
 	}
 	if best < 0 {
 		return w, nil
+	}
+	if l.windowed && best != l.held {
+		return nil, fmt.Errorf("replaylog: window [%d, %d) resumes from checkpoint %d, whose state this windowed load did not retain", fromIPD, toIPD, best)
 	}
 	c := &l.Checkpoints[best]
 	w.Start = c

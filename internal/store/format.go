@@ -115,11 +115,8 @@ func (w *Writer) writeFrame(t FrameType, payload []byte) error {
 	var hdr [5]byte
 	hdr[0] = byte(t)
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
+	binary.LittleEndian.PutUint32(sum[:], frameCRC(hdr[:], payload))
 	for _, b := range [][]byte{hdr[:], payload, sum[:]} {
 		if _, err := w.w.Write(b); err != nil {
 			w.err = fmt.Errorf("store: writing frame: %w", err)
@@ -127,6 +124,11 @@ func (w *Writer) writeFrame(t FrameType, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// frameCRC is the frame checksum: IEEE CRC-32 over header then payload.
+func frameCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload)
 }
 
 // flushSection emits the buffered tail of the current section.
@@ -193,10 +195,14 @@ func (w *Writer) Close() error {
 // verifies every frame's CRC as it goes. Next returns io.EOF once the
 // end frame — and nothing after it — has been seen.
 type Reader struct {
-	r       io.Reader
-	pending *frame
-	cursec  *sectionReader
-	done    bool
+	r io.Reader
+	// pending is the lookahead frame that ended the previous section;
+	// hasPending says whether it is set. Frames are held by value — a
+	// 7 MB container is over a hundred of them on every pass.
+	pending    frame
+	hasPending bool
+	cursec     *sectionReader
+	done       bool
 	// scratch backs every frame payload this Reader yields. At most
 	// one frame is live at a time — a section's current chunk (cur) or
 	// the lookahead frame that ended it (pending), never both — and
@@ -205,6 +211,7 @@ type Reader struct {
 	// used to dominate the load stage (every skipped section still
 	// paid it in full).
 	scratch bufpool.Scratch
+	fixed   [9]byte // frame header (5) then checksum (4)
 }
 
 type frame struct {
@@ -214,8 +221,8 @@ type frame struct {
 
 // NewReader validates the container header.
 func NewReader(r io.Reader) (*Reader, error) {
-	hdr := make([]byte, len(containerMagic)+1)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [9]byte // len(containerMagic) + the version byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("store: reading container header: %w", err)
 	}
 	if string(hdr[:len(containerMagic)]) != string(containerMagic) {
@@ -228,36 +235,34 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // readFrame reads and CRC-checks one frame.
-func (r *Reader) readFrame() (*frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("store: reading frame header: %w", err)
+func (r *Reader) readFrame() (frame, error) {
+	// One buffer for header and checksum: a local array passed through
+	// the io.Reader interface would escape, once per frame.
+	hdr, sum := r.fixed[:5], r.fixed[5:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
+		return frame{}, fmt.Errorf("store: reading frame header: %w", err)
 	}
 	t := FrameType(hdr[0])
 	switch t {
 	case FrameMeta, FrameIPD, FrameLog, FrameExec, FrameEnd:
 	default:
-		return nil, fmt.Errorf("store: unknown frame type %q", hdr[0])
+		return frame{}, fmt.Errorf("store: unknown frame type %q", hdr[0])
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > MaxFrame {
-		return nil, fmt.Errorf("store: frame of %d bytes exceeds the %d limit", n, MaxFrame)
+		return frame{}, fmt.Errorf("store: frame of %d bytes exceeds the %d limit", n, MaxFrame)
 	}
 	payload := r.scratch.Grow(int(n))
 	if _, err := io.ReadFull(r.r, payload); err != nil {
-		return nil, fmt.Errorf("store: reading %q frame payload: %w", byte(t), err)
+		return frame{}, fmt.Errorf("store: reading %q frame payload: %w", byte(t), err)
 	}
-	var sum [4]byte
-	if _, err := io.ReadFull(r.r, sum[:]); err != nil {
-		return nil, fmt.Errorf("store: reading %q frame checksum: %w", byte(t), err)
+	if _, err := io.ReadFull(r.r, sum); err != nil {
+		return frame{}, fmt.Errorf("store: reading %q frame checksum: %w", byte(t), err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	if got, want := binary.LittleEndian.Uint32(sum[:]), crc.Sum32(); got != want {
-		return nil, fmt.Errorf("store: %q frame CRC mismatch (corrupted container)", byte(t))
+	if got, want := binary.LittleEndian.Uint32(sum), frameCRC(hdr, payload); got != want {
+		return frame{}, fmt.Errorf("store: %q frame CRC mismatch (corrupted container)", byte(t))
 	}
-	return &frame{t: t, payload: payload}, nil
+	return frame{t: t, payload: payload}, nil
 }
 
 // Next returns the next section's type and a streaming reader over its
@@ -276,8 +281,9 @@ func (r *Reader) Next() (FrameType, io.Reader, error) {
 		r.cursec = nil
 	}
 	f := r.pending
-	r.pending = nil
-	if f == nil {
+	if r.hasPending {
+		r.hasPending = false
+	} else {
 		var err error
 		if f, err = r.readFrame(); err != nil {
 			return 0, nil, err
@@ -320,7 +326,7 @@ func (s *sectionReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		if f.t != s.t {
-			s.r.pending = f
+			s.r.pending, s.r.hasPending = f, true
 			s.done = true
 			return 0, io.EOF
 		}

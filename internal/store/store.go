@@ -12,6 +12,7 @@ import (
 
 	"sanity/internal/detect"
 	"sanity/internal/obs"
+	"sanity/internal/replaylog"
 	"sanity/internal/triage"
 )
 
@@ -173,10 +174,10 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, manifest: m}, nil
 }
 
-// noteTrace upgrades the manifest version when admitted content
-// needs it (a checkpointed log makes the corpus v2).
-func (s *Store) noteTrace(tr *detect.Trace) {
-	if tr == nil || tr.Log == nil || len(tr.Log.Checkpoints) == 0 {
+// noteLog upgrades the manifest version when admitted content needs
+// it (a checkpointed log makes the corpus v2).
+func (s *Store) noteLog(log *replaylog.Summary) {
+	if log == nil || log.Checkpoints == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -578,30 +579,30 @@ func (s *Store) writeContainer(e Entry, tr *detect.Trace) error {
 
 // checkedMeta completes the metadata and rejects a meta section that
 // contradicts the embedded log's identity.
-func checkedMeta(meta Meta, tr *detect.Trace) (Meta, error) {
-	if tr.Log != nil {
+func checkedMeta(meta Meta, ipds int, log *replaylog.Summary) (Meta, error) {
+	if log != nil {
 		for _, c := range []struct{ field, claimed, logged string }{
-			{"program", meta.Program, tr.Log.Program},
-			{"machine", meta.Machine, tr.Log.Machine},
-			{"profile", meta.Profile, tr.Log.Profile},
+			{"program", meta.Program, log.Program},
+			{"machine", meta.Machine, log.Machine},
+			{"profile", meta.Profile, log.Profile},
 		} {
 			if c.claimed != "" && c.claimed != c.logged {
 				return meta, fmt.Errorf("store: trace %q metadata claims %s %q but its log was recorded on %q", meta.ID, c.field, c.claimed, c.logged)
 			}
 		}
 	}
-	full := completeMeta(meta, tr)
+	full := completeMeta(meta, ipds, log)
 	return full, full.validate()
 }
 
 // triageFor scores a trace at admission when scoring is enabled and
 // the trace is an audit subject; training traces are baseline
 // material and stay unscored.
-func (s *Store) triageFor(full Meta, tr *detect.Trace) *triage.Score {
+func (s *Store) triageFor(full Meta, ipds []int64) *triage.Score {
 	if full.Role != RoleTest {
 		return nil
 	}
-	return s.scoreIPDs(tr.IPDs)
+	return s.scoreIPDs(ipds)
 }
 
 // put completes the metadata, reserves the slot, and writes the
@@ -610,11 +611,12 @@ func (s *Store) put(meta Meta, tr *detect.Trace) (Meta, error) {
 	if tr == nil {
 		return meta, fmt.Errorf("store: nil trace")
 	}
-	full, err := checkedMeta(meta, tr)
+	log := tr.Log.Summary()
+	full, err := checkedMeta(meta, len(tr.IPDs), log)
 	if err != nil {
 		return full, err
 	}
-	e, err := s.reserve(full, s.triageFor(full, tr))
+	e, err := s.reserve(full, s.triageFor(full, tr.IPDs))
 	if err != nil {
 		return full, err
 	}
@@ -623,7 +625,7 @@ func (s *Store) put(meta Meta, tr *detect.Trace) (Meta, error) {
 		return full, err
 	}
 	s.commit(e)
-	s.noteTrace(tr)
+	s.noteLog(log)
 	return full, nil
 }
 
@@ -636,10 +638,13 @@ func (s *Store) Put(meta Meta, tr *detect.Trace) error {
 }
 
 // PutContainer validates a container streamed from r — frame CRCs,
-// section structure, log decoding, metadata and shard identity
-// cross-checks — and spools it into the store. This is the ingest
-// path: a corrupted, truncated, or lying upload is rejected here, as
-// a per-trace error, before it can reach an auditor. The validated
+// section structure, the log's and execution's encodings, metadata
+// and shard identity cross-checks — and spools it into the store.
+// This is the ingest path: a corrupted, truncated, or lying upload is
+// rejected here, as a per-trace error, before it can reach an auditor.
+// Validation is the reader LoadTrace uses (walkContainer), told to
+// keep nothing but the IPDs: it rejects exactly what a load would,
+// with the same error, and never materializes the log. The validated
 // bytes are teed straight to the spool file as they stream in — no
 // re-encode — so the admitted container is byte-identical to the
 // upload.
@@ -652,9 +657,10 @@ func (s *Store) PutContainer(r io.Reader) (Meta, error) {
 // score alongside the metadata — nil when scoring is disabled, the
 // trace is training material, or it was too short to assess (the
 // Neutral case still returns a score so the caller can report it).
-// The detector ensemble runs between the validate and admit steps, so
-// a rejected upload is never scored and an admitted one always
-// carries its score in the manifest and sidecar from the first write.
+// The detector ensemble runs between the validate and admit steps —
+// over the IPDs, the one thing the validating walk retains — so a
+// rejected upload is never scored and an admitted one always carries
+// its score in the manifest and sidecar from the first write.
 func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
 	f, err := os.CreateTemp(s.dir, ".spool-*")
 	if err != nil {
@@ -662,18 +668,18 @@ func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
 	}
 	tmp := f.Name()
 	defer os.Remove(tmp)
-	meta, tr, err := ReadTrace(io.TeeReader(r, f))
+	meta, tr, log, err := walkContainer(io.TeeReader(r, f), false, nil)
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("store: spooling: %w", cerr)
 	}
 	if err != nil {
 		return meta, nil, err
 	}
-	full, err := checkedMeta(meta, tr)
+	full, err := checkedMeta(meta, len(tr.IPDs), log)
 	if err != nil {
 		return full, nil, err
 	}
-	sc := s.triageFor(full, tr)
+	sc := s.triageFor(full, tr.IPDs)
 	e, err := s.reserve(full, sc)
 	if err != nil {
 		return full, nil, err
@@ -683,7 +689,7 @@ func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
 		return full, nil, err
 	}
 	s.commit(e)
-	s.noteTrace(tr)
+	s.noteLog(log)
 	return full, sc, nil
 }
 
@@ -697,6 +703,15 @@ func (s *Store) OpenTrace(rel string) (*os.File, error) {
 
 // LoadTrace decodes a full trace by its manifest-relative path.
 func (s *Store) LoadTrace(rel string) (Meta, *detect.Trace, error) {
+	return s.LoadTraceWindow(rel, nil)
+}
+
+// LoadTraceWindow is LoadTrace for an audit whose IPD window is known
+// before the load: resume maps the container's IPD count to the IPD
+// the window opens at, and only the checkpoint State that window
+// resumes from is retained (replaylog.DecodeWindow). Every frame is
+// still read and CRC-checked; a nil resume keeps everything.
+func (s *Store) LoadTraceWindow(rel string, resume func(ipds int) int) (Meta, *detect.Trace, error) {
 	t := s.obs.Stage(obs.StageStoreDecode)
 	defer t.End()
 	f, err := s.OpenTrace(rel)
@@ -704,7 +719,8 @@ func (s *Store) LoadTrace(rel string) (Meta, *detect.Trace, error) {
 		return Meta{}, nil, err
 	}
 	defer f.Close()
-	return ReadTrace(f)
+	meta, tr, _, err := walkContainer(f, true, resume)
+	return meta, tr, err
 }
 
 // LoadIPDs decodes only a trace's inter-packet delays by its

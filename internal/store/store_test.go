@@ -8,14 +8,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"sanity/internal/bufpool"
 	"sanity/internal/core"
 	"sanity/internal/detect"
 	"sanity/internal/fixtures"
 	"sanity/internal/store"
+	"sanity/internal/triage"
 )
 
 // fullTrace builds a trace with all three data sections: IPDs, a log
@@ -764,4 +768,132 @@ func TestTraceReleaseAndPoolReuse(t *testing.T) {
 	var none *detect.Trace
 	none.Release() // nil trace: no-op
 	(&detect.Trace{IPDs: []int64{1, 2}}).Release()
+}
+
+// TestPutContainerRetainsNothing gates admission's footprint where it
+// is attributed: admitting a checkpointed multi-megabyte container
+// walks every frame and every log record, but allocates a frame
+// buffer, the IPDs and bookkeeping — not the log — and takes nothing
+// from the buffer pools.
+func TestPutContainerRetainsNothing(t *testing.T) {
+	tr, err := fixtures.PlayTraceCheckpointed(120, 21, 23, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := fixtures.NFSShardMeta(1)
+	if err := st.AddShard(shard); err != nil {
+		t.Fatal(err)
+	}
+	st.EnableTriage(triage.Options{})
+	held := bufpool.Live() // earlier tests may have leaked decodes
+	var allocated []uint64
+	var containerBytes int
+	for i := 0; i < 5; i++ {
+		meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
+		raw := encode(t, meta, tr)
+		if containerBytes = len(raw); containerBytes < 4<<20 {
+			t.Fatalf("fixture container is only %d bytes", containerBytes)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		admitted, sc, err := st.PutContainerScored(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if admitted.Records != len(tr.Log.Records) || admitted.IPDs != len(tr.IPDs) || admitted.Program != tr.Log.Program || sc == nil {
+			t.Fatalf("admission lost what the walk summarized: %+v, score %v", admitted, sc)
+		}
+		allocated = append(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	sort.Slice(allocated, func(i, j int) bool { return allocated[i] < allocated[j] })
+	median := allocated[len(allocated)/2]
+	t.Logf("admission allocates %d bytes per %d-byte container (median of %v)", median, containerBytes, allocated)
+	if median > 512<<10 {
+		t.Fatalf("admitting one container allocates %d bytes, want <= 512 KB", median)
+	}
+	if n := bufpool.Live() - held; n != 0 {
+		t.Fatalf("%d pooled blocks outstanding after admission", n)
+	}
+	if got := st.Entries(); len(got) != 5 {
+		t.Fatalf("%d of 5 containers in the manifest", len(got))
+	}
+}
+
+// TestLoadTraceWindowKeepsOneState: told where the audit window opens
+// (as a function of the container's own IPD count), the loader returns
+// the full trace — records, checkpoint index, execution — with exactly
+// one checkpoint State: the one that window resumes from, byte-equal
+// to the full load's.
+func TestLoadTraceWindowKeepsOneState(t *testing.T) {
+	tr, err := fixtures.PlayTraceCheckpointed(40, 21, 23, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := fixtures.NFSShardMeta(1)
+	if err := st.AddShard(shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(store.Meta{ID: "t", Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}, tr); err != nil {
+		t.Fatal(err)
+	}
+	file := st.Entries()[0].File
+	_, full, err := st.LoadTrace(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Release()
+	var sawIPDs int
+	_, win, err := st.LoadTraceWindow(file, func(ipds int) int {
+		sawIPDs = ipds
+		return ipds - 12
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer win.Release()
+	if sawIPDs != len(tr.IPDs) {
+		t.Fatalf("resume saw %d IPDs, trace has %d", sawIPDs, len(tr.IPDs))
+	}
+	from := len(tr.IPDs) - 12
+	want, err := full.Log.Window(from, len(tr.IPDs))
+	if err != nil || want.Start == nil {
+		t.Fatalf("fixture has no checkpoint before IPD %d: %v", from, err)
+	}
+	got, err := win.Log.Window(from, len(tr.IPDs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Start.State, want.Start.State) || got.Start.Outputs != want.Start.Outputs {
+		t.Fatal("windowed load resumes from a different checkpoint state")
+	}
+	held := 0
+	for i, c := range win.Log.Checkpoints {
+		if c.State != nil {
+			held++
+		}
+		if f := full.Log.Checkpoints[i]; c.Outputs != f.Outputs || c.Instr != f.Instr || c.Records != f.Records {
+			t.Fatalf("checkpoint %d index entry differs", i)
+		}
+	}
+	if held != 1 || len(win.Log.Checkpoints) < 3 {
+		t.Fatalf("windowed load holds %d of %d states", held, len(win.Log.Checkpoints))
+	}
+	if len(win.Log.Records) != len(full.Log.Records) || len(win.Play.Outputs) != len(full.Play.Outputs) {
+		t.Fatal("windowed load dropped records or outputs")
+	}
+	if _, err := win.Log.Window(0, 4); err != nil {
+		t.Fatalf("a window before the first checkpoint needs no state: %v", err)
+	}
+	if _, err := win.Log.Window(int(win.Log.Checkpoints[0].Outputs), from); err == nil {
+		t.Fatal("a window resuming from a dropped state was planned")
+	}
 }

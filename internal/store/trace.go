@@ -104,22 +104,23 @@ func (m *Meta) validate() error {
 const execCap = 1 << 24
 
 // completeMeta fills the count fields and, when a log is present, the
-// identity fields from the trace. It is the single source of the
-// metadata a container carries: WriteTrace applies it, and the store
-// uses it to index a trace without re-reading what it just wrote.
-func completeMeta(meta Meta, tr *detect.Trace) Meta {
-	meta.IPDs = len(tr.IPDs)
+// identity fields from the trace's IPD count and log summary. It is
+// the single source of the metadata a container carries: WriteTrace
+// applies it, and the store uses it to index a trace without
+// re-reading what it just wrote.
+func completeMeta(meta Meta, ipds int, log *replaylog.Summary) Meta {
+	meta.IPDs = ipds
 	meta.Records = 0
-	if tr.Log != nil {
-		meta.Records = len(tr.Log.Records)
+	if log != nil {
+		meta.Records = log.Records
 		if meta.Program == "" {
-			meta.Program = tr.Log.Program
+			meta.Program = log.Program
 		}
 		if meta.Machine == "" {
-			meta.Machine = tr.Log.Machine
+			meta.Machine = log.Machine
 		}
 		if meta.Profile == "" {
-			meta.Profile = tr.Log.Profile
+			meta.Profile = log.Profile
 		}
 	}
 	return meta
@@ -134,7 +135,7 @@ func WriteTrace(w io.Writer, meta Meta, tr *detect.Trace) error {
 	if tr == nil {
 		return fmt.Errorf("store: nil trace")
 	}
-	meta = completeMeta(meta, tr)
+	meta = completeMeta(meta, len(tr.IPDs), tr.Log.Summary())
 	if err := meta.validate(); err != nil {
 		return err
 	}
@@ -219,8 +220,9 @@ func encodeExec(w io.Writer, e *core.Execution) error {
 }
 
 // decodeExec reads the execution section back. Output payloads are
-// carved from arena when one is given; the caller ties the arena's
-// release to the execution's lifetime.
+// carved from arena; the caller ties the arena's release to the
+// execution's lifetime. A nil arena is admission's walk: the same
+// checks, payloads discarded, no execution returned.
 func decodeExec(r io.Reader, arena *bufpool.Arena) (*core.Execution, error) {
 	br := bufio.NewReader(r)
 	var buf [8]byte
@@ -242,11 +244,9 @@ func decodeExec(r io.Reader, arena *bufpool.Arena) (*core.Execution, error) {
 		return nil, fmt.Errorf("store: implausible output count %d", n)
 	}
 	e := &core.Execution{Mode: core.Mode(mode)}
-	capHint := n
-	if capHint > 4096 {
-		capHint = 4096
+	if arena != nil {
+		e.Outputs = make([]core.OutputEvent, 0, min(n, 4096))
 	}
-	e.Outputs = make([]core.OutputEvent, 0, capHint)
 	for i := int64(0); i < n; i++ {
 		var o core.OutputEvent
 		var vals [4]int64
@@ -262,11 +262,16 @@ func decodeExec(r io.Reader, arena *bufpool.Arena) (*core.Execution, error) {
 		if plen < 0 || plen > execCap {
 			return nil, fmt.Errorf("store: output %d payload of %d bytes", i, plen)
 		}
-		o.Payload = arena.Alloc(int(plen))
-		if _, err := io.ReadFull(br, o.Payload); err != nil {
+		if arena == nil {
+			err = bufpool.Discard(br, int(plen))
+		} else {
+			o.Payload = arena.Alloc(int(plen))
+			_, err = io.ReadFull(br, o.Payload)
+			e.Outputs = append(e.Outputs, o)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("store: execution output %d payload: %w", i, err)
 		}
-		e.Outputs = append(e.Outputs, o)
 	}
 	for _, dst := range []*int64{&e.TotalPs, &e.Instructions, &e.ExitCode} {
 		if *dst, err = get(); err != nil {
@@ -279,6 +284,9 @@ func decodeExec(r io.Reader, arena *bufpool.Arena) (*core.Execution, error) {
 		return nil, fmt.Errorf("store: trailing bytes in execution section")
 	default:
 		return nil, fmt.Errorf("store: after execution totals: %w", err)
+	}
+	if arena == nil {
+		return nil, nil
 	}
 	return e, nil
 }
@@ -336,28 +344,43 @@ func readIPDSection(sec io.Reader, want int) ([]int64, error) {
 	return out, nil
 }
 
+// sectionOrder ranks the sections in the order a container carries them.
+var sectionOrder = map[FrameType]int{FrameMeta: 0, FrameIPD: 1, FrameLog: 2, FrameExec: 3}
+
 // ReadTrace decodes a complete container: metadata plus every data
 // section, verifying frame CRCs, section order, the end frame, and the
 // metadata's count cross-checks.
 func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
+	meta, tr, _, err := walkContainer(r, true, nil)
+	return meta, tr, err
+}
+
+// walkContainer is the one container reader: every frame is read and
+// CRC-checked and every check ReadTrace documents applies, whatever
+// survives the walk. Without keep (admission) that is the IPDs and the
+// log's summary — the log and execution sections stream through their
+// decoders' own parsers and are dropped. With keep it is the whole
+// trace, minus, given resume, the checkpoint States an audit window
+// opening at IPD resume(meta.IPDs) never restores (DecodeWindow).
+func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *detect.Trace, *replaylog.Summary, error) {
 	fr, err := NewReader(r)
 	if err != nil {
-		return Meta{}, nil, err
+		return Meta{}, nil, nil, err
 	}
 	meta, err := readMetaSection(fr)
 	if err != nil {
-		return Meta{}, nil, err
+		return Meta{}, nil, nil, err
 	}
 	tr := &detect.Trace{}
+	var log *replaylog.Summary
 	// Error paths hand the partially-decoded trace's pooled buffers
 	// back immediately; a successful return transfers ownership (and
 	// the Release obligation) to the caller.
-	fail := func(err error) (Meta, *detect.Trace, error) {
+	fail := func(err error) (Meta, *detect.Trace, *replaylog.Summary, error) {
 		tr.Release()
-		return meta, nil, err
+		return meta, nil, nil, err
 	}
 	prev := FrameMeta
-	order := map[FrameType]int{FrameMeta: 0, FrameIPD: 1, FrameLog: 2, FrameExec: 3}
 	for {
 		t, sec, err := fr.Next()
 		if err == io.EOF {
@@ -366,7 +389,7 @@ func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if order[t] <= order[prev] {
+		if sectionOrder[t] <= sectionOrder[prev] {
 			return fail(fmt.Errorf("store: section %q out of order after %q", byte(t), byte(prev)))
 		}
 		prev = t
@@ -376,15 +399,30 @@ func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
 				return fail(err)
 			}
 		case FrameLog:
-			if tr.Log, err = replaylog.Decode(sec); err != nil {
+			var sum replaylog.Summary
+			switch {
+			case !keep:
+				sum, err = replaylog.Validate(sec)
+			case resume == nil:
+				tr.Log, err = replaylog.Decode(sec)
+			default:
+				tr.Log, err = replaylog.DecodeWindow(sec, resume(meta.IPDs))
+			}
+			if err != nil {
 				return fail(fmt.Errorf("store: decoding log: %w", err))
 			}
-			if len(tr.Log.Records) != meta.Records {
-				return fail(fmt.Errorf("store: log holds %d records, metadata says %d", len(tr.Log.Records), meta.Records))
+			if log = tr.Log.Summary(); log == nil {
+				log = &sum
+			}
+			if log.Records != meta.Records {
+				return fail(fmt.Errorf("store: log holds %d records, metadata says %d", log.Records, meta.Records))
 			}
 		case FrameExec:
-			execArena := &bufpool.Arena{}
-			tr.OnRelease(execArena.Release)
+			var execArena *bufpool.Arena
+			if keep {
+				execArena = &bufpool.Arena{}
+				tr.OnRelease(execArena.Release)
+			}
 			if tr.Play, err = decodeExec(sec, execArena); err != nil {
 				return fail(err)
 			}
@@ -393,10 +431,10 @@ func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
 	if meta.IPDs > 0 && tr.IPDs == nil {
 		return fail(fmt.Errorf("store: metadata promises %d IPDs but the section is missing", meta.IPDs))
 	}
-	if meta.Records > 0 && tr.Log == nil {
+	if meta.Records > 0 && log == nil {
 		return fail(fmt.Errorf("store: metadata promises %d log records but the section is missing", meta.Records))
 	}
-	return meta, tr, nil
+	return meta, tr, log, nil
 }
 
 // ReadMeta decodes only the leading metadata section, leaving the rest

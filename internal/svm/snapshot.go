@@ -50,8 +50,8 @@ func (s *snapWriter) u64(v uint64) {
 	_, s.err = s.w.Write(buf[:])
 }
 
-func (s *snapWriter) i64(v int64)  { s.u64(uint64(v)) }
-func (s *snapWriter) b(v byte)     { s.bytes([]byte{v}) }
+func (s *snapWriter) i64(v int64)   { s.u64(uint64(v)) }
+func (s *snapWriter) b(v byte)      { s.bytes([]byte{v}) }
 func (s *snapWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
 
 func (s *snapWriter) bytes(p []byte) {
@@ -77,8 +77,11 @@ func (s *snapWriter) values(vs []Value) {
 	}
 }
 
+// snapReader is a cursor over a snapshot blob. The first failure
+// sticks; every read after it returns zero.
 type snapReader struct {
-	r   *bufio.Reader
+	b   []byte
+	sc  *RestoreScratch
 	err error
 }
 
@@ -88,45 +91,56 @@ func (s *snapReader) fail(format string, args ...any) {
 	}
 }
 
+// take consumes the next n bytes.
+func (s *snapReader) take(n int) []byte {
+	if s.err != nil {
+		return nil
+	}
+	if len(s.b) < n {
+		s.b, s.err = nil, fmt.Errorf("svm: snapshot: %w", io.ErrUnexpectedEOF)
+		return nil
+	}
+	p := s.b[:n]
+	s.b = s.b[n:]
+	return p
+}
+
 func (s *snapReader) u64() uint64 {
-	if s.err != nil {
-		return 0
+	if p := s.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(s.r, buf[:]); err != nil {
-		s.err = fmt.Errorf("svm: snapshot: %w", err)
-		return 0
-	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return 0
 }
 
-func (s *snapReader) i64() int64    { return int64(s.u64()) }
-func (s *snapReader) f64() float64  { return math.Float64frombits(s.u64()) }
+func (s *snapReader) i64() int64   { return int64(s.u64()) }
+func (s *snapReader) f64() float64 { return math.Float64frombits(s.u64()) }
 
-func (s *snapReader) b() byte {
-	if s.err != nil {
-		return 0
+func (s *snapReader) b8() byte {
+	if p := s.take(1); p != nil {
+		return p[0]
 	}
-	c, err := s.r.ReadByte()
-	if err != nil {
-		s.err = fmt.Errorf("svm: snapshot: %w", err)
-		return 0
-	}
-	return c
+	return 0
 }
 
-// count reads a collection length and validates it against the cap.
-func (s *snapReader) count(what string) int {
+// count reads a collection length and validates it against the cap
+// and against the bytes left: each element occupies at least
+// elemBytes of the blob, so a count the blob cannot back fails here,
+// before anything is sized by it.
+func (s *snapReader) count(what string, elemBytes int) int {
 	n := s.i64()
 	if n < 0 || n > snapMaxCollection {
 		s.fail("implausible %s count %d", what, n)
+		return 0
+	}
+	if s.err == nil && n*int64(elemBytes) > int64(len(s.b)) {
+		s.fail("%s count %d exceeds the snapshot: %w", what, n, io.ErrUnexpectedEOF)
 		return 0
 	}
 	return int(n)
 }
 
 func (s *snapReader) value() Value {
-	k := Kind(s.b())
+	k := Kind(s.b8())
 	switch k {
 	case KInt, KRef:
 		return Value{K: k, I: s.i64()}
@@ -139,11 +153,7 @@ func (s *snapReader) value() Value {
 }
 
 func (s *snapReader) valueSlice(what string) []Value {
-	n := s.count(what)
-	if s.err != nil {
-		return nil
-	}
-	out := make([]Value, n)
+	out := carve(&s.sc.values, s.count(what, 9))
 	for i := range out {
 		out[i] = s.value()
 	}
@@ -310,34 +320,41 @@ func (h *Heap) encode(s *snapWriter) {
 // function indices — so a corrupted or hostile snapshot fails with an
 // error instead of corrupting the process; semantic damage beyond
 // that surfaces as a deterministic VM trap during execution.
-func (vm *VM) RestoreState(r io.Reader) error {
-	s := &snapReader{r: bufio.NewReader(r)}
-	if v := s.b(); s.err == nil && v != snapshotVersion {
+//
+// The blob is parsed in place and only read: everything the VM will
+// mutate is copied out of it, into memory carved from sc (reset
+// first; nil means a private one). The restored heap lives in sc, so
+// sc must not reach another restore while this VM can still run —
+// see RestoreScratch.
+func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
+	if sc == nil {
+		sc = new(RestoreScratch)
+	}
+	sc.reset()
+	s := &snapReader{b: blob, sc: sc}
+	if v := s.b8(); s.err == nil && v != snapshotVersion {
 		return fmt.Errorf("svm: snapshot: unsupported version %d", v)
 	}
 	instr := s.i64()
 	cur := s.i64()
 	sliceLeft := s.i64()
 	exitCode := s.i64()
-	halted := s.b() != 0
+	halted := s.b8() != 0
 	globals := s.valueSlice("globals")
 	if s.err == nil && len(globals) != len(vm.Globals) {
 		s.fail("%d globals, program has %d", len(globals), len(vm.Globals))
 	}
-	nStr := s.count("string constants")
+	nStr := s.count("string constants", 8)
 	if s.err == nil && nStr != len(vm.strRefs) {
 		s.fail("%d string refs, program has %d", nStr, len(vm.strRefs))
 	}
-	strRefs := make([]Ref, nStr)
-	for i := range strRefs {
-		strRefs[i] = Ref(s.i64())
-	}
+	strRefs := s.refSlice(nStr)
 	heap := decodeHeap(s, vm.Heap.GCThreshold)
-	nThreads := s.count("threads")
+	nThreads := s.count("threads", 1)
 	threads := make([]*Thread, 0, nThreads)
 	for ti := 0; ti < nThreads && s.err == nil; ti++ {
 		t := &Thread{ID: ti}
-		st := ThreadState(s.b())
+		st := ThreadState(s.b8())
 		if st > ThreadDone {
 			s.fail("thread %d has unknown state %d", ti, st)
 			break
@@ -347,7 +364,7 @@ func (vm *VM) RestoreState(r io.Reader) error {
 		t.Result = s.value()
 		t.stackBase = s.i64()
 		t.stackTop = s.i64()
-		nFrames := s.count("frames")
+		nFrames := s.count("frames", 8)
 		for fi := 0; fi < nFrames && s.err == nil; fi++ {
 			fnIdx := s.i64()
 			if fnIdx < 0 || fnIdx >= int64(len(vm.Prog.Funcs)) {
@@ -375,12 +392,12 @@ func (vm *VM) RestoreState(r io.Reader) error {
 		}
 		threads = append(threads, t)
 	}
-	nMon := s.count("monitors")
+	nMon := s.count("monitors", 8)
 	monitors := make(map[Ref]*monitor, nMon)
 	for i := 0; i < nMon && s.err == nil; i++ {
 		ref := Ref(s.i64())
 		m := &monitor{owner: int(s.i64()), depth: int(s.i64())}
-		nq := s.count("monitor queue")
+		nq := s.count("monitor queue", 8)
 		for j := 0; j < nq && s.err == nil; j++ {
 			m.queue = append(m.queue, int(s.i64()))
 		}
@@ -411,6 +428,14 @@ func (vm *VM) RestoreState(r io.Reader) error {
 	return nil
 }
 
+func (s *snapReader) refSlice(n int) []Ref {
+	out := carve(&s.sc.refs, n)
+	for i := range out {
+		out[i] = Ref(s.i64())
+	}
+	return out
+}
+
 func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 	h := NewHeap(gcThreshold)
 	h.nextAddr = s.i64()
@@ -420,26 +445,25 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 	h.Collections = s.i64()
 	h.MarkedLast = s.i64()
 	h.SweptLast = s.i64()
-	nObjs := s.count("heap objects")
-	h.objs = make([]*Object, 0, min(nObjs, 4096))
+	nObjs := s.count("heap objects", 1)
+	h.objs = carve(&s.sc.ptrs, nObjs)
 	for i := 0; i < nObjs && s.err == nil; i++ {
-		if s.b() == 0 {
-			h.objs = append(h.objs, nil)
+		if s.b8() == 0 {
+			h.objs[i] = nil
 			continue
 		}
-		o := &Object{Kind: ObjKind(s.b()), Class: int(s.i64()), Addr: s.i64(), Size: s.i64()}
+		o := &carve(&s.sc.objs, 1)[0]
+		*o = Object{Kind: ObjKind(s.b8()), Class: int(s.i64()), Addr: s.i64(), Size: s.i64()}
 		switch o.Kind {
 		case ObjClass:
 			o.Fields = s.valueSlice("object fields")
 		case ObjArrI:
-			n := s.count("int array")
-			o.AI = make([]int64, n)
+			o.AI = carve(&s.sc.i64s, s.count("int array", 8))
 			for j := range o.AI {
 				o.AI[j] = s.i64()
 			}
 		case ObjArrF:
-			n := s.count("float array")
-			o.AF = make([]float64, n)
+			o.AF = carve(&s.sc.f64s, s.count("float array", 8))
 			for j := range o.AF {
 				o.AF[j] = s.f64()
 			}
@@ -449,34 +473,24 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 				s.fail("implausible byte array of %d", n)
 				break
 			}
-			o.AB = make([]byte, n)
-			if s.err == nil {
-				if _, err := io.ReadFull(s.r, o.AB); err != nil {
-					s.err = fmt.Errorf("svm: snapshot: byte array: %w", err)
-				}
+			if p := s.take(int(n)); s.err == nil {
+				o.AB = carve(&s.sc.bytes, int(n))
+				copy(o.AB, p)
 			}
 		case ObjArrR:
-			n := s.count("ref array")
-			o.AR = make([]Ref, n)
-			for j := range o.AR {
-				o.AR[j] = Ref(s.i64())
-			}
+			o.AR = s.refSlice(s.count("ref array", 8))
 		default:
 			s.fail("object %d has unknown kind %d", i, o.Kind)
 		}
-		h.objs = append(h.objs, o)
+		h.objs[i] = o
 	}
-	nFree := s.count("free list")
-	for i := 0; i < nFree && s.err == nil; i++ {
-		h.free = append(h.free, Ref(s.i64()))
-	}
-	nClasses := s.count("free size classes")
+	h.free = s.refSlice(s.count("free list", 8))
+	nClasses := s.count("free size classes", 16)
 	for i := 0; i < nClasses && s.err == nil; i++ {
 		class := s.i64()
-		n := s.count("free addresses")
-		lst := make([]int64, 0, min(n, 4096))
-		for j := 0; j < n && s.err == nil; j++ {
-			lst = append(lst, s.i64())
+		lst := carve(&s.sc.i64s, s.count("free addresses", 8))
+		for j := range lst {
+			lst[j] = s.i64()
 		}
 		h.freeAddrs[class] = lst
 	}

@@ -84,7 +84,7 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.RestoreState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := resumed.RestoreState(buf.Bytes(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.InstrCount != vm.InstrCount {
@@ -132,17 +132,17 @@ func TestSnapshotRestoreRejectsDamage(t *testing.T) {
 		}
 		return v
 	}
-	if err := fresh().RestoreState(bytes.NewReader(nil)); err == nil {
+	if err := fresh().RestoreState(nil, nil); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
 	for _, cut := range []int{1, len(valid) / 3, len(valid) - 1} {
-		if err := fresh().RestoreState(bytes.NewReader(valid[:cut])); err == nil {
+		if err := fresh().RestoreState(valid[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	bad := append([]byte(nil), valid...)
 	bad[0] = 99 // version
-	if err := fresh().RestoreState(bytes.NewReader(bad)); err == nil {
+	if err := fresh().RestoreState(bad, nil); err == nil {
 		t.Fatal("future snapshot version accepted")
 	}
 	// A snapshot from a different program shape (wrong global count).
@@ -154,7 +154,7 @@ func TestSnapshotRestoreRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ovm.RestoreState(bytes.NewReader(valid)); err == nil {
+	if err := ovm.RestoreState(valid, nil); err == nil {
 		t.Fatal("snapshot restored into a mismatched program")
 	}
 }
