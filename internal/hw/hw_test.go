@@ -484,6 +484,7 @@ func TestSanityProfileHasResidualBusNoiseOnly(t *testing.T) {
 func BenchmarkPlatformAccess(b *testing.B) {
 	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
 	p.Initialize()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Access(int64(i*64)%(1<<22), 8, false)
@@ -493,8 +494,62 @@ func BenchmarkPlatformAccess(b *testing.B) {
 func BenchmarkPlatformFetch(b *testing.B) {
 	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
 	p.Initialize()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.FetchInstr(int64(i*4) % 65536)
+	}
+}
+
+// benchInstr charges sequential code the way the interpreter does:
+// one Instr per 8-byte instruction over a 64 KB loop, with a local
+// variable access every other instruction.
+func benchInstr(b *testing.B, profile NoiseProfile) {
+	p := MustNewPlatform(Optiplex9020(), profile, 1)
+	p.Initialize()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Instr(0x0100_0000+int64(i*8)%65536, 1)
+		if i&1 == 0 {
+			p.Access(0x1000_0000+int64(i&7)*8, 8, i&2 == 0)
+		}
+	}
+}
+
+// BenchmarkPlatformInstr is the fused fetch+base charge on its fast
+// path: no events but heartbeats, no frequency scaling.
+func BenchmarkPlatformInstr(b *testing.B) { benchInstr(b, ProfileSanity()) }
+
+// BenchmarkPlatformInstrNoisy is the same stream with every noise
+// source on, where most charges are scaled and so take the two-call
+// fallback: it must not cost more than FetchInstr+AddCycles did.
+func BenchmarkPlatformInstrNoisy(b *testing.B) { benchInstr(b, ProfileUserNoisy()) }
+
+// BenchmarkPlatformAccessStreaming misses every level on every access
+// (a 64 MB stride-64 sweep against an 8 MB L3), the pattern of a
+// replay's data misses: the cost is the victim scans in Fill.
+func BenchmarkPlatformAccessStreaming(b *testing.B) {
+	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
+	p.Initialize()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Access(0x2000_0000+int64(i)*64%(64<<20), 8, i&3 == 0)
+	}
+}
+
+// BenchmarkPlatformReset is the per-replay cost of reusing a pooled
+// platform, after a run that left every structure populated.
+func BenchmarkPlatformReset(b *testing.B) {
+	p := MustNewPlatform(Optiplex9020(), ProfileUserNoisy(), 1)
+	p.Initialize()
+	for i := int64(0); i < 200_000; i++ {
+		p.Access(i*64, 8, true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset(uint64(i))
 	}
 }

@@ -18,7 +18,25 @@ type PageMapper struct {
 	rng      *RNG
 	table    map[int64]int64 // virtual page number -> frame
 	nextSeq  int64           // next frame for pinned assignment
+	// memo is a direct-mapped copy of installed table entries, so the
+	// translation every fetch and data access needs is an array probe.
+	// It only ever holds what the table holds and is cleared with it.
+	memo [mapperMemoSize]mapping
 }
+
+// The memo has 1<<mapperMemoBits entries of 16 bytes: 4 KB per mapper.
+const (
+	mapperMemoBits = 8
+	mapperMemoSize = 1 << mapperMemoBits
+)
+
+// mapping is one memo entry. The zero value matches no page.
+type mapping struct {
+	key   uint64 // pageKey of the page
+	frame int64
+}
+
+func pageKey(vpn int64) uint64 { return uint64(vpn)<<1 | 1 }
 
 // NewPageMapper builds a mapper. When pinned is true the mapping is
 // the same in every run (sequential first-touch order, which is
@@ -38,9 +56,25 @@ func NewPageMapper(spec MachineSpec, pinned bool, rng *RNG) *PageMapper {
 	return m
 }
 
+// unmapAll returns the mapper to its freshly built state, keeping its
+// storage. The caller re-keys m.rng.
+func (m *PageMapper) unmapAll() {
+	clear(m.table)
+	m.memo = [mapperMemoSize]mapping{}
+	m.nextSeq = 0
+}
+
 // Translate maps a virtual address to a physical address, installing
 // a frame on first touch.
+//
+// Only the first touch of a page changes state (it consumes the next
+// sequential frame or a draw from the mapper's generator, and that
+// order is part of the simulated machine), so it always takes the
+// table path; the memo answers for pages already installed.
 func (m *PageMapper) Translate(vaddr int64) int64 {
+	if paddr, ok := m.installed(vaddr); ok {
+		return paddr
+	}
 	vpn := vaddr >> m.pageBits
 	frame, ok := m.table[vpn]
 	if !ok {
@@ -52,7 +86,20 @@ func (m *PageMapper) Translate(vaddr int64) int64 {
 		}
 		m.table[vpn] = frame
 	}
+	m.memo[pageHash(vpn, mapperMemoBits)] = mapping{key: pageKey(vpn), frame: frame}
 	return frame<<m.pageBits | (vaddr & (m.pageSize - 1))
+}
+
+// installed translates vaddr from the memo alone, changing nothing;
+// ok is false when the memo does not hold the page (which may still
+// be mapped).
+func (m *PageMapper) installed(vaddr int64) (paddr int64, ok bool) {
+	vpn := vaddr >> m.pageBits
+	e := &m.memo[pageHash(vpn, mapperMemoBits)]
+	if e.key != pageKey(vpn) {
+		return 0, false
+	}
+	return e.frame<<m.pageBits | (vaddr & (m.pageSize - 1)), true
 }
 
 // VPN returns the virtual page number of vaddr.

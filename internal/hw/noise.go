@@ -1,5 +1,7 @@
 package hw
 
+import "math"
+
 // NoiseProfile selects which sources of time noise are active and how
 // strong they are. Each field corresponds to a row of the paper's
 // Table 1; the experiment presets below correspond to the execution
@@ -197,6 +199,13 @@ type noiseState struct {
 	freqMilli           int64 // charged cycles are scaled by freqMilli/1000
 	nextFreqUpdateCycle int64
 
+	// nextEvent is the earliest of the four scheduled cycles above
+	// (disabled processes excluded; math.MaxInt64 when all are): while
+	// the clock is below it no noise event is due, so a charge is one
+	// comparison. It is derived state, recomputed by horizon whenever
+	// one of the four moves.
+	nextEvent int64
+
 	// Accounting, surfaced for tests and for the ablation report.
 	Interrupts   int64
 	Preemptions  int64
@@ -205,15 +214,19 @@ type noiseState struct {
 }
 
 func newNoiseState(p NoiseProfile, rng *RNG, cyclesPerMs float64) *noiseState {
-	return newNoiseStateAt(p, rng, cyclesPerMs, 0)
+	ns := &noiseState{profile: p, rng: rng}
+	ns.schedule(cyclesPerMs, 0)
+	return ns
 }
 
-// newNoiseStateAt schedules the noise point processes relative to the
-// clock value at, so a noise state rebuilt at a quiescence boundary
-// behaves identically whether the platform's absolute cycle count is
-// the original run's or a restored checkpoint's.
-func newNoiseStateAt(p NoiseProfile, rng *RNG, cyclesPerMs float64, at int64) *noiseState {
-	ns := &noiseState{profile: p, rng: rng, freqMilli: 1000}
+// schedule draws the noise point processes' first arrivals from
+// ns.rng, relative to the clock value at, so a noise state re-keyed at
+// a quiescence boundary behaves identically whether the platform's
+// absolute cycle count is the original run's or a restored
+// checkpoint's. The event counters are left alone.
+func (ns *noiseState) schedule(cyclesPerMs float64, at int64) {
+	p, rng := &ns.profile, ns.rng
+	ns.freqMilli = 1000
 	if p.InterruptsEnabled && p.InterruptRate > 0 {
 		ns.nextInterruptCycle = at + int64(rng.Exp(cyclesPerMs/p.InterruptRate))
 	} else {
@@ -238,5 +251,16 @@ func newNoiseStateAt(p NoiseProfile, rng *RNG, cyclesPerMs float64, at int64) *n
 	} else {
 		ns.nextFreqUpdateCycle = -1
 	}
-	return ns
+	ns.horizon()
+}
+
+// horizon recomputes nextEvent.
+func (ns *noiseState) horizon() {
+	next := int64(math.MaxInt64)
+	for _, c := range [...]int64{ns.nextInterruptCycle, ns.nextPreemptionCycle, ns.nextHeartbeatCycle, ns.nextFreqUpdateCycle} {
+		if c >= 0 && c < next {
+			next = c
+		}
+	}
+	ns.nextEvent = next
 }

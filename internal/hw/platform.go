@@ -83,11 +83,7 @@ func MustNewPlatform(spec MachineSpec, profile NoiseProfile, seed uint64) *Platf
 // flush exists to remove.
 func (p *Platform) Initialize() {
 	if p.Profile.FlushAtStart {
-		p.l1i.Flush()
-		p.l1d.Flush()
-		p.l2.Flush()
-		p.l3.Flush()
-		p.tlb.Flush()
+		p.flush()
 	} else {
 		r := p.rng.Split()
 		for i := 0; i < 2000; i++ {
@@ -115,23 +111,34 @@ func (p *Platform) Initialize() {
 // noise state's split) mirrors NewPlatform; caches and TLB come back
 // empty with zeroed statistics. The only surviving difference is the
 // caches' internal LRU clock, which is compared only relatively and
-// therefore cannot alter any charge. The determinism test suite
-// (byte-identical verdict streams across runs and worker counts)
-// would catch any divergence, since pool hits vary run to run.
+// therefore cannot alter any charge; TestResetEqualsFresh runs a reset
+// platform and a fresh one in lockstep. Everything is re-keyed in
+// place: Reset allocates nothing.
 func (p *Platform) Reset(seed uint64) {
-	rng := NewRNG(seed)
-	p.rng = rng
+	p.rng.SetState(seed)
 	p.cycles = 0
 	p.dmaBoost = 1
 	p.InstrFetches, p.DataAccesses, p.IOReads = 0, 0, 0
-	for _, c := range []*Cache{p.l1i, p.l1d, p.l2, p.l3} {
-		c.Flush()
+	p.flush()
+	for _, c := range [...]*Cache{p.l1i, p.l1d, p.l2, p.l3} {
 		c.ResetStats()
 	}
-	p.tlb.Flush()
 	p.tlb.ResetStats()
-	p.mapper = NewPageMapper(p.Spec, !p.Profile.RandomFrames, rng.Split())
-	p.noise = newNoiseState(p.Profile, rng.Split(), p.Spec.ClockGHz*1e6)
+	p.mapper.unmapAll()
+	p.rng.splitInto(p.mapper.rng)
+	ns := p.noise
+	ns.Interrupts, ns.Preemptions, ns.Heartbeats, ns.StolenCycles = 0, 0, 0, 0
+	p.rng.splitInto(ns.rng)
+	ns.schedule(p.Spec.ClockGHz*1e6, 0)
+}
+
+// flush empties the caches and the TLB.
+func (p *Platform) flush() {
+	p.l1i.Flush()
+	p.l1d.Flush()
+	p.l2.Flush()
+	p.l3.Flush()
+	p.tlb.Flush()
 }
 
 // Quiesce performs an epoch boundary: the same initialization-and-
@@ -158,21 +165,13 @@ func (p *Platform) Reset(seed uint64) {
 // Event and miss counters carry over, so NoiseReport still covers
 // the whole run.
 func (p *Platform) Quiesce(epochSeed uint64) {
-	p.l1i.Flush()
-	p.l1d.Flush()
-	p.l2.Flush()
-	p.l3.Flush()
-	p.tlb.Flush()
-	rng := NewRNG(epochSeed)
-	p.rng = rng.Split()
-	p.mapper = NewPageMapper(p.Spec, !p.Profile.RandomFrames, rng.Split())
-	old := p.noise
-	cyclesPerMs := p.Spec.ClockGHz * 1e6
-	p.noise = newNoiseStateAt(p.Profile, rng.Split(), cyclesPerMs, p.cycles)
-	p.noise.Interrupts = old.Interrupts
-	p.noise.Preemptions = old.Preemptions
-	p.noise.Heartbeats = old.Heartbeats
-	p.noise.StolenCycles = old.StolenCycles
+	p.flush()
+	rng := RNG{state: epochSeed}
+	rng.splitInto(p.rng)
+	p.mapper.unmapAll()
+	rng.splitInto(p.mapper.rng)
+	rng.splitInto(p.noise.rng)
+	p.noise.schedule(p.Spec.ClockGHz*1e6, p.cycles)
 	p.addRawCycles(500_000) // quiescence period
 }
 
@@ -224,6 +223,17 @@ func (p *Platform) AddCycles(n int64) {
 // scheduled arrival falls inside the advanced window.
 func (p *Platform) addRawCycles(n int64) {
 	p.cycles += n
+	if p.cycles >= p.noise.nextEvent {
+		p.fireDue()
+	}
+}
+
+// fireDue fires, process by process, every noise event scheduled at
+// or before the clock. The order of the four blocks is the model: an
+// interrupt's stolen cycles can bring a preemption due in the same
+// call, while a heartbeat's stall leaves a newly due interrupt for the
+// next charge.
+func (p *Platform) fireDue() {
 	ns := p.noise
 	for ns.nextInterruptCycle >= 0 && p.cycles >= ns.nextInterruptCycle {
 		ns.Interrupts++
@@ -266,6 +276,7 @@ func (p *Platform) addRawCycles(n int64) {
 		}
 		ns.nextFreqUpdateCycle = p.cycles + int64(p.Spec.ClockGHz*1e6)
 	}
+	ns.horizon()
 }
 
 // FetchInstr charges the instruction-fetch cost for the opcode at the
@@ -274,6 +285,19 @@ func (p *Platform) addRawCycles(n int64) {
 func (p *Platform) FetchInstr(vaddr int64) {
 	p.InstrFetches++
 	p.memAccess(p.l1i, vaddr, 4, false)
+}
+
+// Instr charges one instruction: its fetch at vaddr, then base cycles
+// of execution — FetchInstr(vaddr) followed by AddCycles(base), and
+// always with exactly their effect. In the common case the two charges
+// are one addition (see hit).
+func (p *Platform) Instr(vaddr, base int64) {
+	if p.hit(p.l1i, vaddr, false, base) {
+		p.InstrFetches++
+		return
+	}
+	p.FetchInstr(vaddr)
+	p.AddCycles(base)
 }
 
 // Access charges a data access of the given size at vaddr.
@@ -291,6 +315,9 @@ func (p *Platform) Access(vaddr int64, size int64, write bool) {
 // memAccess walks the hierarchy starting at the given L1 and charges
 // the appropriate latency.
 func (p *Platform) memAccess(l1 *Cache, vaddr, size int64, write bool) {
+	if p.hit(l1, vaddr, write, 0) {
+		return
+	}
 	// Translation first.
 	if !p.tlb.Lookup(p.mapper.VPN(vaddr)) {
 		p.AddCycles(p.Spec.TLB.WalkCycles)
@@ -325,6 +352,42 @@ func (p *Platform) memAccess(l1 *Cache, vaddr, size int64, write bool) {
 	p.l2.Fill(paddr, write)
 	l1.Fill(paddr, write)
 	p.AddCycles(cost)
+}
+
+// hit is the constant-time common case of memAccess, optionally fused
+// with a following AddCycles(extra): an access whose outcome is known
+// in advance — the page is mapped and in the TLB, the line is in l1,
+// each where the memos last found them — on an unscaled clock, with
+// the whole cost fitting before the next noise event. It then makes
+// the LRU stamps and counts the three lookups would make, in their
+// order, adds the hit latency and extra once, and reports true;
+// otherwise it changes nothing. Outside that case a sum is not the
+// answer (scaling truncates each charge separately, and an event
+// between two charges evicts lines through the noise generator), so
+// the caller takes the step-by-step path.
+func (p *Platform) hit(l1 *Cache, vaddr int64, write bool, extra int64) bool {
+	ns := p.noise
+	lat := l1.spec.HitCycles
+	if ns.freqMilli != 1000 || lat < 0 || extra < 0 || p.cycles+lat+extra >= ns.nextEvent {
+		return false
+	}
+	paddr, ok := p.mapper.installed(vaddr)
+	if !ok {
+		return false
+	}
+	entry, ok := p.tlb.remembered(p.mapper.VPN(vaddr))
+	if !ok {
+		return false
+	}
+	line, ok := l1.remembered(uint64(paddr >> l1.lineBits))
+	if !ok {
+		return false
+	}
+	p.tlb.touch(entry)
+	p.tlb.Hits++
+	l1.touch(line, write)
+	p.cycles += lat + extra
+	return true
 }
 
 // IORead charges a stable-storage read of the given size. With I/O

@@ -65,7 +65,15 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 // Split derives an independent generator from this one. The derived
 // stream is decorrelated from the parent's future output.
 func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0x5851f42d4c957f2d)
+	d := new(RNG)
+	r.splitInto(d)
+	return d
+}
+
+// splitInto re-keys dst as the generator Split would return, for
+// owners that re-derive their generators in place.
+func (r *RNG) splitInto(dst *RNG) {
+	dst.state = r.Uint64() ^ 0x5851f42d4c957f2d
 }
 
 // State exposes the generator's single word of state, so an engine

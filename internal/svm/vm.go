@@ -2,6 +2,7 @@ package svm
 
 import (
 	"fmt"
+	"math"
 
 	"sanity/internal/hw"
 )
@@ -300,13 +301,15 @@ func (vm *VM) trap(t *Thread, format string, args ...any) *TrapError {
 // Run executes until the VM halts, a limit is reached, or a fault
 // escapes. It returns nil on clean halt.
 func (vm *VM) Run() error {
-	for !vm.halted {
-		if vm.maxSteps > 0 && vm.InstrCount >= vm.maxSteps {
-			return fmt.Errorf("svm: instruction limit %d exceeded", vm.maxSteps)
-		}
-		if err := vm.Step(); err != nil {
-			return err
-		}
+	limit := vm.maxSteps
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
+	if err := vm.runUntil(limit); err != nil {
+		return err
+	}
+	if !vm.halted {
+		return fmt.Errorf("svm: instruction limit %d exceeded", vm.maxSteps)
 	}
 	return nil
 }
@@ -315,13 +318,27 @@ func (vm *VM) Run() error {
 // interleave VM execution with device work). It reports whether the
 // VM halted.
 func (vm *VM) RunBudget(n int64) (bool, error) {
-	limit := vm.InstrCount + n
+	err := vm.runUntil(vm.InstrCount + n)
+	return vm.halted, err
+}
+
+// runUntil steps the VM until it halts or the instruction counter
+// reaches limit. The current thread is looked up once per slice, not
+// once per instruction: it stays current until its slice runs out, it
+// blocks or finishes, or the VM halts, and only Step reschedules.
+func (vm *VM) runUntil(limit int64) error {
 	for !vm.halted && vm.InstrCount < limit {
 		if err := vm.Step(); err != nil {
-			return vm.halted, err
+			return err
+		}
+		t := vm.threads[vm.cur]
+		for t.State == ThreadRunnable && vm.sliceLeft > 0 && !vm.halted && vm.InstrCount < limit {
+			if err := vm.exec(t); err != nil {
+				return err
+			}
 		}
 	}
-	return vm.halted, nil
+	return nil
 }
 
 // schedule advances to the next runnable thread (round-robin) and
@@ -377,8 +394,7 @@ func (vm *VM) exec(t *Thread) error {
 	in := f.fn.Code[f.pc]
 	plat := vm.Platform
 	if plat != nil {
-		plat.FetchInstr(vm.codeBases[f.fnIdx] + int64(f.pc)*InstrBytes)
-		plat.AddCycles(in.Op.BaseCost())
+		plat.Instr(vm.codeBases[f.fnIdx]+int64(f.pc)*InstrBytes, in.Op.BaseCost())
 	}
 	vm.InstrCount++
 	vm.sliceLeft--
