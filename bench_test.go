@@ -425,12 +425,11 @@ func BenchmarkCrossMachine_CalibratedAudit(b *testing.B) {
 	}
 }
 
-// --- Audit hot path: windowed replay & shard memoization ------------
+// --- Audit hot path: full vs windowed replay -------------------------
 
 // auditBenchBatch records one persisted checkpointed corpus and
-// rebuilds the pipeline batch from the store, the repeated-shard
-// shape `tdrbench bench` gates in CI (see internal/benchreg for the
-// regression harness and BENCH_*.json for the checked-in baseline).
+// rebuilds the pipeline batch from the store: every trace resolves to
+// the same known-good binary, the repeated-shard shape.
 func auditBenchBatch(b *testing.B) *pipeline.Batch {
 	b.Helper()
 	set, err := fixtures.PlayedSetCheckpointed(fixtures.AuditSizes(10, 60), 12, 4242)
@@ -469,65 +468,8 @@ func benchAudit(b *testing.B, cfg pipeline.Config) {
 // BenchmarkAudit_FullReplay vs BenchmarkAudit_WindowedReplay is the
 // tentpole measurement: same persisted corpus, whole-trace replay vs
 // windowed replay resumed from checkpoints (trailing 8 of ~59 IPDs).
-// The acceptance criterion is >=2x; `tdrbench bench -check` enforces
-// it against the checked-in baseline.
 func BenchmarkAudit_FullReplay(b *testing.B)     { benchAudit(b, pipeline.Config{}) }
 func BenchmarkAudit_WindowedReplay(b *testing.B) { benchAudit(b, pipeline.Config{WindowIPDs: 8}) }
-
-// BenchmarkAudit_WindowedReference measures the diagnostic mode that
-// scores the same windows out of full replays — it should track
-// BenchmarkAudit_FullReplay, not the windowed number.
-func BenchmarkAudit_WindowedReference(b *testing.B) {
-	benchAudit(b, pipeline.Config{WindowIPDs: 8, WindowViaFullReplay: true})
-}
-
-// BenchmarkAudit_ParallelWindows adds segment-level parallelism on
-// top of windowing: each trace's audited window is replayed as
-// checkpoint-bounded segments on up to 4 goroutines, merged with a
-// verified one-output overlap at every boundary. Verdicts are
-// identical to BenchmarkAudit_WindowedReplay's; the gain scales with
-// free cores (GOMAXPROCS), so compare the two at -cpu > 1.
-func BenchmarkAudit_ParallelWindows(b *testing.B) {
-	benchAudit(b, pipeline.Config{WindowIPDs: 8, SegmentWorkers: 4})
-}
-
-// Shard setup: cold (first-seen shard identity — the memo cache is
-// emptied each iteration) vs memoized (registry singleton, cache
-// hit). Jobless batches, so an iteration is exactly the setup a batch
-// pays before its first verdict.
-func benchShardSetup(b *testing.B, cold bool) {
-	training := fixtures.SyntheticTraining(6, 60, 99)
-	prog := nfs.ServerProgram()
-	if cold {
-		prog = asm.MustAssemble("nfsd", nfs.ServerSource())
-	}
-	mkBatch := func() *pipeline.Batch {
-		bb := &pipeline.Batch{}
-		bb.AddShard(&pipeline.Shard{
-			Key:      fixtures.DefaultShardKey,
-			Prog:     prog,
-			Cfg:      fixtures.ServerConfig(777),
-			Training: training,
-		})
-		return bb
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if cold {
-			pipeline.ResetShardMemosForTesting()
-		}
-		batch := mkBatch()
-		b.StartTimer()
-		if _, err := pipeline.New(pipeline.Config{Workers: 1}).Run(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShard_ColdSetup(b *testing.B)     { benchShardSetup(b, true) }
-func BenchmarkShard_MemoizedSetup(b *testing.B) { benchShardSetup(b, false) }
 
 // --- VM micro-benchmarks --------------------------------------------
 

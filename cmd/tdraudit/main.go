@@ -47,7 +47,6 @@ import (
 	"time"
 
 	"sanity/internal/audit"
-	"sanity/internal/benchreg"
 	"sanity/internal/calib"
 	"sanity/internal/fixtures"
 	"sanity/internal/hw"
@@ -752,16 +751,15 @@ func obsMain(args []string) {
 // span records (one spans.ndjson, or a trace dir with its rotated
 // generations) and renders the audit funnel per stage — counts,
 // p50/p99 wall, alloc, critical-path share — optionally diffed
-// against a BENCH_*.json baseline's per-stage decomposition.
+// against a second span file or trace dir's per-stage means.
 //
 //	tdraudit obs report -spans spool-traces/
 //	tdraudit obs report -spans spool-traces/spans.ndjson -json
-//	tdraudit obs report -spans spool-traces/ -baseline BENCH_2026-10-01.json
+//	tdraudit obs report -spans spool-traces/ -baseline old-traces/
 func obsReportMain(args []string) {
 	fs := flag.NewFlagSet("tdraudit obs report", flag.ExitOnError)
 	spans := fs.String("spans", "", "spans.ndjson file, or a trace dir holding it plus rotated generations (required)")
-	baseline := fs.String("baseline", "", "BENCH_*.json report to diff the per-stage means against ('' = no diff)")
-	bench := fs.String("bench", benchreg.BenchAuditWindowed, "which benchmark's stage decomposition to diff against (with -baseline)")
+	baseline := fs.String("baseline", "", "span file or trace dir to diff the per-stage means against ('' = no diff)")
 	jsonOut := fs.Bool("json", false, "emit the funnel report as JSON instead of a table")
 	applyLog := addLogFlags(fs)
 	fs.Parse(args)
@@ -770,14 +768,7 @@ func obsReportMain(args []string) {
 		fatal(fmt.Errorf("obs report: -spans is required"))
 	}
 
-	recs, err := obs.ReadSpanFiles(*spans)
-	if err != nil {
-		fatal(err)
-	}
-	if len(recs) == 0 {
-		fatal(fmt.Errorf("obs report: no span records under %s", *spans))
-	}
-	rep := obs.BuildFunnelReport(recs)
+	rep := readFunnel(*spans)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -790,20 +781,19 @@ func obsReportMain(args []string) {
 	if *baseline == "" {
 		return
 	}
+	base := readFunnel(*baseline)
+	fmt.Printf("\nper-stage delta vs %s:\n", *baseline)
+	fmt.Print(obs.FormatStageDeltas(obs.DiffStageSummaries(base.Summaries(), rep.Summaries(), obs.StageDeltaTolerance)))
+}
 
-	base, err := benchreg.Load(*baseline)
+// readFunnel builds the funnel report of one span file or trace dir.
+func readFunnel(path string) *obs.FunnelReport {
+	recs, err := obs.ReadSpanFiles(path)
 	if err != nil {
 		fatal(err)
 	}
-	if len(base.Stages) == 0 {
-		logger.Warn("baseline has no per-stage decomposition (schema 1); regenerate it with tdrbench bench -out",
-			"baseline", *baseline)
-		return
+	if len(recs) == 0 {
+		fatal(fmt.Errorf("obs report: no span records under %s", path))
 	}
-	stages, ok := base.Stages[*bench]
-	if !ok {
-		fatal(fmt.Errorf("obs report: baseline %s has no stage decomposition for benchmark %q", *baseline, *bench))
-	}
-	fmt.Printf("\nper-stage delta vs %s (%s, %s):\n", *baseline, *bench, base.Date)
-	fmt.Print(obs.FormatStageDeltas(obs.DiffStageSummaries(stages, rep.Summaries(), benchreg.Tolerance)))
+	return obs.BuildFunnelReport(recs)
 }

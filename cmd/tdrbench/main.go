@@ -1,20 +1,12 @@
-// Command tdrbench regenerates every table and figure of the paper's
-// evaluation (§6). Run it with no flags for the full sweep at the
-// default (quick) sizes, select one experiment with -experiment, or
-// approach the paper's dimensions with -full.
+// Command tdrbench is the paper-experiment runner: it regenerates
+// every table and figure of the paper's evaluation (§6). Run it with
+// no flags for the full sweep at the default (quick) sizes, select one
+// experiment with -experiment, or approach the paper's dimensions with
+// -full.
 //
 //	tdrbench -experiment fig7
 //	tdrbench -experiment fig8 -full
 //	tdrbench -experiment ablate
-//
-// The bench subcommand is the benchmark-regression harness: it
-// measures the audit hot path (full vs windowed replay, cold vs
-// memoized shard setup) with testing.Benchmark, writes a
-// BENCH_<date>.json report, and can gate a run against a checked-in
-// baseline:
-//
-//	tdrbench bench -json
-//	tdrbench bench -json -short -check BENCH_2026-10-01.json
 package main
 
 import (
@@ -32,30 +24,12 @@ import (
 // the rendered tables and figures.
 var logger = slog.New(obs.NewLogHandler(os.Stderr, obs.LogOptions{}))
 
-// addLogFlags registers -log-format/-log-level; the returned func
-// installs the logger after fs.Parse.
-func addLogFlags(fs *flag.FlagSet) func() {
-	format := fs.String("log-format", "text", "log output format: 'text' or 'json'")
-	level := fs.String("log-level", "info", "minimum log level: debug, info, warn, error")
-	return func() {
-		lvl, err := obs.ParseLogLevel(*level)
-		if err != nil {
-			fatal(err)
-		}
-		logger = slog.New(obs.NewLogHandler(os.Stderr, obs.LogOptions{Format: *format, Level: lvl}))
-	}
-}
-
 func fatal(err error) {
 	logger.Error("tdrbench failed", "err", err)
 	os.Exit(1)
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		benchMain(os.Args[2:])
-		return
-	}
 	var (
 		which = flag.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig6|fig7|log|fig8|noise|ablate|throughput|crossmachine|triage|replaywindow")
 		full  = flag.Bool("full", false, "use paper-scale experiment sizes (slow)")

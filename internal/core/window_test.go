@@ -127,10 +127,14 @@ func TestWindowedReplaySkipsPrefix(t *testing.T) {
 		t.Fatalf("no usable checkpoint for the tail window: %v", err)
 	}
 	ck := win.Start
-	executed := windowed.Instructions - ck.Instr
-	if executed <= 0 || executed*2 > full.Instructions {
-		t.Fatalf("windowed replay executed %d of %d instructions — no prefix skip", executed, full.Instructions)
-	}
+	// The windowed audit's speedup floor, counted rather than timed:
+	// at most half the full replay's instructions.
+	t.Run("at_most_half_the_instructions", func(t *testing.T) {
+		executed := windowed.Instructions - ck.Instr
+		if executed <= 0 || executed*2 > full.Instructions {
+			t.Fatalf("windowed replay executed %d of %d instructions — no prefix skip", executed, full.Instructions)
+		}
+	})
 	// And its outputs carry the absolute sequence numbers of the tail.
 	if len(windowed.Outputs) == 0 || windowed.Outputs[0].Seq != int(ck.Outputs) {
 		t.Fatalf("windowed outputs start at seq %d, want %d", windowed.Outputs[0].Seq, ck.Outputs)

@@ -98,17 +98,12 @@ type Config struct {
 	VerdictRetention int
 	// Logger sinks the daemon's operational log as structured slog
 	// records; build one over obs.NewLogHandler for span-correlated
-	// JSON/text output. When nil (and Logf is nil too) the daemon
-	// logs text to stderr at Info, prefixed with a per-daemon
-	// "daemon" attr so two daemons in one process stay
-	// distinguishable. Whatever the sink, records are correlated
+	// JSON/text output. When nil the daemon logs text to stderr at
+	// Info. Either way records carry a per-daemon "daemon" attr so
+	// two daemons in one process stay distinguishable. Whatever the sink, records are correlated
 	// (trace/span/stage attrs under instrumented contexts) and teed
 	// into the /logz ring.
 	Logger *slog.Logger
-	// Logf is the legacy printf-style sink, kept as a migration shim:
-	// when set (and Logger is nil) records render as "msg key=value"
-	// lines through it. Deprecated: use Logger.
-	Logf func(format string, args ...any)
 	// LogRingSize bounds the in-memory log ring behind GET /logz?n=
 	// (records, not bytes). Zero selects obs.DefaultLogRingLines.
 	LogRingSize int
@@ -279,52 +274,20 @@ func New(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// buildLogger assembles the daemon's logger: the caller's Logger, or
-// the legacy Logf shim, or a stderr text handler — in every case
+// buildLogger assembles the daemon's logger: the caller's Logger or a
+// stderr text handler — in either case
 // wrapped for span correlation and teed into the /logz ring, with a
 // per-daemon "daemon" attr so two daemons in one process never
 // interleave anonymously.
 func buildLogger(cfg Config, ring *obs.LogRing) *slog.Logger {
 	var base slog.Handler
-	switch {
-	case cfg.Logger != nil:
+	if cfg.Logger != nil {
 		base = cfg.Logger.Handler()
-	case cfg.Logf != nil:
-		base = &logfHandler{fn: cfg.Logf}
-	default:
+	} else {
 		base = obs.NewLogHandler(os.Stderr, obs.LogOptions{})
 	}
 	return slog.New(obs.WrapHandler(base, ring)).With("daemon", filepath.Base(cfg.Dir))
 }
-
-// logfHandler adapts the deprecated printf-style Config.Logf to
-// slog, rendering records as the "msg key=value" lines the old sink
-// expects.
-type logfHandler struct {
-	fn    func(string, ...any)
-	attrs []slog.Attr
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	line := r.Message
-	for _, a := range h.attrs {
-		line += " " + a.Key + "=" + a.Value.String()
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		line += " " + a.Key + "=" + a.Value.String()
-		return true
-	})
-	h.fn("%s", line)
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{fn: h.fn, attrs: append(append([]slog.Attr(nil), h.attrs...), attrs...)}
-}
-
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // Store exposes the daemon's spool store (tests, embedding callers).
 func (d *Daemon) Store() *store.Store { return d.st }

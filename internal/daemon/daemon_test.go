@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -67,9 +68,35 @@ func newAuditor(t testing.TB, opts ...audit.Option) *audit.Auditor {
 	return a
 }
 
-// quietLogf keeps daemon chatter out of test output unless -v.
-func quietLogf(t testing.TB) func(string, ...any) {
-	return func(format string, args ...any) { t.Logf(format, args...) }
+// quietLogger keeps daemon chatter out of test output unless -v.
+func quietLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+type testLogWriter struct{ t testing.TB }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
+// logBuffer is an io.Writer a daemon's log handler and the test can
+// share.
+type logBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *logBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *logBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 func httpGet(t testing.TB, client *http.Client, url string) string {
@@ -160,7 +187,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		HTTPAddr:   "127.0.0.1:0",
 		Ingest:     ingest.Options{IdleTimeout: time.Minute},
 		Poll:       10 * time.Second, // the DONE notification, not the ticker, must trigger the sweep
-		Logf:       quietLogf(t),
+		Logger:     quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -264,17 +291,12 @@ func TestDaemonSkipsCorruptContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var logMu sync.Mutex
-	var logBuf strings.Builder
+	var logBuf logBuffer
 	d, err := daemon.New(daemon.Config{
 		Dir:     dir,
 		Auditor: newAuditor(t),
 		Poll:    20 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			fmt.Fprintf(&logBuf, format+"\n", args...)
-			logMu.Unlock()
-		},
+		Logger:  slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +325,7 @@ func TestDaemonSkipsCorruptContainer(t *testing.T) {
 		t.Fatalf("Stop: %v", err)
 	}
 
-	logMu.Lock()
 	logged := logBuf.String()
-	logMu.Unlock()
 	if !strings.Contains(logged, "corrupt") || !strings.Contains(logged, corrupted) {
 		t.Fatalf("daemon log never named the corrupt container %q:\n%s", corrupted, logged)
 	}
@@ -365,7 +385,7 @@ func TestDaemonStopMidPlanThenResume(t *testing.T) {
 		Auditor:  blocking,
 		HTTPAddr: "127.0.0.1:0",
 		Poll:     10 * time.Second,
-		Logf:     quietLogf(t),
+		Logger:   quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +466,7 @@ func TestDaemonStopMidPlanThenResume(t *testing.T) {
 		Auditor:  newAuditor(t),
 		HTTPAddr: "127.0.0.1:0",
 		Poll:     20 * time.Millisecond,
-		Logf:     quietLogf(t),
+		Logger:   quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +507,7 @@ func TestDaemonStopIdempotent(t *testing.T) {
 	d, err := daemon.New(daemon.Config{
 		Dir:     dir,
 		Auditor: newAuditor(t),
-		Logf:    quietLogf(t),
+		Logger:  quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestDaemonHealthReadinessLifecycle(t *testing.T) {
 		HTTPAddr:   "127.0.0.1:0",
 		Poll:       10 * time.Second,
 		DrainGrace: 500 * time.Millisecond,
-		Logf:       quietLogf(t),
+		Logger:     quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestDaemonTimelineAndLogz(t *testing.T) {
 		HTTPAddr:    "127.0.0.1:0",
 		Poll:        20 * time.Millisecond,
 		LogRingSize: 4,
-		Logf:        quietLogf(t),
+		Logger:      quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,13 @@ import (
 // so every follower wakes, snapshots what it has not yet sent, and
 // goes back to waiting — the goroutine-free follow pattern.
 type verdictLog struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// verdicts[head:] is the retention window, oldest first. Rotated-out
+	// entries before head are zeroed so the collector can take them,
+	// and compacted away once head reaches the limit: appends stay
+	// amortised O(1) and the log never holds more than 2×limit.
 	verdicts []pipeline.Verdict
+	head     int
 	// dropped counts verdicts rotated out of the retention window, so
 	// follower offsets stay stable across rotation.
 	dropped int
@@ -42,11 +47,24 @@ func (l *verdictLog) append(v pipeline.Verdict) {
 	if l.closed {
 		return
 	}
+	if n := len(l.verdicts); n == cap(l.verdicts) {
+		// Grow by doubling, up to 2×limit: room for the window plus
+		// the rotated-out prefix that compaction reclaims.
+		grown := make([]pipeline.Verdict, n, min(max(2*n, 16), 2*l.limit))
+		copy(grown, l.verdicts)
+		l.verdicts = grown
+	}
 	l.verdicts = append(l.verdicts, v)
-	if len(l.verdicts) > l.limit {
-		n := len(l.verdicts) - l.limit
-		l.verdicts = append([]pipeline.Verdict(nil), l.verdicts[n:]...)
-		l.dropped += n
+	if len(l.verdicts)-l.head > l.limit {
+		l.verdicts[l.head] = pipeline.Verdict{}
+		l.head++
+		l.dropped++
+		if l.head == l.limit {
+			n := copy(l.verdicts, l.verdicts[l.head:])
+			clear(l.verdicts[n:])
+			l.verdicts = l.verdicts[:n]
+			l.head = 0
+		}
 	}
 	close(l.updated)
 	l.updated = make(chan struct{})
@@ -76,7 +94,7 @@ func (l *verdictLog) snapshot(from int) (vs []pipeline.Verdict, next int, update
 	if from < l.dropped {
 		from = l.dropped
 	}
-	if i := from - l.dropped; i < len(l.verdicts) {
+	if i := l.head + from - l.dropped; i < len(l.verdicts) {
 		vs = append([]pipeline.Verdict(nil), l.verdicts[i:]...)
 	}
 	return vs, from + len(vs), l.updated, l.closed
@@ -86,7 +104,7 @@ func (l *verdictLog) snapshot(from int) (vs []pipeline.Verdict, next int, update
 func (l *verdictLog) find(jobID string) (pipeline.Verdict, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(l.verdicts) - 1; i >= 0; i-- {
+	for i := len(l.verdicts) - 1; i >= l.head; i-- {
 		if l.verdicts[i].JobID == jobID {
 			return l.verdicts[i], true
 		}

@@ -46,7 +46,7 @@ func TestDaemonObservability(t *testing.T) {
 		DebugAddr: "127.0.0.1:0",
 		TraceDir:  traceDir,
 		Poll:      20 * time.Millisecond,
-		Logf:      quietLogf(t),
+		Logger:    quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

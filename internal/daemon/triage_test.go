@@ -100,7 +100,7 @@ func TestDaemonPriorityFunnel(t *testing.T) {
 		HTTPAddr:   "127.0.0.1:0",
 		Ingest:     ingest.Options{IdleTimeout: time.Minute},
 		Poll:       10 * time.Second, // one DONE-triggered sweep claims everything
-		Logf:       quietLogf(t),
+		Logger:     quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestDaemonClaimBatchDrains(t *testing.T) {
 		HTTPAddr:   "127.0.0.1:0",
 		ClaimBatch: 2,
 		Poll:       10 * time.Second, // draining must ride the self-notify, not the ticker
-		Logf:       quietLogf(t),
+		Logger:     quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestDaemonVerdictsMatchUntriaged(t *testing.T) {
 		IngestAddr: "127.0.0.1:0",
 		HTTPAddr:   "127.0.0.1:0",
 		Poll:       10 * time.Second,
-		Logf:       quietLogf(t),
+		Logger:     quietLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)

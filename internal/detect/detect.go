@@ -272,9 +272,10 @@ type TDR struct {
 	Calib core.Calibration
 }
 
-// FunctionalDivergenceScore is returned by Score when the replay's
-// outputs do not match the observed execution at all: the machine was
-// not running the claimed software, the strongest possible signal.
+// FunctionalDivergenceScore is what Score and Detail return when the
+// replay's outputs do not match the observed execution at all: the
+// machine was not running the claimed software, the strongest possible
+// signal.
 const FunctionalDivergenceScore = 1e9
 
 // NewTDR builds the detector. The configuration's Hook is forcibly
@@ -300,135 +301,77 @@ func NewCalibratedTDR(prog *svm.Program, cfg core.Config, cal core.Calibration) 
 // Name implements Detector.
 func (d *TDR) Name() string { return "sanity-tdr" }
 
-// Score implements Detector: it runs the replay. Traces without a log
-// cannot be audited and return an error.
+// Score implements Detector: it runs the whole-trace replay. Traces
+// without a log cannot be audited and return an error.
 func (d *TDR) Score(tr *Trace) (float64, error) {
-	cmp, err := d.ScoreDetail(tr)
+	_, score, err := d.Detail(context.Background(), tr, 0, -1, 1)
+	return score, err
+}
+
+// Detail replays tr on the known-good binary and compares the replay
+// with the observed execution over the IPD window [from, to); to < 0
+// audits the whole trace. It returns the comparison and its score:
+// the maximum relative IPD deviation, or FunctionalDivergenceScore
+// when the outputs do not match.
+//
+// workers says how the replay uses the log's checkpoints. One resumes
+// a window from the last checkpoint at or before from (a log without
+// checkpoints replays from virtual time zero, still halting at the
+// window's end). More than one replays the range's checkpoint-bounded
+// segments concurrently on up to that many goroutines
+// (core.ReplayTDRParallel). Zero uses no checkpoint and replays the
+// whole log from virtual time zero: the reference semantics that the
+// other shapes are bit-identical to over the same window. A
+// whole-trace audit at zero or one worker is that full replay,
+// compared over every output; at more workers it is the whole-range
+// window, whose decisive quantities (OutputsMatch, MaxRelIPDDev) are
+// the same and whose TotalRelDev is relative to the window's span
+// rather than the execution's. Windowing and segment parallelism
+// change what an audit costs, never its outcome; workers is per call
+// so one memoized detector can serve callers with different budgets.
+//
+// An obs.Observer on ctx records "restore", "segment", "replay" and
+// "compare" spans around the halves of the audit. Safe to call from
+// multiple goroutines.
+func (d *TDR) Detail(ctx context.Context, tr *Trace, from, to, workers int) (*core.TimingComparison, float64, error) {
+	if tr.Log == nil || tr.Play == nil {
+		return nil, 0, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
+	}
+	whole := to < 0
+	if whole {
+		from, to = 0, len(tr.IPDs)
+	}
+	var replay *core.Execution
+	var err error
+	switch {
+	case workers > 1:
+		if replay, err = core.ReplayTDRParallelCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to, workers); err != nil {
+			return nil, 0, fmt.Errorf("detect: parallel windowed replay failed: %w", err)
+		}
+	case workers == 1 && !whole:
+		if replay, err = core.ReplayTDRWindowCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to); err != nil {
+			return nil, 0, fmt.Errorf("detect: windowed replay failed: %w", err)
+		}
+	default:
+		if replay, err = core.ReplayTDRCtx(ctx, d.Prog, tr.Log, d.Cfg); err != nil {
+			return nil, 0, fmt.Errorf("detect: replay failed: %w", err)
+		}
+	}
+	_, sp := obs.StartSpan(ctx, obs.StageCompare)
+	var cmp *core.TimingComparison
+	if whole && workers <= 1 {
+		cmp, err = core.CompareCalibrated(tr.Play, replay, d.Calib)
+	} else {
+		cmp, err = core.CompareWindow(tr.Play, replay, from, to, d.Calib)
+	}
+	sp.End()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if !cmp.OutputsMatch {
-		return FunctionalDivergenceScore, nil
+		return cmp, FunctionalDivergenceScore, nil
 	}
-	return cmp.MaxRelIPDDev, nil
-}
-
-// ScoreDetail runs the replay and returns the full timing comparison
-// — the material an audit pipeline reports alongside the scalar
-// verdict. Safe to call from multiple goroutines.
-func (d *TDR) ScoreDetail(tr *Trace) (*core.TimingComparison, error) {
-	return d.ScoreDetailCtx(context.Background(), tr)
-}
-
-// ScoreDetailCtx is ScoreDetail with context-carried observability:
-// an obs.Observer on the context records "replay" and "compare" spans
-// around the two halves of the audit.
-func (d *TDR) ScoreDetailCtx(ctx context.Context, tr *Trace) (*core.TimingComparison, error) {
-	if tr.Log == nil || tr.Play == nil {
-		return nil, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
-	}
-	replay, err := core.ReplayTDRCtx(ctx, d.Prog, tr.Log, d.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("detect: replay failed: %w", err)
-	}
-	_, sp := obs.StartSpan(ctx, obs.StageCompare)
-	cmp, err := core.CompareCalibrated(tr.Play, replay, d.Calib)
-	sp.End()
-	return cmp, err
-}
-
-// ScoreWindow is Score restricted to the IPD window [from, to): it
-// replays only the audited range (resuming from the log's last
-// checkpoint at or before it; logs without checkpoints fall back to
-// replaying from virtual time zero, still halting at the window's
-// end) and thresholds the window's maximum relative IPD deviation.
-func (d *TDR) ScoreWindow(tr *Trace, from, to int) (float64, error) {
-	cmp, err := d.ScoreDetailWindow(tr, from, to)
-	if err != nil {
-		return 0, err
-	}
-	if !cmp.OutputsMatch {
-		return FunctionalDivergenceScore, nil
-	}
-	return cmp.MaxRelIPDDev, nil
-}
-
-// ScoreDetailWindow runs the windowed replay and returns the window's
-// timing comparison. Its result is bit-identical to
-// ScoreDetailWindowFull for the same window — windowing changes the
-// cost of an audit, never its outcome.
-func (d *TDR) ScoreDetailWindow(tr *Trace, from, to int) (*core.TimingComparison, error) {
-	return d.ScoreDetailWindowCtx(context.Background(), tr, from, to)
-}
-
-// ScoreDetailWindowCtx is ScoreDetailWindow with context-carried
-// observability ("restore"/"replay"/"compare" spans).
-func (d *TDR) ScoreDetailWindowCtx(ctx context.Context, tr *Trace, from, to int) (*core.TimingComparison, error) {
-	if tr.Log == nil || tr.Play == nil {
-		return nil, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
-	}
-	replay, err := core.ReplayTDRWindowCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to)
-	if err != nil {
-		return nil, fmt.Errorf("detect: windowed replay failed: %w", err)
-	}
-	_, sp := obs.StartSpan(ctx, obs.StageCompare)
-	cmp, err := core.CompareWindow(tr.Play, replay, from, to, d.Calib)
-	sp.End()
-	return cmp, err
-}
-
-// ScoreDetailParallel is ScoreDetailWindow with the replay's
-// checkpoint-bounded segments run concurrently on up to workers
-// goroutines (core.ReplayTDRParallel). The comparison is
-// bit-identical to ScoreDetailWindow's for the same window — segment
-// parallelism, like windowing, changes the cost of an audit, never
-// its outcome. workers is per-call rather than detector state so one
-// memoized detector can serve callers with different parallelism
-// budgets.
-func (d *TDR) ScoreDetailParallel(tr *Trace, from, to, workers int) (*core.TimingComparison, error) {
-	return d.ScoreDetailParallelCtx(context.Background(), tr, from, to, workers)
-}
-
-// ScoreDetailParallelCtx is ScoreDetailParallel with context-carried
-// cancellation and observability ("segment" spans wrapping each
-// segment's "restore"/"replay").
-func (d *TDR) ScoreDetailParallelCtx(ctx context.Context, tr *Trace, from, to, workers int) (*core.TimingComparison, error) {
-	if tr.Log == nil || tr.Play == nil {
-		return nil, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
-	}
-	replay, err := core.ReplayTDRParallelCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to, workers)
-	if err != nil {
-		return nil, fmt.Errorf("detect: parallel windowed replay failed: %w", err)
-	}
-	_, sp := obs.StartSpan(ctx, obs.StageCompare)
-	cmp, err := core.CompareWindow(tr.Play, replay, from, to, d.Calib)
-	sp.End()
-	return cmp, err
-}
-
-// ScoreDetailWindowFull is the reference semantics of a windowed
-// audit: a full replay from virtual time zero, compared over the
-// window only. The differential tests pin ScoreDetailWindow against
-// it; it is exported for diagnostics (e.g. confirming a suspicious
-// windowed verdict with an independent full replay).
-func (d *TDR) ScoreDetailWindowFull(tr *Trace, from, to int) (*core.TimingComparison, error) {
-	return d.ScoreDetailWindowFullCtx(context.Background(), tr, from, to)
-}
-
-// ScoreDetailWindowFullCtx is ScoreDetailWindowFull with
-// context-carried observability ("replay"/"compare" spans).
-func (d *TDR) ScoreDetailWindowFullCtx(ctx context.Context, tr *Trace, from, to int) (*core.TimingComparison, error) {
-	if tr.Log == nil || tr.Play == nil {
-		return nil, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
-	}
-	replay, err := core.ReplayTDRCtx(ctx, d.Prog, tr.Log, d.Cfg)
-	if err != nil {
-		return nil, fmt.Errorf("detect: replay failed: %w", err)
-	}
-	_, sp := obs.StartSpan(ctx, obs.StageCompare)
-	cmp, err := core.CompareWindow(tr.Play, replay, from, to, d.Calib)
-	sp.End()
-	return cmp, err
+	return cmp, cmp.MaxRelIPDDev, nil
 }
 
 // Statistical builds the four statistical detectors trained on the

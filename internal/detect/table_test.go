@@ -1,6 +1,7 @@
 package detect_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -205,6 +206,7 @@ func TestTDRScoreWindowDegenerateWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := detect.NewTDR(fixtures.ServerProgram(), fixtures.ServerConfig(999))
+	ctx := context.Background()
 	n := len(tr.IPDs)
 	cases := []struct {
 		name     string
@@ -219,17 +221,13 @@ func TestTDRScoreWindowDegenerateWindows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := d.ScoreWindow(tr, tc.from, tc.to)
+			_, got, err := d.Detail(ctx, tr, tc.from, tc.to, 1)
 			if err != nil {
-				t.Fatalf("ScoreWindow(%d,%d): %v", tc.from, tc.to, err)
+				t.Fatalf("Detail(%d,%d): %v", tc.from, tc.to, err)
 			}
-			ref, err := d.ScoreDetailWindowFull(tr, tc.from, tc.to)
+			_, want, err := d.Detail(ctx, tr, tc.from, tc.to, 0)
 			if err != nil {
 				t.Fatal(err)
-			}
-			want := ref.MaxRelIPDDev
-			if !ref.OutputsMatch {
-				want = detect.FunctionalDivergenceScore
 			}
 			if got != want {
 				t.Fatalf("windowed score %v != full-replay reference %v", got, want)
@@ -241,10 +239,10 @@ func TestTDRScoreWindowDegenerateWindows(t *testing.T) {
 			}
 		})
 	}
-	if _, err := d.ScoreWindow(tr, -2, 4); err == nil {
+	if _, _, err := d.Detail(ctx, tr, -2, 4, 1); err == nil {
 		t.Fatal("negative window accepted")
 	}
-	if _, err := d.ScoreWindow(&detect.Trace{IPDs: tr.IPDs}, 0, 4); err == nil {
+	if _, _, err := d.Detail(ctx, &detect.Trace{IPDs: tr.IPDs}, 0, 4, 1); err == nil {
 		t.Fatal("windowed score without log/play accepted")
 	}
 }

@@ -19,6 +19,7 @@ package fixtures
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"sanity/internal/core"
 	"sanity/internal/covert"
@@ -371,4 +372,20 @@ func RoundTripLog(seed uint64) *replaylog.Log {
 		}
 	}
 	return l
+}
+
+// RaceDetector reports whether the running binary was built with the
+// race detector. Under it sync.Pool drops pooled blocks at random, so
+// tests that hold an allocation budget skip the budget.
+func RaceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

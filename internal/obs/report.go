@@ -116,8 +116,8 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// Summaries converts the report to the StageSummary map shape bench
-// baselines persist, for diffing via DiffStageSummaries.
+// Summaries converts the report to the StageSummary map shape, for
+// diffing via DiffStageSummaries.
 func (r *FunnelReport) Summaries() map[string]StageSummary {
 	out := make(map[string]StageSummary, len(r.Stages))
 	for _, s := range r.Stages {
@@ -250,6 +250,11 @@ type StageDelta struct {
 	Regressed        bool    `json:"regressed"`
 	RegressedBecause string  `json:"regressedBecause,omitempty"`
 }
+
+// StageDeltaTolerance is the relative growth in a stage's mean wall
+// time or mean allocation past which `tdraudit obs report -baseline`
+// marks the stage REGRESSED.
+const StageDeltaTolerance = 0.25
 
 // DiffStageSummaries compares per-stage means against a baseline and
 // flags stages whose mean wall time or mean allocation grew past

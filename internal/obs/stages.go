@@ -72,8 +72,7 @@ func (m *StageMetrics) Observe(stage string, d time.Duration, allocBytes int64) 
 	m.alloc.With(stage).Observe(float64(allocBytes))
 }
 
-// StageSummary is the aggregate view of one stage, as persisted into
-// bench reports.
+// StageSummary is the aggregate view of one stage.
 type StageSummary struct {
 	Count           uint64  `json:"count"`
 	TotalSeconds    float64 `json:"totalSeconds"`

@@ -59,10 +59,12 @@ type auditor struct {
 	tdr        *detect.TDR       // nil when the shard has no binary
 	tdrLimit   float64
 	statsLimit float64
-	tdrWindow  int  // >0: audit only the trailing window of IPDs
-	segWorkers int  // >1: replay checkpoint segments concurrently
-	refWindow  bool // windowed scoring via full replay (differential tests)
-	explain    bool // attach the evidence trail to each verdict
+	tdrWindow  int // >0: audit only the trailing window of IPDs
+	// replays is detect.TDR.Detail's workers argument: 1 resumes each
+	// window from its checkpoint, more replay checkpoint segments
+	// concurrently, 0 replays from virtual time zero (the reference).
+	replays int
+	explain bool // attach the evidence trail to each verdict
 }
 
 // newAuditor trains a shard's detectors. The statistical detectors
@@ -91,9 +93,11 @@ func newAuditor(s *Shard, cfg Config) (*auditor, error) {
 		tdrLimit:   cfg.TDRThreshold + s.TDRSlack,
 		statsLimit: cfg.StatThreshold,
 		tdrWindow:  cfg.WindowIPDs,
-		segWorkers: cfg.SegmentWorkers,
-		refWindow:  cfg.WindowViaFullReplay,
+		replays:    max(cfg.SegmentWorkers, 1),
 		explain:    cfg.Explain,
+	}
+	if cfg.fullReplay {
+		a.replays = 0
 	}
 	for i, d := range a.detectors {
 		if d.Name() == "regularity" && window > 0 {
@@ -113,10 +117,10 @@ func newAuditor(s *Shard, cfg Config) (*auditor, error) {
 // per-job overrides apply, else the trailing configured window; a
 // pipeline configured for whole-trace audits ignores Job.Window
 // entirely (ok == false), so stale overrides can never silently
-// shrink an audit's coverage.
+// shrink an audit's coverage. A whole-trace audit is [0, -1).
 func (a *auditor) windowFor(job Job, ipds int) (from, to int, ok bool) {
 	if a.tdrWindow <= 0 {
-		return 0, 0, false
+		return 0, -1, false
 	}
 	if job.Window != nil {
 		return job.Window.From, job.Window.To, true
@@ -132,7 +136,7 @@ func (a *auditor) windowFor(job Job, ipds int) (from, to int, ok bool) {
 // checkpoints too, and the full-replay reference restores none; both
 // load everything.
 func (a *auditor) load(job Job) (*Trace, error) {
-	if job.LoadWindow == nil || a.tdrWindow <= 0 || a.segWorkers > 1 || a.refWindow {
+	if job.LoadWindow == nil || a.tdrWindow <= 0 || a.replays != 1 {
 		return job.Load()
 	}
 	return job.LoadWindow(func(ipds int) int {
@@ -187,37 +191,12 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 	from, to, windowed := a.windowFor(job, len(tr.IPDs))
 	if a.tdr != nil && tr.Log != nil && tr.Play != nil {
 		tctx, tdrSpan := obs.StartSpan(ctx, obs.StageTDR)
-		var cmp *core.TimingComparison
-		var err error
-		switch {
-		case windowed && a.refWindow:
-			cmp, err = a.tdr.ScoreDetailWindowFullCtx(tctx, tr, from, to)
-			v.TDRWindowed = true
-		case windowed && a.segWorkers > 1:
-			cmp, err = a.tdr.ScoreDetailParallelCtx(tctx, tr, from, to, a.segWorkers)
-			v.TDRWindowed = true
-		case windowed:
-			cmp, err = a.tdr.ScoreDetailWindowCtx(tctx, tr, from, to)
-			v.TDRWindowed = true
-		case a.segWorkers > 1:
-			// A full audit is the whole-range window. The replayed
-			// timings and therefore the decisive quantities
-			// (OutputsMatch, MaxRelIPDDev) are bit-identical to
-			// ScoreDetailCtx's; only the summary's TotalRelDev differs
-			// (window span vs total execution time), which decides
-			// nothing.
-			cmp, err = a.tdr.ScoreDetailParallelCtx(tctx, tr, 0, len(tr.IPDs), a.segWorkers)
-		default:
-			cmp, err = a.tdr.ScoreDetailCtx(tctx, tr)
-		}
+		cmp, score, err := a.tdr.Detail(tctx, tr, from, to, a.replays)
 		tdrSpan.End()
+		v.TDRWindowed = windowed
 		if err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", a.tdr.Name(), err))
 		} else {
-			score := cmp.MaxRelIPDDev
-			if !cmp.OutputsMatch {
-				score = detect.FunctionalDivergenceScore
-			}
 			v.Scores = append(v.Scores, Score{Detector: a.tdr.Name(), Value: score})
 			v.TDR = cmp
 			v.TDRScore = score

@@ -2,6 +2,8 @@ package pipeline_test
 
 import (
 	"bytes"
+	"runtime"
+	"sort"
 	"testing"
 
 	"sanity/internal/calib"
@@ -65,7 +67,7 @@ func TestDifferentialWindowedSameMachine(t *testing.T) {
 	const window = 12
 
 	refCanon, ref := runCanonical(t, st, fixtures.Resolver,
-		pipeline.Config{Workers: 1, WindowIPDs: window, WindowViaFullReplay: true})
+		pipeline.FullReplayReference(pipeline.Config{Workers: 1, WindowIPDs: window}))
 
 	for _, workers := range []int{1, 4} {
 		canon, res := runCanonical(t, st, fixtures.Resolver,
@@ -89,6 +91,48 @@ func TestDifferentialWindowedSameMachine(t *testing.T) {
 		}
 	}
 	_ = ref
+
+	// The windowed audit replays less, so it must never allocate more
+	// than the full audit of the same corpus. It used to: the load
+	// path re-read the container per window and paid a fresh buffer
+	// per frame.
+	t.Run("windowed_allocates_no_more_than_full", func(t *testing.T) {
+		full := auditAllocBytes(t, st, pipeline.Config{Workers: 1})
+		windowed := auditAllocBytes(t, st, pipeline.Config{Workers: 1, WindowIPDs: window})
+		t.Logf("full audit allocates %d B, windowed %d B", full, windowed)
+		if windowed > full && !fixtures.RaceDetector() {
+			t.Fatalf("windowed audit allocates more than the full audit: %d B vs %d B", windowed, full)
+		}
+	})
+}
+
+// auditAllocBytes is the median, over three runs, of the bytes one
+// audit of the store's batch under cfg allocates. One P: with more, a
+// pooled block can sit in another P's private sync.Pool slot, out of
+// reach, and the load that wanted it allocates a fresh one.
+func auditAllocBytes(t *testing.T, st *store.Store, cfg pipeline.Config) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b, err := pipeline.BatchFromStore(st, fixtures.Resolver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []uint64
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := pipeline.New(cfg).Run(b)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Metrics.Errors > 0 {
+			t.Fatalf("%d of %d audits errored", r.Metrics.Errors, r.Metrics.Traces)
+		}
+		runs = append(runs, after.TotalAlloc-before.TotalAlloc)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	return runs[1]
 }
 
 // TestDifferentialWindowedCrossMachine: the calibrated path — corpus
@@ -111,7 +155,7 @@ func TestDifferentialWindowedCrossMachine(t *testing.T) {
 	const window = 10
 
 	refCanon, _ := runCanonical(t, st, resolve,
-		pipeline.Config{Workers: 1, WindowIPDs: window, WindowViaFullReplay: true})
+		pipeline.FullReplayReference(pipeline.Config{Workers: 1, WindowIPDs: window}))
 	for _, workers := range []int{1, 3} {
 		canon, res := runCanonical(t, st, resolve,
 			pipeline.Config{Workers: workers, WindowIPDs: window})
@@ -155,7 +199,7 @@ func TestDifferentialMixedCheckpointedAndLegacy(t *testing.T) {
 	}
 	const window = 12
 	refCanon, _ := runCanonical(t, st, fixtures.Resolver,
-		pipeline.Config{Workers: 1, WindowIPDs: window, WindowViaFullReplay: true})
+		pipeline.FullReplayReference(pipeline.Config{Workers: 1, WindowIPDs: window}))
 	canon, res := runCanonical(t, st, fixtures.Resolver,
 		pipeline.Config{Workers: 4, WindowIPDs: window})
 	if !bytes.Equal(canon, refCanon) {

@@ -1,0 +1,20 @@
+package pipeline
+
+// FullReplayReference returns cfg with every TDR audit scored from a
+// full replay from virtual time zero, compared over the same window:
+// the reference semantics windowed replay must reproduce byte for
+// byte. It pays full-replay cost for a windowed answer.
+func FullReplayReference(cfg Config) Config {
+	cfg.fullReplay = true
+	return cfg
+}
+
+// ResetShardMemosForTesting empties the per-shard memo cache, so the
+// next batch over a shard takes the first-seen build path.
+func ResetShardMemosForTesting() {
+	shardMemos.Range(func(k, _ any) bool {
+		shardMemos.Delete(k)
+		return true
+	})
+	shardMemoSize.Store(0)
+}

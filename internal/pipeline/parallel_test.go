@@ -2,10 +2,14 @@ package pipeline_test
 
 import (
 	"bytes"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
+	"sanity/internal/asm"
 	"sanity/internal/fixtures"
+	"sanity/internal/nfs"
 	"sanity/internal/pipeline"
 )
 
@@ -105,4 +109,51 @@ func TestShardMemoHitsAcrossBatches(t *testing.T) {
 	if h2-h1 != 3 {
 		t.Fatalf("3 repeat batches reported %d memo hits, want 3", h2-h1)
 	}
+
+	// And the sharing saves work: a memoized shard setup allocates
+	// strictly fewer objects than a cold one, or the memo has stopped
+	// memoizing. The batches are jobless, so a run is exactly the
+	// setup a batch pays before its first verdict.
+	t.Run("memo_saves_allocations", func(t *testing.T) {
+		cold, memo := shardSetupMallocs(t, true), shardSetupMallocs(t, false)
+		t.Logf("shard setup: cold %d allocations, memoized %d", cold, memo)
+		if memo >= cold && !fixtures.RaceDetector() {
+			t.Fatalf("memoized shard setup allocates %d objects, cold %d: the memo is not saving work", memo, cold)
+		}
+	})
+}
+
+// shardSetupMallocs is the median, over three runs, of the objects a
+// jobless one-shard batch allocates. A cold run empties the memo and
+// assembles its own program, so the shard's first-seen build path
+// runs in full.
+func shardSetupMallocs(t *testing.T, cold bool) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	training := fixtures.SyntheticTraining(6, 60, 99)
+	var runs []uint64
+	for i := 0; i < 3; i++ {
+		prog := nfs.ServerProgram()
+		if cold {
+			pipeline.ResetShardMemosForTesting()
+			prog = asm.MustAssemble("nfsd", nfs.ServerSource())
+		}
+		b := &pipeline.Batch{}
+		b.AddShard(&pipeline.Shard{
+			Key:      fixtures.DefaultShardKey,
+			Prog:     prog,
+			Cfg:      fixtures.ServerConfig(777),
+			Training: training,
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := pipeline.New(pipeline.Config{Workers: 1}).Run(b)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, after.Mallocs-before.Mallocs)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
+	return runs[1]
 }

@@ -55,20 +55,17 @@ type Config struct {
 	// from segment-level parallelism on top.
 	SegmentWorkers int
 
-	// WindowViaFullReplay switches the windowed path to its reference
-	// semantics: a full replay from virtual time zero, scored over the
-	// same window. It exists for diagnostics and for the differential
-	// tests that prove windowed replay never changes a verdict — it
-	// pays full-replay cost for a windowed answer, so production
-	// audits leave it off.
-	WindowViaFullReplay bool
-
 	// Explain attaches the evidence trail (Verdict.Explain) to every
 	// verdict: the audited window and the policy that chose it, the
 	// selector's per-window z-scores when a plan seeded them, and the
 	// TDR deviation summary. It never changes scores, decisions, or
 	// the canonical encoding.
 	Explain bool
+
+	// fullReplay scores every TDR audit from a full replay from
+	// virtual time zero: the reference the differential tests pin
+	// windowed and segment-parallel replay against.
+	fullReplay bool
 }
 
 // withDefaults normalizes the configuration.

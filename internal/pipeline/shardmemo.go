@@ -110,19 +110,6 @@ func filesDigest(files map[string][]byte) uint64 {
 	return h.Sum64()
 }
 
-// ResetShardMemosForTesting empties the per-shard memo cache. The
-// benchmark harness uses it to measure the cold path repeatably —
-// without it, every cold iteration would permanently insert a dead
-// entry keyed by a throwaway program pointer (bounded by the cap,
-// but retained for the process lifetime and saturating the cache).
-func ResetShardMemosForTesting() {
-	shardMemos.Range(func(k, _ any) bool {
-		shardMemos.Delete(k)
-		return true
-	})
-	shardMemoSize.Store(0)
-}
-
 // buildTDR constructs a shard's detector without caching (still
 // preparing the program so per-replay verification is skipped).
 func buildTDR(s *Shard) (*detect.TDR, error) {

@@ -774,8 +774,106 @@ func TestTraceReleaseAndPoolReuse(t *testing.T) {
 // is attributed: admitting a checkpointed multi-megabyte container
 // walks every frame and every log record, but allocates a frame
 // buffer, the IPDs and bookkeeping — not the log — and takes nothing
-// from the buffer pools.
+// from the buffer pools. A second store admits the same containers
+// with triage off; the difference is what ingest-time scoring adds.
+// The ensemble keeps one window per detector, but stats.CCE allocates
+// afresh at every window step, so the bytes it allocates grow with
+// the trace: about 9 KB at 47 IPDs and 32 KB at 119. The budget is
+// therefore a rate, 16 KB per 47-IPD trace; past it, scoring has
+// started keeping more than its windows.
 func TestPutContainerRetainsNothing(t *testing.T) {
+	// One P, and every sync.Pool emptied before each admission (two
+	// collections: the first moves pooled objects to the victim cache,
+	// the second drops them). Otherwise which arm finds a warm
+	// encoding/json encoder state depends on earlier tests, and the
+	// difference moves by 13 KB.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr, err := fixtures.PlayTraceCheckpointed(120, 21, 23, 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := fixtures.NFSShardMeta(1)
+	newStore := func() *store.Store {
+		st, err := store.Create(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AddShard(shard); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	triaged, plain := newStore(), newStore()
+	triaged.EnableTriage(triage.Options{})
+	admit := func(st *store.Store, raw []byte) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		admitted, sc, err := st.PutContainerScored(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if admitted.Records != len(tr.Log.Records) || admitted.IPDs != len(tr.IPDs) || admitted.Program != tr.Log.Program || (sc == nil) != (st == plain) {
+			t.Fatalf("admission lost what the walk summarized: %+v, score %v", admitted, sc)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	median := func(xs []int64) int64 {
+		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+		return xs[len(xs)/2]
+	}
+	held := bufpool.Live() // earlier tests may have leaked decodes
+	var allocated, triageCost []int64
+	var containerBytes int
+	for i := 0; i < 5; i++ {
+		meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
+		raw := encode(t, meta, tr)
+		if containerBytes = len(raw); containerBytes < 4<<20 {
+			t.Fatalf("fixture container is only %d bytes", containerBytes)
+		}
+		on, off := admit(triaged, raw), admit(plain, raw)
+		allocated = append(allocated, on)
+		triageCost = append(triageCost, on-off)
+	}
+	m, tm := median(allocated), median(triageCost)
+	t.Logf("admission allocates %d bytes per %d-byte container (median of %v), triage %+d of them (median of %v)",
+		m, containerBytes, allocated, tm, triageCost)
+	if m > 512<<10 {
+		t.Fatalf("admitting one container allocates %d bytes, want <= 512 KB", m)
+	}
+	t.Run("triage_budget", func(t *testing.T) {
+		if budget := int64(16<<10) * int64(len(tr.IPDs)) / 47; tm > budget && !fixtures.RaceDetector() {
+			t.Fatalf("triage allocates %d bytes per admitted %d-IPD trace, want <= %d (16 KB per 47 IPDs)", tm, len(tr.IPDs), budget)
+		}
+	})
+	if n := bufpool.Live() - held; n != 0 {
+		t.Fatalf("%d pooled blocks outstanding after admission", n)
+	}
+	for _, st := range []*store.Store{triaged, plain} {
+		if got := st.Entries(); len(got) != 5 {
+			t.Fatalf("%d of 5 containers in the manifest", len(got))
+		}
+	}
+}
+
+// maxWindowLoadBytes bounds what loading one checkpointed container
+// for a trailing 12-IPD window allocates: 116 016 B measured when the
+// gate was set, plus a quarter.
+const maxWindowLoadBytes = 145_000
+
+// TestLoadTraceWindowAllocBound gates the load stage of a windowed
+// audit: loading a multi-megabyte checkpointed container reads every
+// frame but keeps one checkpoint state, and recycles its frame and
+// payload buffers through the pools once the previous trace is
+// released. An un-pooled path, or one that keeps every state,
+// allocates megabytes.
+func TestLoadTraceWindowAllocBound(t *testing.T) {
+	// One P: with more, a pooled block can sit in another P's private
+	// sync.Pool slot, out of reach, and the load that wanted it
+	// allocates a fresh one.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr, err := fixtures.PlayTraceCheckpointed(120, 21, 23, 16, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -788,39 +886,32 @@ func TestPutContainerRetainsNothing(t *testing.T) {
 	if err := st.AddShard(shard); err != nil {
 		t.Fatal(err)
 	}
-	st.EnableTriage(triage.Options{})
-	held := bufpool.Live() // earlier tests may have leaked decodes
-	var allocated []uint64
-	var containerBytes int
-	for i := 0; i < 5; i++ {
-		meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
-		raw := encode(t, meta, tr)
-		if containerBytes = len(raw); containerBytes < 4<<20 {
-			t.Fatalf("fixture container is only %d bytes", containerBytes)
-		}
+	if err := st.Put(store.Meta{ID: "t", Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}, tr); err != nil {
+		t.Fatal(err)
+	}
+	file := st.Entries()[0].File
+	resume := func(ipds int) int { return ipds - 12 }
+	load := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		admitted, sc, err := st.PutContainerScored(bytes.NewReader(raw))
+		_, win, err := st.LoadTraceWindow(file, resume)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if admitted.Records != len(tr.Log.Records) || admitted.IPDs != len(tr.IPDs) || admitted.Program != tr.Log.Program || sc == nil {
-			t.Fatalf("admission lost what the walk summarized: %+v, score %v", admitted, sc)
-		}
-		allocated = append(allocated, after.TotalAlloc-before.TotalAlloc)
+		win.Release()
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	load() // fills the pools
+	var allocated []uint64
+	for i := 0; i < 5; i++ {
+		allocated = append(allocated, load())
 	}
 	sort.Slice(allocated, func(i, j int) bool { return allocated[i] < allocated[j] })
 	median := allocated[len(allocated)/2]
-	t.Logf("admission allocates %d bytes per %d-byte container (median of %v)", median, containerBytes, allocated)
-	if median > 512<<10 {
-		t.Fatalf("admitting one container allocates %d bytes, want <= 512 KB", median)
-	}
-	if n := bufpool.Live() - held; n != 0 {
-		t.Fatalf("%d pooled blocks outstanding after admission", n)
-	}
-	if got := st.Entries(); len(got) != 5 {
-		t.Fatalf("%d of 5 containers in the manifest", len(got))
+	t.Logf("windowed load allocates %d bytes (median of %v)", median, allocated)
+	if median > maxWindowLoadBytes && !fixtures.RaceDetector() {
+		t.Fatalf("windowed load allocates %d bytes, want <= %d", median, maxWindowLoadBytes)
 	}
 }
 

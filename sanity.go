@@ -582,8 +582,7 @@ type TimelineIndex = obs.TimelineIndex
 // wall time, allocated bytes, critical-path share.
 type FunnelReport = obs.FunnelReport
 
-// StageSummary is one stage's count/wall/alloc totals (the per-stage
-// decomposition BENCH_*.json reports carry).
+// StageSummary is one stage's count/wall/alloc totals.
 type StageSummary = obs.StageSummary
 
 // StageDelta compares one stage's means between two funnel reports.
