@@ -11,8 +11,8 @@
 //	§6.9      -> via BenchmarkFigure7 numbers + netsim jitter
 //	Ablations -> BenchmarkAblation_*      (replay with one mitigation off)
 //
-// go test -bench=. -benchmem prints the full sweep; cmd/tdrbench
-// prints the corresponding paper-style tables.
+// go test -bench=. -benchmem prints the full sweep; `tdraudit
+// experiment` prints the corresponding paper-style tables.
 package sanity
 
 import (

@@ -1,5 +1,6 @@
-// Command tdraudit runs the concurrent multi-trace audit pipeline.
-// Every auditing mode drives the same sanity.Auditor session API:
+// Command tdraudit runs the concurrent multi-trace audit pipeline,
+// plus the offline tools around it. Every auditing mode drives the
+// same audit.Auditor session API:
 // declarative options build a reusable auditor, Plan resolves shards,
 // calibration, and per-trace windows, and Run streams verdicts under
 // a cancellable context (Ctrl-C ends a run cleanly with the partial,
@@ -30,6 +31,15 @@
 //
 //	tdraudit calibrate -dir corpus -auditor slower-t-prime
 //	tdraudit audit-dir -dir corpus -cross-machine -auditor slower-t-prime
+//
+// Offline tools: run one SVM program (play, replay-tdr,
+// replay-functional), audit one simulated NFS server with all five
+// detectors, and regenerate the paper's tables and figures:
+//
+//	tdraudit vm -program prog.sasm -logout run.log
+//	tdraudit vm -program prog.sasm -mode replay-tdr -login run.log
+//	tdraudit detect -channel needle
+//	tdraudit experiment fig7
 package main
 
 import (
@@ -76,29 +86,25 @@ func addLogFlags(fs *flag.FlagSet) func() {
 	}
 }
 
+// subcommands maps each subcommand to its entry point; any other first
+// argument runs the in-memory audit.
+var subcommands = map[string]func(args []string){
+	"record":     recordMain,
+	"serve":      serveMain,
+	"send":       sendMain,
+	"audit-dir":  auditDirMain,
+	"calibrate":  calibrateMain,
+	"triage":     triageMain,
+	"obs":        obsMain,
+	"vm":         vmMain,
+	"detect":     detectMain,
+	"experiment": experimentMain,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "record":
-			recordMain(os.Args[2:])
-			return
-		case "serve":
-			serveMain(os.Args[2:])
-			return
-		case "send":
-			sendMain(os.Args[2:])
-			return
-		case "audit-dir":
-			auditDirMain(os.Args[2:])
-			return
-		case "calibrate":
-			calibrateMain(os.Args[2:])
-			return
-		case "triage":
-			triageMain(os.Args[2:])
-			return
-		case "obs":
-			obsMain(os.Args[2:])
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			sub(os.Args[2:])
 			return
 		}
 	}
@@ -122,7 +128,6 @@ func interruptible() (context.Context, context.CancelFunc) {
 // auditFlags are the auditor knobs shared by every auditing mode.
 type auditFlags struct {
 	workers, batch, queue *int
-	segWorkers            *int
 	threshold             *float64
 	stream, jsonOut       *bool
 	compare               *bool
@@ -133,9 +138,7 @@ type auditFlags struct {
 
 func addAuditFlags(fs *flag.FlagSet) *auditFlags {
 	return &auditFlags{
-		workers: fs.Int("workers", 0, "audit workers (0 = GOMAXPROCS)"),
-		segWorkers: fs.Int("segment-workers", 0, "goroutines per trace for checkpoint-parallel replay "+
-			"(0 or 1 = sequential; verdicts are identical either way, only latency changes)"),
+		workers:   fs.Int("workers", 0, "audit workers (0 = GOMAXPROCS)"),
 		batch:     fs.Int("batch", 8, "traces per scheduling chunk"),
 		queue:     fs.Int("queue", 0, "bounded queue depth in chunks (0 = 2x workers)"),
 		threshold: fs.Float64("threshold", 0.05, "TDR suspicion threshold (max relative IPD deviation)"),
@@ -188,7 +191,6 @@ func (a *auditFlags) options() ([]audit.Option, error) {
 	opts := []audit.Option{
 		audit.WithRegistry(fixtures.KnownGood),
 		audit.WithWorkers(*a.workers),
-		audit.WithSegmentWorkers(*a.segWorkers),
 		audit.WithBatchSize(*a.batch),
 		audit.WithQueueDepth(*a.queue),
 		audit.WithThresholds(*a.threshold, 0),

@@ -1,42 +1,39 @@
-// Command sanity assembles and runs SVM programs under the TDR
-// engine: record an execution (play), reproduce it with time
-// determinism (replay-tdr), or reproduce only its functional behavior
-// (replay-functional, the conventional-replay baseline).
-//
-//	sanity -program prog.sasm -logout run.log
-//	sanity -program prog.sasm -mode replay-tdr -login run.log
-//	sanity -program prog.sasm -disasm
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"sanity/internal/asm"
 	"sanity/internal/core"
 	"sanity/internal/hw"
-	"sanity/internal/obs"
 	"sanity/internal/replaylog"
 )
 
-func main() {
-	var (
-		programPath = flag.String("program", "", "path to an SVM assembly file (.sasm)")
-		mode        = flag.String("mode", "play", "play | replay-tdr | replay-functional")
-		logIn       = flag.String("login", "", "replay: path of the recorded log")
-		logOut      = flag.String("logout", "", "play: write the event log here")
-		seed        = flag.Uint64("seed", 1, "hardware noise seed")
-		profileName = flag.String("profile", "sanity", "noise profile: sanity|dirty|clean|kernel-quiet")
-		machineName = flag.String("machine", "optiplex9020", "machine type: optiplex9020|slower-t-prime")
-		disasm      = flag.Bool("disasm", false, "print the disassembly and exit")
-		showEvents  = flag.Bool("events", false, "print the timed event trace")
-	)
-	flag.Parse()
+// vmMain assembles and runs one SVM program under the TDR engine:
+// record an execution (play), reproduce it with time determinism
+// (replay-tdr), or reproduce only its functional behavior
+// (replay-functional, the conventional-replay baseline).
+//
+//	tdraudit vm -program prog.sasm -logout run.log
+//	tdraudit vm -program prog.sasm -mode replay-tdr -login run.log
+//	tdraudit vm -program prog.sasm -disasm
+func vmMain(args []string) {
+	fs := flag.NewFlagSet("tdraudit vm", flag.ExitOnError)
+	programPath := fs.String("program", "", "path to an SVM assembly file (.sasm)")
+	mode := fs.String("mode", "play", "play | replay-tdr | replay-functional")
+	logIn := fs.String("login", "", "replay: path of the recorded log")
+	logOut := fs.String("logout", "", "play: write the event log here")
+	seed := fs.Uint64("seed", 1, "hardware noise seed")
+	profileName := fs.String("profile", "sanity", "noise profile: sanity|dirty|clean|kernel-quiet")
+	machineName := fs.String("machine", hw.Optiplex9020().Name, "machine type: optiplex9020|slower-t-prime")
+	disasm := fs.Bool("disasm", false, "print the disassembly and exit")
+	showEvents := fs.Bool("events", false, "print the timed event trace")
+	fs.Parse(args)
 	if *programPath == "" {
 		logger.Error("-program is required")
-		flag.Usage()
+		fs.Usage()
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(*programPath)
@@ -53,33 +50,25 @@ func main() {
 	}
 
 	cfg := core.Config{Seed: *seed, MaxSteps: 4_000_000_000}
-	switch *machineName {
-	case "optiplex9020":
-		cfg.Machine = hw.Optiplex9020()
-	case "slower-t-prime":
-		cfg.Machine = hw.SlowerT()
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machineName))
+	if cfg.Machine, err = hw.MachineByName(*machineName); err != nil {
+		fatal(err)
 	}
-	switch *profileName {
-	case "sanity":
-		cfg.Profile = hw.ProfileSanity()
-	case "dirty":
-		cfg.Profile = hw.ProfileDirty()
-	case "clean":
-		cfg.Profile = hw.ProfileClean()
-	case "kernel-quiet":
-		cfg.Profile = hw.ProfileKernelQuiet()
-	default:
+	profile, ok := map[string]func() hw.NoiseProfile{
+		"sanity":       hw.ProfileSanity,
+		"dirty":        hw.ProfileDirty,
+		"clean":        hw.ProfileClean,
+		"kernel-quiet": hw.ProfileKernelQuiet,
+	}[*profileName]
+	if !ok {
 		fatal(fmt.Errorf("unknown profile %q", *profileName))
 	}
+	cfg.Profile = profile()
 
 	var exec *core.Execution
 	switch *mode {
 	case "play":
 		var log *replaylog.Log
-		exec, log, err = core.Play(prog, nil, cfg)
-		if err != nil {
+		if exec, log, err = core.Play(prog, nil, cfg); err != nil {
 			fatal(err)
 		}
 		if *logOut != "" {
@@ -136,11 +125,4 @@ func main() {
 			fmt.Printf("event %4d  %-12s instr=%-12d t=%.6f ms\n", i, e.Kind, e.Instr, float64(e.TimePs)/1e9)
 		}
 	}
-}
-
-var logger = slog.New(obs.NewLogHandler(os.Stderr, obs.LogOptions{}))
-
-func fatal(err error) {
-	logger.Error("sanity failed", "err", err)
-	os.Exit(1)
 }

@@ -63,7 +63,6 @@ func main() {
 	maxTraces := fs.Int("max-traces-per-conn", 0, "per-connection trace quota (0 = unlimited)")
 	maxBytes := fs.Int64("max-bytes-per-conn", 0, "per-connection payload-byte quota (0 = unlimited)")
 	workers := fs.Int("workers", 0, "audit workers (0 = GOMAXPROCS)")
-	segWorkers := fs.Int("segment-workers", 0, "goroutines per trace for checkpoint-parallel replay (0 or 1 = sequential)")
 	threshold := fs.Float64("threshold", 0.05, "TDR suspicion threshold (max relative IPD deviation)")
 	window := fs.String("window", "full", "replay-window policy: 'full', an IPD count N, or 'auto[:N]'")
 	poll := fs.Duration("poll", 2*time.Second, "spool sweep interval between ingest notifications")
@@ -98,7 +97,6 @@ func main() {
 	auditorOpts := []audit.Option{
 		audit.WithRegistry(fixtures.KnownGood),
 		audit.WithWorkers(*workers),
-		audit.WithSegmentWorkers(*segWorkers),
 		audit.WithThresholds(*threshold, 0),
 		audit.WithWindow(w),
 		audit.WithExplain(),

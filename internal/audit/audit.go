@@ -49,18 +49,15 @@ type Progress struct {
 // immutable and safe for concurrent use.
 type Auditor struct {
 	workers    int
-	segWorkers int
 	batchSize  int
 	queueDepth int
 	tdrLimit   float64
 	statLimit  float64
 	window     Window
 	registry   Registry
-	resolver   pipeline.ShardResolver
 	machine    *hw.MachineSpec
 	models     *calib.Set
 	progress   func(Progress)
-	storeDir   string
 	explain    bool
 	seedWindow bool
 }
@@ -71,15 +68,6 @@ type Option func(*Auditor)
 // WithWorkers sets the audit worker-pool size. Zero or negative
 // selects GOMAXPROCS.
 func WithWorkers(n int) Option { return func(a *Auditor) { a.workers = n } }
-
-// WithSegmentWorkers sets how many goroutines each trace's replay may
-// spread its checkpoint-bounded segments across
-// (pipeline.Config.SegmentWorkers). The merged replay is
-// verdict-identical to the sequential one; the knob only trades cores
-// for per-trace latency. Zero or one keeps replay sequential. Segment
-// workers multiply with WithWorkers — raise one, not both, unless the
-// fleet has cores to spare.
-func WithSegmentWorkers(n int) Option { return func(a *Auditor) { a.segWorkers = n } }
 
 // WithBatchSize sets how many same-shard jobs are dispatched as one
 // scheduling chunk. Zero selects the pipeline default.
@@ -103,15 +91,8 @@ func WithWindow(w Window) Option { return func(a *Auditor) { a.window = w } }
 
 // WithRegistry sets the auditor's known-good registry: the programs
 // it can replay and their canonical configurations. Required unless
-// every source is an in-memory batch that carries its own binaries,
-// or WithResolver supplies a complete resolver.
+// every source is an in-memory batch that carries its own binaries.
 func WithRegistry(reg Registry) Option { return func(a *Auditor) { a.registry = reg } }
-
-// WithResolver overrides shard resolution entirely. Most callers
-// want WithRegistry (plus WithAuditorMachine / WithCalibration for
-// cross-machine audits) instead; the escape hatch exists for
-// resolvers that consult external policy.
-func WithResolver(r pipeline.ShardResolver) Option { return func(a *Auditor) { a.resolver = r } }
 
 // WithAuditorMachine declares the machine type the auditor actually
 // owns, switching resolution to the cross-machine mode: shards
@@ -130,11 +111,6 @@ func WithCalibration(set *calib.Set) Option { return func(a *Auditor) { a.models
 // synchronously from the planning and collecting goroutines and must
 // be cheap; nil disables reporting.
 func WithProgress(fn func(Progress)) Option { return func(a *Auditor) { a.progress = fn } }
-
-// WithStore sets the auditor's default source: the persistent corpus
-// at dir. Plan(ctx, nil) audits it, so a service that always audits
-// one spool directory configures it once.
-func WithStore(dir string) Option { return func(a *Auditor) { a.storeDir = dir } }
 
 // WithExplain attaches the evidence trail to every verdict
 // (Verdict.Explain): which window was audited and why, the window
@@ -165,13 +141,9 @@ func New(opts ...Option) (*Auditor, error) {
 	for _, opt := range opts {
 		opt(a)
 	}
-	if a.machine != nil && a.resolver != nil {
-		return nil, fmt.Errorf("audit: WithAuditorMachine and WithResolver are mutually exclusive — a custom resolver owns machine substitution itself")
-	}
-	// Calibration without a declared auditor machine is always a
+	// Calibration without a declared auditor machine is a
 	// contradiction: the plain registry resolver never consults the
-	// models, and a custom resolver owns calibration itself — either
-	// way the supplied models would be silently dropped.
+	// models, so they would be silently dropped.
 	if a.models != nil && a.machine == nil {
 		return nil, fmt.Errorf("audit: WithCalibration needs WithAuditorMachine to name the machine the models map onto")
 	}
@@ -188,13 +160,12 @@ func (a *Auditor) Workers() int { return pipeline.New(a.pipelineConfig()).Worker
 // is applied by Plan.
 func (a *Auditor) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Config{
-		Workers:        a.workers,
-		SegmentWorkers: a.segWorkers,
-		BatchSize:      a.batchSize,
-		QueueDepth:     a.queueDepth,
-		TDRThreshold:   a.tdrLimit,
-		StatThreshold:  a.statLimit,
-		Explain:        a.explain,
+		Workers:       a.workers,
+		BatchSize:     a.batchSize,
+		QueueDepth:    a.queueDepth,
+		TDRThreshold:  a.tdrLimit,
+		StatThreshold: a.statLimit,
+		Explain:       a.explain,
 	}
 	if a.window.Mode != ModeFull {
 		cfg.WindowIPDs = a.window.IPDs
@@ -202,14 +173,11 @@ func (a *Auditor) pipelineConfig() pipeline.Config {
 	return cfg
 }
 
-// shardResolver is the resolver the auditor plans with: the explicit
-// override, else the registry-derived resolver (calibrated when an
-// auditor machine is declared), else nil — in-memory sources that
-// carry their own binaries need none.
+// shardResolver is the resolver the auditor plans with: the
+// registry-derived resolver (calibrated when an auditor machine is
+// declared), else nil — in-memory sources that carry their own
+// binaries need none.
 func (a *Auditor) shardResolver() pipeline.ShardResolver {
-	if a.resolver != nil {
-		return a.resolver
-	}
 	if a.registry == nil {
 		return nil
 	}

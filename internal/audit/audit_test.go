@@ -251,57 +251,20 @@ func TestAuditorOptionValidation(t *testing.T) {
 	if _, err := audit.New(audit.WithCalibration(calib.NewSet())); err == nil {
 		t.Fatal("WithCalibration without WithAuditorMachine accepted")
 	}
-	if _, err := audit.New(
-		audit.WithAuditorMachine(hw.SlowerT()),
-		audit.WithResolver(fixtures.Resolver),
-	); err == nil {
-		t.Fatal("WithAuditorMachine alongside WithResolver accepted")
-	}
-	// A custom resolver owns calibration itself; supplied models would
-	// be silently dropped.
-	if _, err := audit.New(
-		audit.WithResolver(fixtures.Resolver),
-		audit.WithCalibration(calib.NewSet()),
-	); err == nil {
-		t.Fatal("WithCalibration alongside WithResolver accepted")
-	}
 	if _, err := audit.New(); err != nil {
 		t.Fatalf("zero-option auditor refused: %v", err)
 	}
 }
 
-// TestPlanDefaultStore: Plan(ctx, nil) audits the WithStore
-// directory; without one it fails fast.
+// TestPlanDefaultStore: an auditor has no default store, so
+// Plan(ctx, nil) fails fast instead of guessing a source.
 func TestPlanDefaultStore(t *testing.T) {
-	a, err := audit.New()
+	a, err := audit.New(audit.WithRegistry(fixtures.KnownGood))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Plan(context.Background(), nil); err == nil {
-		t.Fatal("nil source without WithStore accepted")
-	}
-
-	set, err := fixtures.SyntheticSet(fixtures.SetSizes{Training: 3, Benign: 2, Covert: 1, Packets: 120}, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Create(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fixtures.ExportSet(st, set, fixtures.NFSShardMeta(7)); err != nil {
-		t.Fatal(err)
-	}
-	a2, err := audit.New(audit.WithRegistry(fixtures.KnownGood), audit.WithStore(st.Dir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := a2.Plan(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Info().Jobs == 0 {
-		t.Fatal("default-store plan resolved no jobs")
+		t.Fatal("nil source accepted")
 	}
 }
 

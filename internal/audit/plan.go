@@ -51,16 +51,12 @@ type Plan struct {
 // Plan resolves an audit over the given source: the source's shards
 // against the auditor's registry (and, cross-machine, its calibration
 // models), then — under WindowAuto — each trace's audited IPD range
-// via the statistical prefilter. A nil source selects the auditor's
-// WithStore directory. Resolution failures are typed: errors.Is
-// distinguishes an unknown program, an uncalibrated machine pair, and
-// a canceled context.
+// via the statistical prefilter. A nil source is an error.
+// Resolution failures are typed: errors.Is distinguishes an unknown
+// program, an uncalibrated machine pair, and a canceled context.
 func (a *Auditor) Plan(ctx context.Context, src Source) (*Plan, error) {
 	if src == nil {
-		if a.storeDir == "" {
-			return nil, fmt.Errorf("audit: no source given and no WithStore default configured")
-		}
-		src = Dir(a.storeDir)
+		return nil, fmt.Errorf("audit: no source given")
 	}
 	rctx, resolveSpan := obs.StartSpan(ctx, obs.StageResolve)
 	b, err := src.Batch(rctx, a.shardResolver())
@@ -88,10 +84,6 @@ func (a *Auditor) Plan(ctx context.Context, src Source) (*Plan, error) {
 
 // Info reports what the plan resolved to.
 func (p *Plan) Info() PlanInfo { return p.info }
-
-// Batch exposes the resolved pipeline batch — the bridge for callers
-// migrating from the legacy pipeline surface.
-func (p *Plan) Batch() *pipeline.Batch { return p.batch }
 
 // selectWindows runs the auto-window prefilter over every job: a
 // selector is trained once per shard on its benign traces, each

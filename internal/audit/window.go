@@ -220,19 +220,3 @@ func pickWindow(scan []pipeline.WindowScore) (w pipeline.IPDWindow, bestZ float6
 	}
 	return pipeline.IPDWindow{From: scan[best].From, To: scan[best].To}, bestZ, true
 }
-
-// SelectWindow is the one-shot form of the prefilter: train a
-// selector on the shard's benign traces and flag the most suspicious
-// size-IPD range of one trace. The plan stage uses a cached Selector
-// per shard instead; SelectWindow exists for callers probing a single
-// trace. The second return is false when nothing stands out (audit
-// the whole trace); the error matches ErrNoWindow when selection
-// cannot run at all.
-func SelectWindow(training [][]int64, ipds []int64, size int) (pipeline.IPDWindow, bool, error) {
-	s, err := NewSelector(training, size)
-	if err != nil {
-		return pipeline.IPDWindow{}, false, err
-	}
-	w, ok := s.Select(ipds)
-	return w, ok, nil
-}

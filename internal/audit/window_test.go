@@ -7,6 +7,7 @@ import (
 	"sanity/internal/audit"
 	"sanity/internal/covert"
 	"sanity/internal/fixtures"
+	"sanity/internal/pipeline"
 )
 
 // TestSelectWindowFlagsRegularChannel: an IPCTC-modulated trace is
@@ -18,7 +19,7 @@ func TestSelectWindowFlagsRegularChannel(t *testing.T) {
 	ch := covert.NewIPCTC()
 	ipds := fixtures.SyntheticCovertIPDs(ch, packets, 99)
 
-	w, ok, err := audit.SelectWindow(training, ipds, 48)
+	w, ok, err := selectWindow(training, ipds, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSelectWindowLeavesBenignWhole(t *testing.T) {
 	training := fixtures.SyntheticTraining(6, packets, 42)
 	benign := fixtures.SyntheticIPDs(packets, 4242)
 
-	_, ok, err := audit.SelectWindow(training, benign, 48)
+	_, ok, err := selectWindow(training, benign, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,8 @@ func TestSelectWindowLeavesBenignWhole(t *testing.T) {
 func TestSelectWindowDeterministic(t *testing.T) {
 	training := fixtures.SyntheticTraining(6, 220, 42)
 	ipds := fixtures.SyntheticCovertIPDs(covert.NewIPCTC(), 220, 7)
-	w1, ok1, err1 := audit.SelectWindow(training, ipds, 48)
-	w2, ok2, err2 := audit.SelectWindow(training, ipds, 48)
+	w1, ok1, err1 := selectWindow(training, ipds, 48)
+	w2, ok2, err2 := selectWindow(training, ipds, 48)
 	if w1 != w2 || ok1 != ok2 || (err1 == nil) != (err2 == nil) {
 		t.Fatalf("selection not deterministic: %+v/%v vs %+v/%v", w1, ok1, w2, ok2)
 	}
@@ -64,7 +65,7 @@ func TestSelectWindowDeterministic(t *testing.T) {
 func TestSelectWindowShortTrace(t *testing.T) {
 	training := fixtures.SyntheticTraining(6, 220, 42)
 	short := fixtures.SyntheticIPDs(30, 3)
-	_, ok, err := audit.SelectWindow(training, short, 48)
+	_, ok, err := selectWindow(training, short, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +80,15 @@ func TestSelectWindowTypedErrors(t *testing.T) {
 	ipds := fixtures.SyntheticIPDs(220, 3)
 	for name, call := range map[string]func() error{
 		"no training": func() error {
-			_, _, err := audit.SelectWindow(nil, ipds, 48)
+			_, _, err := selectWindow(nil, ipds, 48)
 			return err
 		},
 		"nonpositive size": func() error {
-			_, _, err := audit.SelectWindow(fixtures.SyntheticTraining(4, 220, 1), ipds, 0)
+			_, _, err := selectWindow(fixtures.SyntheticTraining(4, 220, 1), ipds, 0)
 			return err
 		},
 		"training shorter than a window": func() error {
-			_, _, err := audit.SelectWindow(fixtures.SyntheticTraining(4, 20, 1), ipds, 48)
+			_, _, err := selectWindow(fixtures.SyntheticTraining(4, 20, 1), ipds, 48)
 			return err
 		},
 	} {
@@ -126,4 +127,15 @@ func TestWindowConstructors(t *testing.T) {
 			t.Fatalf("mode %d renders %q, want %q", mode, mode.String(), want)
 		}
 	}
+}
+
+// selectWindow is the one-shot prefilter: train a selector, flag one
+// trace's most suspicious size-IPD range.
+func selectWindow(training [][]int64, ipds []int64, size int) (pipeline.IPDWindow, bool, error) {
+	s, err := audit.NewSelector(training, size)
+	if err != nil {
+		return pipeline.IPDWindow{}, false, err
+	}
+	w, ok := s.Select(ipds)
+	return w, ok, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestReplayFromSerializedLog exercises the full audit pipeline the
-// way cmd/sanity and a real auditor would: play -> encode the log to
+// way `tdraudit vm` and a real auditor would: play -> encode the log to
 // bytes -> decode it back -> TDR replay. The timing guarantees must
 // survive serialization.
 func TestReplayFromSerializedLog(t *testing.T) {

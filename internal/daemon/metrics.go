@@ -140,10 +140,4 @@ func (d *Daemon) registerFuncMetrics() {
 		func(s ingest.Stats) uint64 { return s.QuotaRejections })
 	ingCounter("tdrauditd_ingest_idle_timeouts_total", "Ingest connections cut for lack of progress.",
 		func(s ingest.Stats) uint64 { return s.IdleTimeouts })
-	reg.CounterFunc("tdrauditd_shard_memo_hits_total",
-		"Shard auditor builds served from the per-shard memo (reused prepared binary and TDR detector).",
-		func() float64 { h, _ := pipeline.ShardMemoStats(); return float64(h) })
-	reg.CounterFunc("tdrauditd_shard_memo_misses_total",
-		"Shard auditor builds paid from scratch (first use, uncomparable config, or memo full).",
-		func() float64 { _, m := pipeline.ShardMemoStats(); return float64(m) })
 }

@@ -304,7 +304,7 @@ func (d *TDR) Name() string { return "sanity-tdr" }
 // Score implements Detector: it runs the whole-trace replay. Traces
 // without a log cannot be audited and return an error.
 func (d *TDR) Score(tr *Trace) (float64, error) {
-	_, score, err := d.Detail(context.Background(), tr, 0, -1, 1)
+	_, score, err := d.Detail(context.Background(), tr, 0, -1, true)
 	return score, err
 }
 
@@ -314,52 +314,34 @@ func (d *TDR) Score(tr *Trace) (float64, error) {
 // the maximum relative IPD deviation, or FunctionalDivergenceScore
 // when the outputs do not match.
 //
-// workers says how the replay uses the log's checkpoints. One resumes
-// a window from the last checkpoint at or before from (a log without
-// checkpoints replays from virtual time zero, still halting at the
-// window's end). More than one replays the range's checkpoint-bounded
-// segments concurrently on up to that many goroutines
-// (core.ReplayTDRParallel). Zero uses no checkpoint and replays the
-// whole log from virtual time zero: the reference semantics that the
-// other shapes are bit-identical to over the same window. A
-// whole-trace audit at zero or one worker is that full replay,
-// compared over every output; at more workers it is the whole-range
-// window, whose decisive quantities (OutputsMatch, MaxRelIPDDev) are
-// the same and whose TotalRelDev is relative to the window's span
-// rather than the execution's. Windowing and segment parallelism
-// change what an audit costs, never its outcome; workers is per call
-// so one memoized detector can serve callers with different budgets.
+// resume says whether a window may start from the log's checkpoints.
+// When true, a window resumes from the last checkpoint at or before
+// from (a log without checkpoints replays from virtual time zero,
+// still halting at the window's end). When false, the whole log
+// replays from virtual time zero: the reference semantics the resumed
+// replay is bit-identical to over the same window. A whole-trace
+// audit is that full replay either way, compared over every output.
 //
-// An obs.Observer on ctx records "restore", "segment", "replay" and
-// "compare" spans around the halves of the audit. Safe to call from
-// multiple goroutines.
-func (d *TDR) Detail(ctx context.Context, tr *Trace, from, to, workers int) (*core.TimingComparison, float64, error) {
+// An obs.Observer on ctx records "restore", "replay" and "compare"
+// spans around the halves of the audit. Safe to call from multiple
+// goroutines.
+func (d *TDR) Detail(ctx context.Context, tr *Trace, from, to int, resume bool) (*core.TimingComparison, float64, error) {
 	if tr.Log == nil || tr.Play == nil {
 		return nil, 0, fmt.Errorf("detect: TDR detector needs the machine's log and observed execution")
 	}
 	whole := to < 0
-	if whole {
-		from, to = 0, len(tr.IPDs)
-	}
 	var replay *core.Execution
 	var err error
-	switch {
-	case workers > 1:
-		if replay, err = core.ReplayTDRParallelCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to, workers); err != nil {
-			return nil, 0, fmt.Errorf("detect: parallel windowed replay failed: %w", err)
-		}
-	case workers == 1 && !whole:
+	if resume && !whole {
 		if replay, err = core.ReplayTDRWindowCtx(ctx, d.Prog, tr.Log, d.Cfg, from, to); err != nil {
 			return nil, 0, fmt.Errorf("detect: windowed replay failed: %w", err)
 		}
-	default:
-		if replay, err = core.ReplayTDRCtx(ctx, d.Prog, tr.Log, d.Cfg); err != nil {
-			return nil, 0, fmt.Errorf("detect: replay failed: %w", err)
-		}
+	} else if replay, err = core.ReplayTDRCtx(ctx, d.Prog, tr.Log, d.Cfg); err != nil {
+		return nil, 0, fmt.Errorf("detect: replay failed: %w", err)
 	}
 	_, sp := obs.StartSpan(ctx, obs.StageCompare)
 	var cmp *core.TimingComparison
-	if whole && workers <= 1 {
+	if whole {
 		cmp, err = core.CompareCalibrated(tr.Play, replay, d.Calib)
 	} else {
 		cmp, err = core.CompareWindow(tr.Play, replay, from, to, d.Calib)
@@ -390,6 +372,18 @@ func Statistical(training [][]int64) ([]Detector, error) {
 		return nil, err
 	}
 	return []Detector{shape, ks, NewRegularity(100), cce}, nil
+}
+
+// ScaleRegularity swaps the regularity test in ds for one whose window
+// is scaled to traces of n IPDs: n/5, clamped to [20, 100], so short
+// traces still yield enough windows for the test (the paper's window
+// is 100 at its one-minute traces).
+func ScaleRegularity(ds []Detector, n int) {
+	for i, d := range ds {
+		if d.Name() == "regularity" {
+			ds[i] = NewRegularity(min(max(n/5, 20), 100))
+		}
+	}
 }
 
 func abs(x float64) float64 {

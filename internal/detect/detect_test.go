@@ -157,6 +157,25 @@ func TestStatisticalBundle(t *testing.T) {
 	}
 }
 
+// TestScaleRegularity: the regularity window is a fifth of the trace
+// length, clamped to [20, 100], and only the regularity test is
+// swapped.
+func TestScaleRegularity(t *testing.T) {
+	for _, tc := range []struct{ n, window int }{{0, 20}, {60, 20}, {149, 29}, {400, 80}, {5000, 100}} {
+		ds, err := Statistical(trainingSet(6, 400, 600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ScaleRegularity(ds, tc.n)
+		if got := ds[2].(*Regularity).Window; got != tc.window {
+			t.Errorf("n=%d: window %d, want %d", tc.n, got, tc.window)
+		}
+		if ds[0].Name() != "shape" || ds[1].Name() != "ks" || ds[3].Name() != "cce" {
+			t.Fatalf("n=%d: non-regularity detectors moved: %s %s %s", tc.n, ds[0].Name(), ds[1].Name(), ds[3].Name())
+		}
+	}
+}
+
 func TestTDRNeedsLog(t *testing.T) {
 	d := NewTDR(nil, core.Config{})
 	if _, err := d.Score(&Trace{IPDs: []int64{1, 2}}); err == nil || !strings.Contains(err.Error(), "log") {

@@ -196,8 +196,9 @@ func TestTDRConcurrentScore(t *testing.T) {
 
 // TestTDRScoreWindowDegenerateWindows: the detector-level windowed
 // score on degenerate ranges — empty window, a single IPD, a window
-// past end-of-log, a checkpoint landing exactly on the boundary —
-// always agrees with the full-replay reference and never errors on a
+// past end-of-log, a checkpoint landing exactly on the boundary, the
+// whole trace — resumed from a checkpoint (resume true) always agrees
+// with the full-replay reference (resume false) and never errors on a
 // well-formed trace.
 func TestTDRScoreWindowDegenerateWindows(t *testing.T) {
 	const every = 6
@@ -218,31 +219,32 @@ func TestTDRScoreWindowDegenerateWindows(t *testing.T) {
 		{"past end-of-log", n - 2, n + 40},
 		{"entirely past the end", n + 5, n + 9},
 		{"whole trace", 0, n},
+		{"whole trace, to < 0", 0, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, got, err := d.Detail(ctx, tr, tc.from, tc.to, 1)
+			_, got, err := d.Detail(ctx, tr, tc.from, tc.to, true)
 			if err != nil {
 				t.Fatalf("Detail(%d,%d): %v", tc.from, tc.to, err)
 			}
-			_, want, err := d.Detail(ctx, tr, tc.from, tc.to, 0)
+			_, want, err := d.Detail(ctx, tr, tc.from, tc.to, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != want {
 				t.Fatalf("windowed score %v != full-replay reference %v", got, want)
 			}
-			if tc.from >= tc.to || tc.from >= n {
+			if tc.to >= 0 && (tc.from >= tc.to || tc.from >= n) {
 				if got != 0 {
 					t.Fatalf("degenerate window scored %v, want 0", got)
 				}
 			}
 		})
 	}
-	if _, _, err := d.Detail(ctx, tr, -2, 4, 1); err == nil {
+	if _, _, err := d.Detail(ctx, tr, -2, 4, true); err == nil {
 		t.Fatal("negative window accepted")
 	}
-	if _, _, err := d.Detail(ctx, &detect.Trace{IPDs: tr.IPDs}, 0, 4, 1); err == nil {
+	if _, _, err := d.Detail(ctx, &detect.Trace{IPDs: tr.IPDs}, 0, 4, true); err == nil {
 		t.Fatal("windowed score without log/play accepted")
 	}
 }

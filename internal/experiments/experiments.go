@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (§6). Each experiment is a pure function from a
 // size/seed configuration to a structured result with a Format method
-// that prints the same rows/series the paper reports; cmd/tdrbench
-// and the repository's benchmarks are thin wrappers around this
-// package.
+// that prints the same rows/series the paper reports; `tdraudit
+// experiment` and the repository's benchmarks are thin wrappers
+// around this package.
 //
 // Experiment index (see DESIGN.md for the full mapping):
 //
@@ -83,7 +83,7 @@ type Sizes struct {
 }
 
 // DefaultSizes is the quick configuration used by tests and the
-// default tdrbench run.
+// default `tdraudit experiment` run.
 func DefaultSizes() Sizes {
 	return Sizes{
 		Fig2Runs:         10,

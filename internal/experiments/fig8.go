@@ -66,18 +66,7 @@ func Figure8(sizes Sizes, baseSeed uint64) (*Figure8Result, error) {
 	}
 	// Scale the regularity window to the trace length so short test
 	// configurations still produce enough windows.
-	regWindow := sizes.Fig8Packets / 5
-	if regWindow > 100 {
-		regWindow = 100
-	}
-	if regWindow < 20 {
-		regWindow = 20
-	}
-	for i, d := range detectors {
-		if d.Name() == "regularity" {
-			detectors[i] = detect.NewRegularity(regWindow)
-		}
-	}
+	detect.ScaleRegularity(detectors, sizes.Fig8Packets)
 	tdr := detect.NewTDR(nfs.ServerProgram(), baseConfig(baseSeed+777))
 	allDetectors := append(detectors, tdr)
 

@@ -20,6 +20,7 @@ package fixtures
 import (
 	"fmt"
 	"runtime/debug"
+	"sync"
 
 	"sanity/internal/core"
 	"sanity/internal/covert"
@@ -90,14 +91,20 @@ func SyntheticCovertIPDs(c covert.Channel, n int, seed uint64) []int64 {
 	return ipds
 }
 
+// serverFiles is the NFS file store every ServerConfig shares, built
+// once instead of once per resolved shard (465 KB each time). The
+// engine only reads file contents.
+var serverFiles = sync.OnceValue(nfs.FileStore)
+
 // ServerConfig is the auditor-side execution environment on the
-// paper's testbed machine: Sanity profile, NFS file store.
+// paper's testbed machine: Sanity profile, NFS file store. The Files
+// map is shared between calls; Clone the config before changing it.
 func ServerConfig(seed uint64) core.Config {
 	return core.Config{
 		Machine:  hw.Optiplex9020(),
 		Profile:  hw.ProfileSanity(),
 		Seed:     seed,
-		Files:    nfs.FileStore(),
+		Files:    serverFiles(),
 		MaxSteps: 4_000_000_000,
 	}
 }

@@ -226,12 +226,7 @@ func ListenOpts(addr string, st *store.Store, opts Options) (*Server, error) {
 	return ServeOpts(ln, st, opts), nil
 }
 
-// Serve starts an ingest server on an existing listener.
-func Serve(ln net.Listener, st *store.Store) *Server {
-	return ServeOpts(ln, st, Options{})
-}
-
-// ServeOpts is Serve with explicit options.
+// ServeOpts starts an ingest server on an existing listener.
 func ServeOpts(ln net.Listener, st *store.Store, opts Options) *Server {
 	s := &Server{st: st, ln: ln, opts: opts, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)

@@ -114,11 +114,6 @@ func PaperPath(seed uint64) *Path {
 	return &Path{OneWayPs: 5 * Ms, Jitter: PaperJitter(), rng: hw.NewRNG(seed)}
 }
 
-// NewPath builds a path with the given one-way delay and jitter model.
-func NewPath(oneWayPs int64, jm *JitterModel, seed uint64) *Path {
-	return &Path{OneWayPs: oneWayPs, Jitter: jm, rng: hw.NewRNG(seed)}
-}
-
 // Delay samples the one-way delay for one packet.
 func (p *Path) Delay() int64 {
 	return p.OneWayPs + p.Jitter.Sample(p.rng)

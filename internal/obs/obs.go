@@ -113,13 +113,6 @@ func (o *Observer) Context(ctx context.Context) context.Context {
 	return context.WithValue(ctx, observerKey, o)
 }
 
-// FromContext recovers the observer attached by Context, nil when the
-// context carries none.
-func FromContext(ctx context.Context) *Observer {
-	o, _ := ctx.Value(observerKey).(*Observer)
-	return o
-}
-
 // StartSpan opens a span named after a funnel stage. When the context
 // carries no observer it returns (ctx, nil) after a single context
 // lookup, and every method on the nil span is a no-op — the

@@ -34,12 +34,9 @@ type Shard struct {
 	// Cfg is the auditor's replay configuration. Its Hook is cleared
 	// by the TDR detector; the maps are deep-copied at training time.
 	Cfg core.Config
-	// Training holds benign IPD traces that train Shape, KS, and CCE.
+	// Training holds benign IPD traces that train the statistical
+	// detectors; the regularity test's window scales to their length.
 	Training [][]int64
-	// RegularityWindow overrides the regularity test's window; zero
-	// scales it to the training trace length as the Figure-8
-	// experiment does.
-	RegularityWindow int
 
 	// TDRCalib and TDRSlack enable the cross-machine audit mode: the
 	// shard's traces were recorded on a machine type the auditor does
@@ -59,55 +56,36 @@ type auditor struct {
 	tdr        *detect.TDR       // nil when the shard has no binary
 	tdrLimit   float64
 	statsLimit float64
-	tdrWindow  int // >0: audit only the trailing window of IPDs
-	// replays is detect.TDR.Detail's workers argument: 1 resumes each
-	// window from its checkpoint, more replay checkpoint segments
-	// concurrently, 0 replays from virtual time zero (the reference).
-	replays int
-	explain bool // attach the evidence trail to each verdict
+	tdrWindow  int  // >0: audit only the trailing window of IPDs
+	resume     bool // detect.TDR.Detail's resume: false is the full-replay reference
+	explain    bool // attach the evidence trail to each verdict
 }
 
-// newAuditor trains a shard's detectors. The statistical detectors
-// are trained here, per batch; the TDR side comes from the per-shard
-// memo, built once per process for a given shard identity.
+// newAuditor trains a shard's detectors and prepares its known-good
+// binary, once per shard per batch.
 func newAuditor(s *Shard, cfg Config) (*auditor, error) {
 	detectors, err := detect.Statistical(s.Training)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: shard %q training: %w", s.Key, err)
 	}
-	window := s.RegularityWindow
-	if window <= 0 && len(s.Training) > 0 {
-		// Scale the window to the trace length so short populations
-		// still produce enough windows (cf. experiments.Figure8).
-		window = len(s.Training[0]) / 5
-		if window > 100 {
-			window = 100
-		}
-		if window < 20 {
-			window = 20
-		}
-	}
+	detect.ScaleRegularity(detectors, len(s.Training[0]))
 	a := &auditor{
 		shard:      s,
 		detectors:  detectors,
 		tdrLimit:   cfg.TDRThreshold + s.TDRSlack,
 		statsLimit: cfg.StatThreshold,
 		tdrWindow:  cfg.WindowIPDs,
-		replays:    max(cfg.SegmentWorkers, 1),
+		resume:     !cfg.fullReplay,
 		explain:    cfg.Explain,
 	}
-	if cfg.fullReplay {
-		a.replays = 0
-	}
-	for i, d := range a.detectors {
-		if d.Name() == "regularity" && window > 0 {
-			a.detectors[i] = detect.NewRegularity(window)
-		}
-	}
 	if s.Prog != nil {
-		if a.tdr, err = tdrForShard(s); err != nil {
-			return nil, fmt.Errorf("pipeline: shard %q: %w", s.Key, err)
+		prepared, err := svm.Prepare(s.Prog)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: shard %q: preparing shard binary: %w", s.Key, err)
 		}
+		tcfg := s.Cfg
+		tcfg.Prepared = prepared
+		a.tdr = detect.NewCalibratedTDR(s.Prog, tcfg, s.TDRCalib)
 	}
 	return a, nil
 }
@@ -132,11 +110,10 @@ func (a *auditor) windowFor(job Job, ipds int) (from, to int, ok bool) {
 // restores exactly one checkpoint — the one its window resumes from —
 // so when the job offers a windowed loader it is told where the window
 // opens, by the same rule windowFor applies after the load, and keeps
-// only that state. Segment-parallel audits restore interior
-// checkpoints too, and the full-replay reference restores none; both
-// load everything.
+// only that state. The full-replay reference restores none and loads
+// everything.
 func (a *auditor) load(job Job) (*Trace, error) {
-	if job.LoadWindow == nil || a.tdrWindow <= 0 || a.replays != 1 {
+	if job.LoadWindow == nil || a.tdrWindow <= 0 || !a.resume {
 		return job.Load()
 	}
 	return job.LoadWindow(func(ipds int) int {
@@ -191,7 +168,7 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 	from, to, windowed := a.windowFor(job, len(tr.IPDs))
 	if a.tdr != nil && tr.Log != nil && tr.Play != nil {
 		tctx, tdrSpan := obs.StartSpan(ctx, obs.StageTDR)
-		cmp, score, err := a.tdr.Detail(tctx, tr, from, to, a.replays)
+		cmp, score, err := a.tdr.Detail(tctx, tr, from, to, a.resume)
 		tdrSpan.End()
 		v.TDRWindowed = windowed
 		if err != nil {

@@ -14,8 +14,8 @@ import (
 )
 
 // The differential property this file pins: a windowed-replay audit
-// (resume from checkpoint, halt at window end, per-shard memoized
-// platform state) produces a verdict stream — including every
+// (resume from checkpoint, halt at window end, per-shard prepared
+// binary) produces a verdict stream — including every
 // detector score rendered at full precision by Canonical() — that is
 // byte-identical to the reference semantics of "full replay from
 // virtual time zero, scored over the same window". Across worker
@@ -56,7 +56,7 @@ func runCanonical(t *testing.T, st *store.Store, resolve pipeline.ShardResolver,
 	return r.Canonical(), r
 }
 
-// TestDifferentialWindowedSameMachine: windowed+memoized vs the
+// TestDifferentialWindowedSameMachine: windowed vs the
 // full-replay reference, 1 worker vs N workers, over a persisted
 // checkpointed corpus.
 func TestDifferentialWindowedSameMachine(t *testing.T) {

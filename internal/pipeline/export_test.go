@@ -8,13 +8,3 @@ func FullReplayReference(cfg Config) Config {
 	cfg.fullReplay = true
 	return cfg
 }
-
-// ResetShardMemosForTesting empties the per-shard memo cache, so the
-// next batch over a shard takes the first-seen build path.
-func ResetShardMemosForTesting() {
-	shardMemos.Range(func(k, _ any) bool {
-		shardMemos.Delete(k)
-		return true
-	})
-	shardMemoSize.Store(0)
-}

@@ -41,20 +41,6 @@ type Config struct {
 	// Zero audits the whole trace.
 	WindowIPDs int
 
-	// SegmentWorkers, when greater than one, replays each audited
-	// window's checkpoint-bounded segments concurrently on up to that
-	// many goroutines (core.ReplayTDRParallel) instead of replaying the
-	// window front to back. The merged result is bit-identical to the
-	// sequential windowed replay — a verified one-output overlap at
-	// every interior boundary, with a sequential fallback on any
-	// disagreement — so the knob trades cores for per-trace latency
-	// without ever changing a verdict. It applies to full-trace audits
-	// too (the whole IPD range is one window). Zero or one keeps replay
-	// sequential. These goroutines multiply with Workers; a pipeline
-	// saturating its cores on trace-level parallelism gains nothing
-	// from segment-level parallelism on top.
-	SegmentWorkers int
-
 	// Explain attaches the evidence trail (Verdict.Explain) to every
 	// verdict: the audited window and the policy that chose it, the
 	// selector's per-window z-scores when a plan seeded them, and the
@@ -64,7 +50,7 @@ type Config struct {
 
 	// fullReplay scores every TDR audit from a full replay from
 	// virtual time zero: the reference the differential tests pin
-	// windowed and segment-parallel replay against.
+	// windowed replay against.
 	fullReplay bool
 }
 

@@ -159,14 +159,14 @@ func TestValidation(t *testing.T) {
 	p := pipeline.New(pipeline.Config{})
 	b := &pipeline.Batch{}
 	b.Append(pipeline.Job{ID: "orphan", Shard: "nope", Trace: &pipeline.Trace{}})
-	if _, err := p.Run(b); err == nil {
-		t.Fatal("unknown shard accepted")
+	if _, err := p.Run(b); !errors.Is(err, pipeline.ErrInvalidBatch) {
+		t.Fatalf("unknown shard: err = %v, want ErrInvalidBatch", err)
 	}
 	b2 := &pipeline.Batch{}
 	b2.AddShard(&pipeline.Shard{Key: "s"})
 	b2.Append(pipeline.Job{ID: "no-trace", Shard: "s"})
-	if _, err := p.Run(b2); err == nil {
-		t.Fatal("nil trace accepted")
+	if _, err := p.Run(b2); !errors.Is(err, pipeline.ErrInvalidBatch) {
+		t.Fatalf("nil trace: err = %v, want ErrInvalidBatch", err)
 	}
 	// Training failure (too few benign traces) must surface from Go.
 	b3 := &pipeline.Batch{}
