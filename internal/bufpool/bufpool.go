@@ -1,8 +1,9 @@
 // Package bufpool provides size-classed pooled byte buffers for the
 // decode hot paths (replaylog records, checkpoint state blobs, store
-// exec payloads). The load stage used to allocate a fresh
-// make([]byte, n) per record — ~35MB of churn per audited trace at
-// bench scale — almost all of which dies as soon as the trace is
+// exec payloads), and FreeList, a list of larger reusable state that
+// the GC does not empty. The load stage used to allocate a
+// fresh make([]byte, n) per record — ~35MB of churn per audited trace
+// at bench scale — almost all of which dies as soon as the trace is
 // audited. An Arena turns that churn into pool round-trips.
 //
 // Ownership contract (documented in README "Performance"): buffers
@@ -22,6 +23,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Size classes are powers of two from minClass (4KB) to maxClass
@@ -174,4 +176,79 @@ func Discard(br *bufio.Reader, n int) error {
 		err = io.ErrUnexpectedEOF
 	}
 	return err
+}
+
+// A FreeList drops a value nobody has taken for freeListIdle: far
+// longer than the gap between two uses by a busy auditor, short
+// enough that one that has stopped auditing, or runs fewer workers
+// than it did, gives the memory back.
+var freeListIdle = 5 * time.Second // a variable so tests can shorten it
+
+// FreeList is a stack of reusable values for state that is costly to
+// rebuild and used in steady state: engine kits, frame scratch. Unlike
+// sync.Pool it does not drop what it holds when the GC runs, so a
+// collection between two uses does not turn the second into a
+// rebuild, and what a process allocates per operation does not depend
+// on when the GC happened to run. It has no count bound: it keeps as
+// many values as were out at once, and the idle drop alone trims it
+// once fewer are in use. The zero value is ready to use, and a
+// FreeList is safe for concurrent use.
+type FreeList[T any] struct {
+	mu    sync.Mutex
+	items []idleValue[T] // oldest first; Get takes the newest
+	trim  *time.Timer    // armed while items is not empty
+}
+
+type idleValue[T any] struct {
+	x     *T
+	since time.Time
+}
+
+// Get pops the most recently returned value, or returns nil.
+func (l *FreeList[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return nil
+	}
+	x := l.items[n-1].x
+	l.items[n-1] = idleValue[T]{}
+	l.items = l.items[:n-1]
+	return x
+}
+
+// Put returns x for reuse.
+func (l *FreeList[T]) Put(x *T) { l.put(x, time.Now()) }
+
+// put is Put at the instant now.
+func (l *FreeList[T]) put(x *T, now time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.items = append(l.items, idleValue[T]{x: x, since: now})
+	if len(l.items) > 1 {
+		return // the timer is armed for an older value
+	}
+	if l.trim == nil {
+		l.trim = time.AfterFunc(freeListIdle, func() { l.dropIdle(time.Now()) })
+	} else {
+		l.trim.Reset(freeListIdle)
+	}
+}
+
+// dropIdle drops the values idle for freeListIdle or longer at the
+// instant now and re-arms the timer for the oldest one left.
+func (l *FreeList[T]) dropIdle(now time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for n < len(l.items) && now.Sub(l.items[n].since) >= freeListIdle {
+		n++
+	}
+	kept := copy(l.items, l.items[n:])
+	clear(l.items[kept:])
+	l.items = l.items[:kept]
+	if kept > 0 {
+		l.trim.Reset(freeListIdle - now.Sub(l.items[0].since))
+	}
 }

@@ -2,7 +2,9 @@ package bufpool
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestClassFor(t *testing.T) {
@@ -160,5 +162,91 @@ func BenchmarkArenaAlloc(b *testing.B) {
 			_ = a.Alloc(512)
 		}
 		a.Release()
+	}
+}
+
+// TestFreeListKeepsEveryValue: the list keeps as many values as were
+// out at once, however many that is, and hands back the newest first.
+func TestFreeListKeepsEveryValue(t *testing.T) {
+	var l FreeList[int]
+	vals := make([]*int, 16)
+	for i := range vals {
+		vals[i] = new(int)
+		l.Put(vals[i])
+	}
+	for i := len(vals) - 1; i >= 0; i-- {
+		if got := l.Get(); got != vals[i] {
+			t.Fatalf("Get returned %p, want value %d (%p), the newest left", got, i, vals[i])
+		}
+	}
+	if got := l.Get(); got != nil {
+		t.Fatalf("Get on an empty list returned %p", got)
+	}
+}
+
+// TestFreeListKeepsThroughGC: unlike sync.Pool, collections do not
+// empty the list.
+func TestFreeListKeepsThroughGC(t *testing.T) {
+	var l FreeList[[64]byte]
+	x := new([64]byte)
+	l.Put(x)
+	runtime.GC()
+	runtime.GC()
+	if got := l.Get(); got != x {
+		t.Fatal("the list lost its value to the GC")
+	}
+}
+
+// TestFreeListDropsIdle: at a chosen instant, the values idle for
+// freeListIdle or longer are dropped and the ones reused since are
+// kept.
+func TestFreeListDropsIdle(t *testing.T) {
+	var l FreeList[int]
+	t0 := time.Now()
+	at := func(d time.Duration) time.Time { return t0.Add(d) }
+	idle, busy := new(int), new(int)
+	l.put(idle, at(0))
+	l.put(busy, at(0))
+	for step := time.Duration(1); step <= 20; step++ { // twice the idle time
+		if got := l.Get(); got != busy {
+			t.Fatalf("step %d: Get returned %p, want the busy value", step, got)
+		}
+		l.put(busy, at(step*freeListIdle/10))
+		l.dropIdle(at(step * freeListIdle / 10))
+	}
+	if got := l.Get(); got != busy {
+		t.Fatal("the busy value was dropped")
+	}
+	if got := l.Get(); got != nil {
+		t.Fatal("the idle value outlived the idle time")
+	}
+	l.put(busy, at(3*freeListIdle))
+	l.dropIdle(at(4*freeListIdle - 1))
+	if got := l.Get(); got != busy {
+		t.Fatal("a value was dropped before it had been idle for the idle time")
+	}
+	l.put(busy, at(4*freeListIdle))
+	l.dropIdle(at(5 * freeListIdle))
+	if got := l.Get(); got != nil {
+		t.Fatal("a value put after the list emptied outlived the idle time")
+	}
+}
+
+// TestFreeListTimerDropsIdle: the list's own timer runs the idle drop.
+func TestFreeListTimerDropsIdle(t *testing.T) {
+	defer func(d time.Duration) { freeListIdle = d }(freeListIdle)
+	freeListIdle = 10 * time.Millisecond
+	var l FreeList[int]
+	l.Put(new(int))
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		l.mu.Lock()
+		n := len(l.items)
+		l.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the timer never dropped the idle value")
+		}
 	}
 }

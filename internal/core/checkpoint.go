@@ -186,7 +186,6 @@ func ReplayTDRWindowCtx(ctx context.Context, prog *svm.Program, log *replaylog.L
 		e.boundaries = boundaryOutputs(log)
 	} else {
 		_, sp := obs.StartSpan(ctx, obs.StageRestore)
-		e.scratch = scratchPool.Get().(*svm.RestoreScratch)
 		err := e.resumeAt(log, win)
 		sp.End()
 		if err != nil {
@@ -204,9 +203,9 @@ func ReplayTDRWindowCtx(ctx context.Context, prog *svm.Program, log *replaylog.L
 
 // resumeAt restores the engine's functional state from a window's
 // checkpoint and positions every cursor for the record suffix. The
-// restored VM heap is carved from e.scratch, which the caller has set:
-// it stays the VM's until release hands it back, and nothing the
-// engine returns (Execution, log) points into it.
+// restored VM heap is carved from e.scratch: it stays the VM's until
+// release hands the kit back, and nothing the engine returns
+// (Execution, log) points into it.
 func (e *engine) resumeAt(full *replaylog.Log, win *replaylog.LogWindow) error {
 	c := win.Start
 	blob := c.State

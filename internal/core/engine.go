@@ -105,6 +105,8 @@ type Config struct {
 
 	// Files is the stable-storage content, part of the machine's
 	// initial state (identical in play and replay, hence not logged).
+	// Engines only read it: fs.read hands the guest an array that
+	// aliases the content until the guest first writes to it.
 	Files map[string][]byte
 
 	// Hook, when set, is the covert-channel delay primitive. The
@@ -203,10 +205,8 @@ type engine struct {
 	mode Mode
 	mask int64
 
-	plat *hw.Platform
+	*kit // platform, rings, record split and restore scratch
 	vm   *svm.VM
-	st   *ringbuf.ST
-	ts   *ringbuf.TS
 
 	// Play-side input schedule.
 	inputs    []InputEvent
@@ -221,9 +221,6 @@ type engine struct {
 	log  *replaylog.Log // play: written; replay: read-only source
 	exec *Execution
 	rng  *hw.RNG // play-side source for sys.rand
-	recs *recBufs
-	// scratch backs a resumed VM's heap (resumeAt); nil otherwise.
-	scratch *svm.RestoreScratch
 
 	pollIterInstr  int64
 	pollIterCycles int64
@@ -323,33 +320,22 @@ func ReplayFunctional(prog *svm.Program, log *replaylog.Log, cfg Config) (*Execu
 }
 
 // setReplayLog installs the log and splits its record stream into the
-// per-kind cursors, reusing pooled scratch slices.
+// per-kind cursors, in the kit's slices.
 func (e *engine) setReplayLog(log *replaylog.Log) {
 	e.log = log
-	e.recs = splitRecords(log.Records)
-	e.logPackets = e.recs.packets
-	e.logValues = e.recs.values
+	e.kit.splitRecords(log.Records)
+	e.logPackets = e.kit.packets
+	e.logValues = e.kit.values
 }
 
-// release returns pooled scratch — the record-split buffers, the
-// restore scratch and the platform — to their pools. The engine (and
-// its VM, whose restored heap is the scratch) must not be used
+// release returns the engine's kit to its free list. The engine (and
+// its VM, whose restored heap is the kit's scratch) must not be used
 // afterwards; nothing an engine has returned to its caller references
-// any of them.
+// the kit.
 func (e *engine) release() {
-	if e.scratch != nil {
-		scratchPool.Put(e.scratch)
-		e.scratch = nil
-	}
-	if e.recs != nil {
-		e.logPackets, e.logValues = nil, nil
-		e.recs.release()
-		e.recs = nil
-	}
-	if e.plat != nil {
-		releasePlatform(e.plat)
-		e.plat = nil
-	}
+	e.logPackets, e.logValues = nil, nil
+	releaseKit(e.kit)
+	e.kit = nil
 }
 
 // boundaryOutputs extracts the quiescence-boundary schedule (output
@@ -382,14 +368,14 @@ func newEngine(prog *svm.Program, cfg Config, mode Mode) (*engine, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	plat, err := acquirePlatform(&cfg)
+	k, err := acquireKit(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{
 		cfg:            cfg,
 		mode:           mode,
-		plat:           plat,
+		kit:            k,
 		exec:           &Execution{Mode: mode},
 		rng:            hw.NewRNG(cfg.Seed ^ 0xC0FFEE),
 		pollIterInstr:  cfg.PollIterInstr,
@@ -407,22 +393,19 @@ func newEngine(prog *svm.Program, cfg Config, mode Mode) (*engine, error) {
 	default:
 		e.mask = ringbuf.ReplayMask
 	}
-	access := func(addr int64, write bool) { plat.Access(addr, 8, write) }
-	e.st = ringbuf.NewST(stBufferAddr, ringCapacity, access)
-	e.ts = ringbuf.NewTS(tsBufferAddr, ringCapacity, access)
-
 	natives := e.natives()
 	for name, fn := range cfg.ExtraNatives {
 		natives[name] = fn
 	}
 	vm, err := svm.New(prog, natives, svm.Config{
-		Platform:    plat,
+		Platform:    k.plat,
 		SliceBudget: cfg.SliceBudget,
 		GCThreshold: cfg.GCThreshold,
 		MaxSteps:    cfg.MaxSteps,
 		Prepared:    cfg.Prepared,
 	})
 	if err != nil {
+		e.release()
 		return nil, err
 	}
 	e.vm = vm

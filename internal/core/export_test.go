@@ -10,7 +10,7 @@ import (
 
 // OpCounts are the platform's charged-operation counters at the end
 // of a run. An Execution does not carry them (the platform goes back
-// to its pool when the engine is released), so the golden-timing test
+// to its kit's free list when the engine is released), so the golden-timing test
 // runs engines through the wrappers below, which read the counters
 // before the release. Each wrapper performs exactly the steps of the
 // entry point it is named after; TestTimingGoldens also calls the real
@@ -60,7 +60,6 @@ func ReplayCounted(prog *svm.Program, log *replaylog.Log, cfg Config, fromIPD, t
 		e.setReplayLog(log)
 		e.boundaries = boundaryOutputs(log)
 	} else {
-		e.scratch = scratchPool.Get().(*svm.RestoreScratch)
 		if err := e.resumeAt(log, win); err != nil {
 			return nil, OpCounts{}, fmt.Errorf("restoring checkpoint at output %d: %w", win.Start.Outputs, err)
 		}

@@ -33,7 +33,7 @@ func (e *engine) nativeRecv(ctx *svm.NativeCtx) error {
 		ctx.Result = svm.Null()
 		return nil
 	}
-	ctx.Result = svm.RefV(ctx.VM.Heap.AllocBytes(payload))
+	ctx.Result = svm.RefV(ctx.VM.Heap.AdoptBytes(payload))
 	return nil
 }
 
@@ -59,7 +59,7 @@ func (e *engine) nativeRecvBlock(ctx *svm.NativeCtx) error {
 			return err
 		}
 		if ok {
-			ctx.Result = svm.RefV(ctx.VM.Heap.AllocBytes(payload))
+			ctx.Result = svm.RefV(ctx.VM.Heap.AdoptBytes(payload))
 			return nil
 		}
 		switch e.mode {
@@ -114,7 +114,8 @@ func (e *engine) nativeRecvBlock(ctx *svm.NativeCtx) error {
 }
 
 // pollOnce performs one TC poll of the S-T buffer, with mode-specific
-// delivery and logging around it.
+// delivery and logging around it. The payload it returns is the
+// caller's to keep.
 func (e *engine) pollOnce() ([]byte, bool, error) {
 	switch e.mode {
 	case ModePlay:
@@ -148,7 +149,7 @@ func (e *engine) pollOnce() ([]byte, bool, error) {
 		e.nextPacket++
 		e.plat.AddCycles(2000 + int64(len(rec.Payload))*4)
 		e.event("packet.in")
-		return rec.Payload, true, nil
+		return append([]byte(nil), rec.Payload...), true, nil
 	}
 }
 
@@ -184,7 +185,7 @@ func (e *engine) nativeSend(ctx *svm.NativeCtx) error {
 	// The SC drains the buffer and (in play) forwards the packet; in
 	// replay it discards it. Either way the TC-visible cost is the
 	// buffer write above; capturing the output is measurement.
-	e.ts.SCDrain()
+	e.ts.SCDiscard()
 	out := OutputEvent{
 		Seq:     int(e.sendCount),
 		Instr:   ctx.VM.InstrCount,
@@ -259,7 +260,7 @@ func (e *engine) loggedValue(ctx *svm.NativeCtx, kind replaylog.Kind, eventKind 
 		if err != nil {
 			return err
 		}
-		e.ts.SCDrain()
+		e.ts.SCDiscard()
 		e.log.AppendValue(kind, ctx.VM.InstrCount, e.plat.TimePs(), v)
 		e.event(eventKind)
 		ctx.Result = svm.IntV(v)
@@ -278,7 +279,7 @@ func (e *engine) loggedValue(ctx *svm.NativeCtx, kind replaylog.Kind, eventKind 
 		if err != nil {
 			return err
 		}
-		e.ts.SCDrain()
+		e.ts.SCDiscard()
 		e.event(eventKind)
 		ctx.Result = svm.IntV(v)
 		return nil
@@ -333,6 +334,9 @@ func (e *engine) nativeFsRead(ctx *svm.NativeCtx) error {
 		return nil
 	}
 	e.plat.IORead(int64(len(content)))
-	ctx.Result = svm.RefV(ctx.VM.Heap.AllocBytes(content))
+	// Stable storage is read-only initial state, shared by every engine
+	// that runs on this Config: the array aliases it until the guest
+	// first stores into it.
+	ctx.Result = svm.RefV(ctx.VM.Heap.AllocSharedBytes(content))
 	return nil
 }

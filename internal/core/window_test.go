@@ -247,7 +247,7 @@ done:
 
 // replayWindowThrough is ReplayTDRWindow's resumed path with the
 // restore scratch supplied by the test, which keeps owning it: the
-// engine is released without pooling it.
+// engine's kit gets its own scratch back before it is released.
 func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program, log *replaylog.Log, cfg Config, from, to int) *Execution {
 	t.Helper()
 	win, err := log.Window(from, to)
@@ -259,6 +259,7 @@ func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program
 		t.Fatal(err)
 	}
 	e.stopAfterOutputs = int64(to) + 1
+	own := e.scratch
 	e.scratch = sc
 	if err := e.resumeAt(log, win); err != nil {
 		t.Fatal(err)
@@ -266,7 +267,7 @@ func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
-	e.scratch = nil
+	e.scratch = own
 	e.release()
 	return e.exec
 }

@@ -65,10 +65,14 @@ func AccessWord(value int64, slot *int64, mask int64) int64 {
 // ErrFull is returned when a producer outruns the consumer.
 var ErrFull = errors.New("ringbuf: buffer full")
 
-// ring is a fixed-capacity queue of word records.
+// ring is a fixed-capacity queue of word records. Word storage is
+// recycled: emptying a slot moves its words to spare, and filling a
+// slot takes them back, so a ring in steady state allocates nothing
+// and holds only as much storage as it ever held entries at once.
 type ring struct {
-	base   int64 // virtual address of slot 0 (for access charging)
-	slots  [][]int64
+	base   int64     // virtual address of slot 0 (for access charging)
+	slots  [][]int64 // nil entries are empty slots
+	spare  [][]int64 // storage of emptied slots
 	head   int
 	tail   int
 	count  int
@@ -80,6 +84,32 @@ func newRing(base int64, capacity int, access Access) *ring {
 		access = func(int64, bool) {}
 	}
 	return &ring{base: base, slots: make([][]int64, capacity), access: access}
+}
+
+// fill makes slot i hold a zeroed record of n words and returns it.
+func (r *ring) fill(i, n int) []int64 {
+	r.empty(i)
+	var w []int64
+	if k := len(r.spare); k > 0 {
+		w = r.spare[k-1]
+		r.spare = r.spare[:k-1]
+	}
+	if cap(w) < n {
+		w = make([]int64, n)
+	} else {
+		w = w[:n]
+		clear(w)
+	}
+	r.slots[i] = w
+	return w
+}
+
+// empty marks slot i empty, keeping its storage for the next fill.
+func (r *ring) empty(i int) {
+	if w := r.slots[i]; w != nil {
+		r.spare = append(r.spare, w)
+		r.slots[i] = nil
+	}
 }
 
 // addr returns the virtual address of word w of slot i, for charging.
@@ -110,7 +140,7 @@ func NewST(base int64, capacity int, access Access) *ST {
 
 func (s *ST) scPushSentinel() {
 	r := s.r
-	r.slots[r.tail] = []int64{InfTimestamp, 0}
+	r.fill(r.tail, 2)[0] = InfTimestamp
 	r.tail = (r.tail + 1) % len(r.slots)
 	r.count++
 }
@@ -127,11 +157,10 @@ func (s *ST) SCPush(payload []byte, ts int64) error {
 	}
 	// Overwrite the sentinel (one slot back from tail).
 	idx := (r.tail - 1 + len(r.slots)) % len(r.slots)
-	words := make([]int64, 2+(len(payload)+7)/8)
+	words := r.fill(idx, 2+(len(payload)+7)/8)
 	words[0] = ts
 	words[1] = int64(len(payload))
 	packBytes(words[2:], payload)
-	r.slots[idx] = words
 	s.scPushSentinel()
 	return nil
 }
@@ -146,7 +175,7 @@ func (s *ST) SCPush(payload []byte, ts int64) error {
 // now is the TC's instruction counter; mask is PlayMask or
 // ReplayMask. It returns the payload and the timestamp word's final
 // value (the logged delivery point), or ok == false when no entry is
-// due.
+// due. The payload is a fresh slice, the caller's to keep.
 func (s *ST) TCPoll(now int64, mask int64) (payload []byte, ts int64, ok bool) {
 	r := s.r
 	slot := r.slots[r.head]
@@ -168,7 +197,7 @@ func (s *ST) TCPoll(now int64, mask int64) (payload []byte, ts int64, ok bool) {
 	for w := 0; w < int(n+7)/8; w++ {
 		r.access(r.addr(r.head, 2+w), false)
 	}
-	r.slots[r.head] = nil
+	r.empty(r.head)
 	r.head = (r.head + 1) % len(r.slots)
 	r.count--
 	return payload, ts, true
@@ -191,13 +220,6 @@ const (
 	TSEvent  = int64(1)
 )
 
-// TSRecord is a drained T-S entry as the SC sees it.
-type TSRecord struct {
-	Kind    int64
-	Payload []byte // outputs
-	Value   int64  // events
-}
-
 // NewTS builds a T-S buffer.
 func NewTS(base int64, capacity int, access Access) *TS {
 	return &TS{r: newRing(base, capacity, access)}
@@ -211,11 +233,10 @@ func (t *TS) TCSendOutput(payload []byte) error {
 	if r.count >= len(r.slots) {
 		return ErrFull
 	}
-	words := make([]int64, 2+(len(payload)+7)/8)
+	words := r.fill(r.tail, 2+(len(payload)+7)/8)
 	words[0] = TSOutput
 	words[1] = int64(len(payload))
 	packBytes(words[2:], payload)
-	r.slots[r.tail] = words
 	r.access(r.addr(r.tail, 0), true)
 	r.access(r.addr(r.tail, 1), true)
 	for w := 0; w < (len(payload)+7)/8; w++ {
@@ -235,10 +256,10 @@ func (t *TS) TCEvent(value int64, mask int64) (int64, error) {
 	if r.count >= len(r.slots) {
 		return 0, ErrFull
 	}
-	if r.slots[r.tail] == nil {
-		r.slots[r.tail] = []int64{TSEvent, 0, 0}
-	}
 	slot := r.slots[r.tail]
+	if slot == nil {
+		slot = r.fill(r.tail, 3)
+	}
 	slot[0] = TSEvent
 	slot[1] = 1
 	r.access(r.addr(r.tail, 0), true)
@@ -257,28 +278,19 @@ func (t *TS) TCEvent(value int64, mask int64) (int64, error) {
 // entries; engines call it immediately before the TC's access.
 func (t *TS) SCPreloadEvent(value int64) {
 	r := t.r
-	r.slots[r.tail] = []int64{TSEvent, 1, value}
+	w := r.fill(r.tail, 3)
+	w[0], w[1], w[2] = TSEvent, 1, value
 }
 
-// SCDrain removes and returns all queued records (SC side, uncharged).
-func (t *TS) SCDrain() []TSRecord {
+// SCDiscard removes every queued record (SC side, uncharged) without
+// looking at it: the SC forwards outputs only during play, outside the
+// machine, and what it does with them never reaches the TC.
+func (t *TS) SCDiscard() {
 	r := t.r
-	var out []TSRecord
-	for r.count > 0 {
-		slot := r.slots[r.head]
-		rec := TSRecord{Kind: slot[0]}
-		if slot[0] == TSOutput {
-			rec.Payload = make([]byte, slot[1])
-			unpackBytes(rec.Payload, slot[2:])
-		} else {
-			rec.Value = slot[2]
-		}
-		out = append(out, rec)
-		r.slots[r.head] = nil
+	for ; r.count > 0; r.count-- {
+		r.empty(r.head)
 		r.head = (r.head + 1) % len(r.slots)
-		r.count--
 	}
-	return out
 }
 
 // Pending returns the number of queued records.
@@ -314,41 +326,36 @@ func (s *ST) State() RingState { return s.r.snapshot() }
 // State snapshots the T-S buffer.
 func (t *TS) State() RingState { return t.r.snapshot() }
 
-// AlignResume positions a fresh S-T buffer as it stands during replay
+// align empties every slot and puts both cursors at slot pos mod n.
+func (r *ring) align(pos int64) {
+	for i := range r.slots {
+		r.empty(i)
+	}
+	idx := int(pos % int64(len(r.slots)))
+	r.head, r.tail, r.count = idx, idx, 0
+}
+
+// AlignResume positions an S-T buffer as it stands during replay
 // after consumed entries have been pushed and consumed: only the
 // sentinel remains, at the slot the cursor has ring-advanced to.
 // Cursor positions matter beyond bookkeeping — the TC charges its
 // buffer traffic at slot-dependent virtual addresses, so a resumed
 // replay must touch the same addresses a full replay does.
+// AlignResume(0) returns a used buffer to its state from NewST.
 func (s *ST) AlignResume(consumed int64) {
-	r := s.r
-	n := len(r.slots)
-	for i := range r.slots {
-		r.slots[i] = nil
-	}
-	idx := int(consumed % int64(n))
-	r.slots[idx] = []int64{InfTimestamp, 0}
-	r.head = idx
-	r.tail = (idx + 1) % n
-	r.count = 1
+	s.r.align(consumed)
+	s.scPushSentinel()
 }
 
-// AlignResume positions a fresh T-S buffer as it stands during replay
+// AlignResume positions a T-S buffer as it stands during replay
 // after drained entries (outputs and events) have passed through:
-// empty, with the cursors ring-advanced past them.
+// empty, with the cursors ring-advanced past them. AlignResume(0)
+// returns a used buffer to its state from NewTS.
 func (t *TS) AlignResume(drained int64) {
-	r := t.r
-	n := len(r.slots)
-	for i := range r.slots {
-		r.slots[i] = nil
-	}
-	idx := int(drained % int64(n))
-	r.head = idx
-	r.tail = idx
-	r.count = 0
+	t.r.align(drained)
 }
 
-// packBytes packs b little-endian into words.
+// packBytes packs b little-endian into words, which must be zero.
 func packBytes(words []int64, b []byte) {
 	for i, c := range b {
 		words[i/8] |= int64(c) << (uint(i%8) * 8)

@@ -2,6 +2,7 @@ package ringbuf
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -238,5 +239,65 @@ func TestPackUnpackBytes(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRingsReuseStorage: once a ring has held its entries, cycling
+// more through it allocates nothing but the payloads TCPoll hands out.
+func TestRingsReuseStorage(t *testing.T) {
+	st := NewST(0x9000_0000, 16, nil)
+	ts := NewTS(0xA000_0000, 16, nil)
+	payload := []byte("a request of a few words")
+	cycle := func() {
+		if err := st.SCPush(payload, FreshTimestamp); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := st.TCPoll(1, PlayMask); !ok {
+			t.Fatal("entry not delivered")
+		}
+		if err := ts.TCSendOutput(payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.TCEvent(7, PlayMask); err != nil {
+			t.Fatal(err)
+		}
+		ts.SCDiscard()
+		ts.SCPreloadEvent(9)
+		if _, err := ts.TCEvent(8, ReplayMask); err != nil {
+			t.Fatal(err)
+		}
+		ts.SCDiscard()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
+		t.Fatalf("a push/poll/send/event cycle allocates %v times, want 1 (the polled payload)", allocs)
+	}
+}
+
+// TestAlignResumeZeroIsNew: a used buffer aligned to 0 snapshots
+// exactly as a new one does, which is what lets an engine reuse rings.
+func TestAlignResumeZeroIsNew(t *testing.T) {
+	st, ts := NewST(0x9000_0000, 8, nil), NewTS(0xA000_0000, 8, nil)
+	for i := 0; i < 11; i++ {
+		if err := st.SCPush([]byte{byte(i)}, FreshTimestamp); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			st.TCPoll(int64(i), PlayMask)
+		}
+		if err := ts.TCSendOutput([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			ts.SCDiscard()
+		}
+	}
+	st.AlignResume(0)
+	ts.AlignResume(0)
+	if got, want := st.State(), NewST(0x9000_0000, 8, nil).State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aligned S-T buffer %+v, new %+v", got, want)
+	}
+	if got, want := ts.State(), NewTS(0xA000_0000, 8, nil).State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("aligned T-S buffer %+v, new %+v", got, want)
 	}
 }

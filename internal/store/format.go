@@ -209,9 +209,24 @@ type Reader struct {
 	// sectionReader.Read hands bytes out by copy, so reusing one
 	// buffer is safe and removes the per-frame make([]byte, n) that
 	// used to dominate the load stage (every skipped section still
-	// paid it in full).
-	scratch bufpool.Scratch
+	// paid it in full). It comes from frameScratch on the first frame
+	// and goes back on release.
+	scratch *bufpool.Scratch
 	fixed   [9]byte // frame header (5) then checksum (4)
+}
+
+// frameScratch keeps the frame buffers of released Readers, grown to
+// the frames they read, for the next Readers.
+var frameScratch bufpool.FreeList[bufpool.Scratch]
+
+// release hands the Reader's frame buffer to the next Reader. Nothing
+// the Reader yielded aliases it; the Reader must not be used again. A
+// Reader that is never released only leaves its buffer to the GC.
+func (r *Reader) release() {
+	if r.scratch != nil {
+		frameScratch.Put(r.scratch)
+		r.scratch = nil
+	}
 }
 
 type frame struct {
@@ -251,6 +266,11 @@ func (r *Reader) readFrame() (frame, error) {
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > MaxFrame {
 		return frame{}, fmt.Errorf("store: frame of %d bytes exceeds the %d limit", n, MaxFrame)
+	}
+	if r.scratch == nil {
+		if r.scratch = frameScratch.Get(); r.scratch == nil {
+			r.scratch = new(bufpool.Scratch)
+		}
 	}
 	payload := r.scratch.Grow(int(n))
 	if _, err := io.ReadFull(r.r, payload); err != nil {

@@ -367,6 +367,7 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 	if err != nil {
 		return Meta{}, nil, nil, err
 	}
+	defer fr.release()
 	meta, err := readMetaSection(fr)
 	if err != nil {
 		return Meta{}, nil, nil, err
@@ -444,6 +445,7 @@ func ReadMeta(r io.Reader) (Meta, error) {
 	if err != nil {
 		return Meta{}, err
 	}
+	defer fr.release()
 	return readMetaSection(fr)
 }
 
@@ -455,6 +457,7 @@ func ReadIPDs(r io.Reader) (Meta, []int64, error) {
 	if err != nil {
 		return Meta{}, nil, err
 	}
+	defer fr.release()
 	meta, err := readMetaSection(fr)
 	if err != nil {
 		return Meta{}, nil, err

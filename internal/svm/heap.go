@@ -27,12 +27,17 @@ type Object struct {
 	Fields []Value
 	AI     []int64
 	AF     []float64
-	AB     []byte
-	AR     []Ref
+	// AB is a byte array's content. It may alias memory the VM does
+	// not own (AllocSharedBytes), which the VM's own byte store copies
+	// before its first write: a native must read AB, never write it.
+	AB []byte
+	AR []Ref
 
 	Addr   int64
 	Size   int64
 	marked bool
+	// shared marks an AB that aliases host memory (copy on write).
+	shared bool
 }
 
 // Len returns the element count of an array object, or the field
@@ -150,6 +155,11 @@ func (h *Heap) AllocArray(elem int, length int) (Ref, error) {
 	if length < 0 {
 		return 0, fmt.Errorf("svm: negative array length %d", length)
 	}
+	// The heap holds no array a snapshot could not carry, which also
+	// keeps a computed length from sizing the host's allocation.
+	if length > snapMaxCollection && (elem != ElemByte || length > snapMaxBytes) {
+		return 0, fmt.Errorf("svm: array length %d exceeds the heap's limit", length)
+	}
 	var o *Object
 	var elemBytes int64
 	switch elem {
@@ -175,8 +185,25 @@ func (h *Heap) AllocArray(elem int, length int) (Ref, error) {
 
 // AllocBytes allocates a byte array initialized with a copy of b.
 func (h *Heap) AllocBytes(b []byte) Ref {
-	o := &Object{Kind: ObjArrB, AB: append([]byte(nil), b...)}
-	o.Size = sizeClass(objHeader + int64(len(b)))
+	return h.AdoptBytes(append([]byte(nil), b...))
+}
+
+// AdoptBytes allocates a byte array whose content is b itself: the
+// heap takes ownership, and the caller must not use b afterwards.
+func (h *Heap) AdoptBytes(b []byte) Ref {
+	return h.installBytes(&Object{Kind: ObjArrB, AB: b})
+}
+
+// AllocSharedBytes allocates a byte array that aliases b, which must
+// stay unchanged while the VM runs (stable storage, say). The VM
+// copies the content the first time the guest stores into the array,
+// so b is only ever read.
+func (h *Heap) AllocSharedBytes(b []byte) Ref {
+	return h.installBytes(&Object{Kind: ObjArrB, AB: b, shared: true})
+}
+
+func (h *Heap) installBytes(o *Object) Ref {
+	o.Size = sizeClass(objHeader + int64(len(o.AB)))
 	o.Addr = h.allocAddr(o.Size)
 	return h.install(o)
 }

@@ -31,7 +31,9 @@ func carve[T any](slab *[]T, n int) []T {
 	return s[len(s) : len(s)+n : len(s)+n]
 }
 
-func (sc *RestoreScratch) reset() {
+// Reset drops every carving, so the scratch no longer pins the heap of
+// the VM it backed. RestoreState resets the scratch it is given.
+func (sc *RestoreScratch) Reset() {
 	// Stale Objects and handles would pin the slabs a previous restore
 	// outgrew; everything else holds no pointers.
 	clear(sc.objs)

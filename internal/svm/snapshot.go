@@ -87,9 +87,26 @@ type snapReader struct {
 
 func (s *snapReader) fail(format string, args ...any) {
 	if s.err == nil {
-		s.err = fmt.Errorf("svm: snapshot: "+format, args...)
+		s.err = badState(format, args...)
 	}
 }
+
+// StateError is RestoreState's error for a snapshot it refuses: bytes
+// that are truncated or malformed, or that decode to a state the
+// program cannot run from — a live thread without frames, a pc,
+// function or class index out of range, an operand stack the verifier
+// would not allow at its pc, a reference outside the heap, a monitor
+// owned or awaited by no such thread.
+type StateError struct{ err error }
+
+func badState(format string, args ...any) *StateError {
+	return &StateError{fmt.Errorf(format, args...)}
+}
+
+func (e *StateError) Error() string { return "svm: snapshot: " + e.err.Error() }
+
+// Unwrap exposes the cause (io.ErrUnexpectedEOF for a short blob).
+func (e *StateError) Unwrap() error { return e.err }
 
 // take consumes the next n bytes.
 func (s *snapReader) take(n int) []byte {
@@ -97,7 +114,7 @@ func (s *snapReader) take(n int) []byte {
 		return nil
 	}
 	if len(s.b) < n {
-		s.b, s.err = nil, fmt.Errorf("svm: snapshot: %w", io.ErrUnexpectedEOF)
+		s.b, s.err = nil, badState("%w", io.ErrUnexpectedEOF)
 		return nil
 	}
 	p := s.b[:n]
@@ -316,10 +333,12 @@ func (h *Heap) encode(s *snapWriter) {
 // RestoreState replaces the VM's functional state with a snapshot
 // previously captured by EncodeState/EncodeStateMidNative for the
 // same program. The VM must be freshly constructed (New) and not yet
-// run. Snapshots are validated structurally — counts, value kinds,
-// function indices — so a corrupted or hostile snapshot fails with an
-// error instead of corrupting the process; semantic damage beyond
-// that surfaces as a deterministic VM trap during execution.
+// run. A snapshot is validated twice — structurally as it decodes
+// (counts, value kinds) and then as a machine (checkState) — so a
+// corrupted or hostile snapshot fails with a *StateError instead of
+// corrupting or crashing the process; damage that leaves a runnable
+// machine surfaces as a deterministic VM trap, or a different
+// execution, when it runs.
 //
 // The blob is parsed in place and only read: everything the VM will
 // mutate is copied out of it, into memory carved from sc (reset
@@ -330,10 +349,10 @@ func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
 	if sc == nil {
 		sc = new(RestoreScratch)
 	}
-	sc.reset()
+	sc.Reset()
 	s := &snapReader{b: blob, sc: sc}
 	if v := s.b8(); s.err == nil && v != snapshotVersion {
-		return fmt.Errorf("svm: snapshot: unsupported version %d", v)
+		return badState("unsupported version %d", v)
 	}
 	instr := s.i64()
 	cur := s.i64()
@@ -373,10 +392,8 @@ func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
 			}
 			fn := vm.Prog.Funcs[fnIdx]
 			pc := s.i64()
-			// pc may legitimately equal len(Code) only transiently; the
-			// interpreter bounds-checks on fetch, so cap generously here
-			// and let execution trap on real damage.
-			if pc < 0 || pc > int64(len(fn.Code)) {
+			// checkState holds pc to an instruction a path reaches.
+			if pc < 0 || pc >= int64(len(fn.Code)) {
 				s.fail("thread %d frame %d pc %d outside %q", ti, fi, pc, fn.Name)
 				break
 			}
@@ -401,19 +418,19 @@ func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
 		for j := 0; j < nq && s.err == nil; j++ {
 			m.queue = append(m.queue, int(s.i64()))
 		}
-		if m.owner < -1 || m.owner >= nThreads {
-			s.fail("monitor %d owned by unknown thread %d", ref, m.owner)
-		}
 		monitors[ref] = m
 	}
 	if s.err != nil {
 		return s.err
 	}
-	if cur < 0 || (nThreads > 0 && cur >= int64(nThreads)) {
-		return fmt.Errorf("svm: snapshot: current thread %d of %d", cur, nThreads)
-	}
 	if nThreads == 0 {
-		return fmt.Errorf("svm: snapshot has no threads")
+		return badState("no threads")
+	}
+	if cur < 0 || cur >= int64(nThreads) {
+		return badState("current thread %d of %d", cur, nThreads)
+	}
+	if err := vm.checkState(globals, strRefs, heap, threads, monitors); err != nil {
+		return err
 	}
 	vm.InstrCount = instr
 	vm.cur = int(cur)
@@ -495,4 +512,112 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 		h.freeAddrs[class] = lst
 	}
 	return h
+}
+
+// checkState holds a decoded state to what the interpreter relies on
+// the verifier for, so that running it can trap but not crash: every
+// live thread has a frame; every frame sits at a pc a verified path
+// reaches, with the locals its function declares and the operand
+// stack depth the verifier computed there, and every frame below the
+// top is suspended in a call to the frame above it; every reference
+// points inside the heap, free handles name free slots, class objects
+// name a class, and monitors are owned by threads that exist and
+// awaited only by threads blocked on them.
+func (vm *VM) checkState(globals []Value, strRefs []Ref, h *Heap, threads []*Thread, monitors map[Ref]*monitor) error {
+	nObjs := Ref(len(h.objs))
+	inHeap := func(r Ref) bool { return r >= 0 && r <= nObjs }
+	values := func(what string, vs []Value) error {
+		for _, v := range vs {
+			if v.K == KRef && !inHeap(v.Ref()) {
+				return badState("%s hold reference %d outside the heap of %d objects", what, v.I, nObjs)
+			}
+		}
+		return nil
+	}
+	if err := values("globals", globals); err != nil {
+		return err
+	}
+	for _, r := range strRefs {
+		if !inHeap(r) {
+			return badState("string constant reference %d outside the heap of %d objects", r, nObjs)
+		}
+	}
+	for i, o := range h.objs {
+		if o == nil {
+			continue
+		}
+		switch o.Kind {
+		case ObjClass:
+			if o.Class < 0 || o.Class >= len(vm.Prog.Classes) {
+				return badState("object %d has class index %d of %d", i+1, o.Class, len(vm.Prog.Classes))
+			}
+			if err := values("object fields", o.Fields); err != nil {
+				return err
+			}
+		case ObjArrR:
+			for _, r := range o.AR {
+				if !inHeap(r) {
+					return badState("object %d holds reference %d outside the heap of %d objects", i+1, r, nObjs)
+				}
+			}
+		}
+	}
+	for _, r := range h.free {
+		if r < 1 || r > nObjs || h.objs[r-1] != nil {
+			return badState("free handle %d names no free slot of %d", r, nObjs)
+		}
+	}
+	for ti, t := range threads {
+		if !inHeap(t.waitingOn) {
+			return badState("thread %d waits on reference %d outside the heap", ti, t.waitingOn)
+		}
+		if t.Result.K == KRef && !inHeap(t.Result.Ref()) {
+			return badState("thread %d result references %d outside the heap", ti, t.Result.I)
+		}
+		if t.State != ThreadDone && len(t.frames) == 0 {
+			return badState("live thread %d has no frames", ti)
+		}
+		for fi, f := range t.frames {
+			want := vm.depths[f.fnIdx][f.pc]
+			if fi < len(t.frames)-1 {
+				// Suspended in a call: the return pushes the callee's
+				// value, if any, onto this stack before pc runs.
+				callee := t.frames[fi+1].fnIdx
+				if f.pc < 1 || f.fn.Code[f.pc-1].Op != OpCall || int(f.fn.Code[f.pc-1].A) != callee {
+					return badState("thread %d frame %d at pc %d is not returning from a call to function %d", ti, fi, f.pc, callee)
+				}
+				if vm.Prog.Funcs[callee].ReturnsValue {
+					want--
+				}
+			}
+			if want < 0 || len(f.stack) != want {
+				return badState("thread %d frame %d holds %d stack values at pc %d of %q, the verifier has %d", ti, fi, len(f.stack), f.pc, f.fn.Name, want)
+			}
+			if len(f.locals) != f.fn.NumLocals {
+				return badState("thread %d frame %d holds %d locals, %q has %d", ti, fi, len(f.locals), f.fn.Name, f.fn.NumLocals)
+			}
+			if err := values("locals", f.locals); err != nil {
+				return err
+			}
+			if err := values("operand stacks", f.stack); err != nil {
+				return err
+			}
+		}
+	}
+	for r, m := range monitors {
+		if r < 1 || r > nObjs {
+			return badState("monitor on reference %d outside the heap of %d objects", r, nObjs)
+		}
+		if m.owner < -1 || m.owner >= len(threads) {
+			return badState("monitor %d owned by unknown thread %d", r, m.owner)
+		}
+		for _, id := range m.queue {
+			// Releasing the monitor makes the head of its queue
+			// runnable: only a thread blocked on it may wait there.
+			if id < 0 || id >= len(threads) || threads[id].State != ThreadBlocked || threads[id].waitingOn != r {
+				return badState("monitor %d queues thread %d, which is not blocked on it", r, id)
+			}
+		}
+	}
+	return nil
 }

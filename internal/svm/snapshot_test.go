@@ -2,6 +2,8 @@ package svm
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -156,5 +158,106 @@ func TestSnapshotRestoreRejectsDamage(t *testing.T) {
 	}
 	if err := ovm.RestoreState(valid, nil); err == nil {
 		t.Fatal("snapshot restored into a mismatched program")
+	}
+}
+
+// TestRestoreStateChecks damages one invariant of a live VM at a time,
+// encodes it, and requires RestoreState to refuse the result with a
+// *StateError naming the damage.
+func TestRestoreStateChecks(t *testing.T) {
+	prog := snapProgram(t)
+	cases := []struct {
+		name   string
+		damage func(vm *VM)
+		want   string
+	}{
+		{"frameless live thread", func(vm *VM) { vm.threads[0].frames = nil }, "live thread 0 has no frames"},
+		{"pc past the code", func(vm *VM) { vm.threads[0].frames[0].pc = 99 }, "pc 99 outside"},
+		{"function index", func(vm *VM) { vm.threads[0].frames[0].fnIdx = 3 }, "function index 3"},
+		{"stack deeper than verified", func(vm *VM) {
+			f := vm.threads[0].frames[0]
+			f.stack = append(f.stack, IntV(1))
+		}, "stack values at pc"},
+		{"locals count", func(vm *VM) {
+			f := vm.threads[0].frames[0]
+			f.locals = f.locals[:1]
+		}, "holds 1 locals"},
+		{"suspended frame not in a call", func(vm *VM) {
+			vm.threads[0].pushFrame(vm.Prog.Funcs[0], 0, nil)
+		}, "not returning from a call"},
+		{"class index", func(vm *VM) { vm.Heap.AllocObject(2, 1) }, "class index 2 of 0"},
+		{"global outside the heap", func(vm *VM) { vm.Globals[0] = RefV(999) }, "reference 999 outside the heap"},
+		{"free handle names a live slot", func(vm *VM) { vm.Heap.free = append(vm.Heap.free, 1) }, "free handle 1"},
+		{"monitor owner", func(vm *VM) { vm.monitors[1] = &monitor{owner: 3, depth: 1} }, "owned by unknown thread 3"},
+		{"monitor awaited by a runnable thread", func(vm *VM) {
+			vm.monitors[1] = &monitor{owner: -1, queue: []int{0}}
+		}, "queues thread 0, which is not blocked on it"},
+		{"monitor on a reference outside the heap", func(vm *VM) { vm.monitors[500] = &monitor{owner: -1} }, "monitor on reference 500"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			vm, err := New(prog, snapNatives(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vm.RunBudget(800); err != nil {
+				t.Fatal(err)
+			}
+			c.damage(vm)
+			var buf bytes.Buffer
+			if err := vm.EncodeState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(prog, snapNatives(), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.RestoreState(buf.Bytes(), nil)
+			var se *StateError
+			if !errors.As(err, &se) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RestoreState = %v, want a *StateError containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestSharedBytesCopyOnWrite: a byte array that aliases host memory is
+// copied on its first store and then written in place, and a snapshot
+// of it restores an owned array.
+func TestSharedBytesCopyOnWrite(t *testing.T) {
+	src := []byte("stable")
+	h := NewHeap(0)
+	o := h.Get(h.AllocSharedBytes(src))
+	if err := arraySet(o, 0, IntV('S')); err != nil {
+		t.Fatal(err)
+	}
+	if string(src) != "stable" || string(o.AB) != "Stable" || o.shared {
+		t.Fatalf("after a store: source %q, array %q, shared %v", src, o.AB, o.shared)
+	}
+	owned := &o.AB[0]
+	if err := arraySet(o, 1, IntV('T')); err != nil || &o.AB[0] != owned {
+		t.Fatalf("second store copied again (err %v)", err)
+	}
+
+	prog := snapProgram(t)
+	vm, err := New(prog, snapNatives(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := vm.Heap.AllocSharedBytes(src)
+	var buf bytes.Buffer
+	if err := vm.EncodeState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(prog, snapNatives(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RestoreState(buf.Bytes(), nil); err != nil {
+		t.Fatal(err)
+	}
+	restored := fresh.Heap.Get(r)
+	if restored.shared || string(restored.AB) != "stable" || &restored.AB[0] == &src[0] {
+		t.Fatalf("restored array shared %v, content %q", restored.shared, restored.AB)
 	}
 }

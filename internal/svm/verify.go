@@ -9,20 +9,30 @@ import "fmt"
 // verifier, but tracks only stack depth, not slot types (the
 // interpreter checks types dynamically).
 func Verify(p *Program) error {
-	if len(p.Funcs) == 0 {
-		return fmt.Errorf("svm: program %q has no functions", p.Name)
-	}
-	for idx, f := range p.Funcs {
-		if err := verifyFunc(p, idx, f); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := verify(p)
+	return err
 }
 
-func verifyFunc(p *Program, fnIdx int, f *Function) error {
-	fail := func(pc int, format string, args ...any) error {
-		return fmt.Errorf("svm: verify %s@%d: %s", f.Name, pc, fmt.Sprintf(format, args...))
+// verify is Verify, returning each function's operand-stack depth at
+// every pc (-1 where no path reaches).
+func verify(p *Program) ([][]int, error) {
+	if len(p.Funcs) == 0 {
+		return nil, fmt.Errorf("svm: program %q has no functions", p.Name)
+	}
+	depths := make([][]int, len(p.Funcs))
+	for idx, f := range p.Funcs {
+		d, err := verifyFunc(p, idx, f)
+		if err != nil {
+			return nil, err
+		}
+		depths[idx] = d
+	}
+	return depths, nil
+}
+
+func verifyFunc(p *Program, fnIdx int, f *Function) ([]int, error) {
+	fail := func(pc int, format string, args ...any) ([]int, error) {
+		return nil, fmt.Errorf("svm: verify %s@%d: %s", f.Name, pc, fmt.Sprintf(format, args...))
 	}
 	if f.NumParams < 0 || f.NumLocals < f.NumParams {
 		return fail(0, "locals %d < params %d", f.NumLocals, f.NumParams)
@@ -168,7 +178,7 @@ func verifyFunc(p *Program, fnIdx int, f *Function) error {
 			queue = append(queue, work{w.pc + 1, d})
 		}
 	}
-	return nil
+	return depth, nil
 }
 
 // stackEffect returns how many slots an instruction pops and pushes,

@@ -21,7 +21,9 @@ type NativeCtx struct {
 // NativeFunc is the signature of a host-provided primitive. Natives
 // are the only way the VM touches the outside world (I/O buffers,
 // nanoTime, the covert-delay hook), which is what lets the TDR engine
-// interpose on every nondeterministic input.
+// interpose on every nondeterministic input. The VM reuses the
+// context, Args included, for its next native call: a native must not
+// keep either past its return.
 type NativeFunc func(ctx *NativeCtx) error
 
 // TrapError is a VM-level fault (null dereference, division by zero,
@@ -66,12 +68,16 @@ type Config struct {
 type Prepared struct {
 	prog      *Program
 	codeBases []int64
+	// depths is the verifier's operand-stack depth per function and
+	// pc, against which RestoreState checks restored frames.
+	depths [][]int
 }
 
 // Prepare verifies the program and computes its code layout once, for
 // reuse across VMs via Config.Prepared.
 func Prepare(prog *Program) (*Prepared, error) {
-	if err := Verify(prog); err != nil {
+	depths, err := verify(prog)
+	if err != nil {
 		return nil, err
 	}
 	codeBases := make([]int64, len(prog.Funcs))
@@ -80,7 +86,7 @@ func Prepare(prog *Program) (*Prepared, error) {
 		codeBases[i] = addr
 		addr += alignUp(int64(len(f.Code))*InstrBytes, 4096)
 	}
-	return &Prepared{prog: prog, codeBases: codeBases}, nil
+	return &Prepared{prog: prog, codeBases: codeBases, depths: depths}, nil
 }
 
 // DefaultSliceBudget mirrors the paper's fixed per-thread instruction
@@ -105,6 +111,8 @@ type VM struct {
 	// function index. Per-VM (not on the shared, read-only Program) so
 	// that VMs on different goroutines can run the same binary.
 	codeBases []int64
+	// depths is Prepared.depths, shared read-only like codeBases.
+	depths [][]int
 
 	cur         int // index of the current thread
 	sliceLeft   int64
@@ -118,6 +126,8 @@ type VM struct {
 
 	halted   bool
 	ExitCode int64
+
+	nctx NativeCtx // the context of the native call in progress
 }
 
 // New prepares a VM for the program: lays out code and globals,
@@ -166,11 +176,12 @@ func New(prog *Program, natives map[string]NativeFunc, cfg Config) (*VM, error) 
 	// pipeline runs one worker pool over one binary), so New must not
 	// write to prog. The slice itself is shared read-only too.
 	vm.codeBases = prepared.codeBases
+	vm.depths = prepared.depths
 	// Intern string constants as byte arrays; this happens before
 	// execution, so addresses are deterministic.
 	vm.strRefs = make([]Ref, len(prog.StrPool))
 	for i, s := range prog.StrPool {
-		vm.strRefs[i] = vm.Heap.AllocBytes([]byte(s))
+		vm.strRefs[i] = vm.Heap.AdoptBytes([]byte(s))
 	}
 	// Resolve natives strictly: a missing native is a load error, not
 	// a runtime surprise.
@@ -615,7 +626,7 @@ func (vm *VM) exec(t *Thread) error {
 		i := pop()
 		a := pop()
 		o, err := vm.array(t, a)
-		if err != nil {
+		if o == nil {
 			return err
 		}
 		if i.K != KInt || i.I < 0 || int(i.I) >= o.Len() {
@@ -630,7 +641,7 @@ func (vm *VM) exec(t *Thread) error {
 		i := pop()
 		a := pop()
 		o, err := vm.array(t, a)
-		if err != nil {
+		if o == nil {
 			return err
 		}
 		if i.K != KInt || i.I < 0 || int(i.I) >= o.Len() {
@@ -645,7 +656,7 @@ func (vm *VM) exec(t *Thread) error {
 	case OpALen:
 		a := pop()
 		o, err := vm.array(t, a)
-		if err != nil {
+		if o == nil {
 			return err
 		}
 		if plat != nil {
@@ -702,10 +713,11 @@ func (vm *VM) exec(t *Thread) error {
 
 	case OpCall:
 		callee := vm.Prog.Funcs[in.A]
-		args := make([]Value, callee.NumParams)
-		for i := callee.NumParams - 1; i >= 0; i-- {
-			args[i] = pop()
-		}
+		// The arguments are the top of the stack, in order; pushFrame
+		// copies them into the callee's locals.
+		n := len(f.stack) - callee.NumParams
+		args := f.stack[n:]
+		f.stack = f.stack[:n]
 		f.pc = nextPC // return address
 		t.pushFrame(callee, int(in.A), args)
 		if plat != nil {
@@ -714,12 +726,12 @@ func (vm *VM) exec(t *Thread) error {
 		}
 		return nil
 	case OpNCall:
-		n := int(in.B)
-		args := make([]Value, n)
-		for i := n - 1; i >= 0; i-- {
-			args[i] = pop()
-		}
-		ctx := &NativeCtx{VM: vm, Thread: t, Args: args, Result: IntV(0)}
+		// The arguments stay where they are, above the popped top of
+		// the stack, until the result is pushed over them.
+		n := len(f.stack) - int(in.B)
+		ctx := &vm.nctx
+		*ctx = NativeCtx{VM: vm, Thread: t, Args: f.stack[n:len(f.stack):len(f.stack)], Result: IntV(0)}
+		f.stack = f.stack[:n]
 		if err := vm.natives[in.A](ctx); err != nil {
 			return vm.throwTrap(t, "native %s: %v", vm.Prog.Natives[in.A], err)
 		}
@@ -844,7 +856,7 @@ func (vm *VM) releaseThreadMonitors(t *Thread) {
 // it; otherwise the trap escapes as a Go error.
 func (vm *VM) throwTrap(t *Thread, format string, args ...any) error {
 	msg := fmt.Sprintf(format, args...)
-	r := vm.Heap.AllocBytes([]byte(msg))
+	r := vm.Heap.AdoptBytes([]byte(msg))
 	return vm.unwindWithTrap(t, r, msg)
 }
 
@@ -882,7 +894,9 @@ func (vm *VM) unwindWithTrap(t *Thread, exc Ref, msg string) error {
 	return &TrapError{Msg: msg, Func: "?", PC: -1, Thread: t.ID, Instr: vm.InstrCount}
 }
 
-// array resolves a value to an array object or raises a trap.
+// array resolves a value to an array object or raises a trap. On a
+// trap it returns a nil object and the trap's error, which is nil when
+// a handler caught it: callers test the object, not the error.
 func (vm *VM) array(t *Thread, v Value) (*Object, error) {
 	if v.K != KRef || v.I == 0 {
 		return nil, vm.throwTrap(t, "null array reference")
@@ -934,6 +948,9 @@ func arraySet(o *Object, i int, v Value) error {
 	case ObjArrB:
 		if v.K != KInt {
 			return fmt.Errorf("storing %v into byte array", v)
+		}
+		if o.shared {
+			o.AB, o.shared = append([]byte(nil), o.AB...), false
 		}
 		o.AB[i] = byte(v.I)
 	case ObjArrR:

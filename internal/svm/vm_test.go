@@ -310,6 +310,27 @@ func TestExceptionsCaught(t *testing.T) {
 	}
 }
 
+// TestCaughtArrayTraps: a handler that catches a trap raised by an
+// array instruction resumes at the handler, for every array opcode.
+func TestCaughtArrayTraps(t *testing.T) {
+	for _, op := range []string{"nullc\n\t    iconst 0\n\t    aload\n\t    pop", "nullc\n\t    iconst 0\n\t    iconst 1\n\t    astore", "nullc\n\t    alen\n\t    pop"} {
+		v := mainResult(t, `
+	tstart:
+	    `+op+`
+	    ret
+	tend:
+	handler:
+	    pop
+	    iconst 99
+	    gput out
+	    ret
+	.catch tstart tend handler`)
+		if v.I != 99 {
+			t.Fatalf("%q: handler result = %d, want 99", op, v.I)
+		}
+	}
+}
+
 func TestExceptionsUncaught(t *testing.T) {
 	runErr(t, ".func main 0 1\niconst 1\niconst 0\nidiv\npop\nret\n.end", "division by zero")
 }
@@ -378,6 +399,12 @@ func TestTrapArrayBounds(t *testing.T) {
 
 func TestTrapNegativeArrayLength(t *testing.T) {
 	runErr(t, ".func main 0 1\niconst -1\nnewarr int\npop\nret\n.end", "negative array length")
+}
+
+// TestTrapOversizedArrayLength: a computed length past what a snapshot
+// could carry is a trap, not a host allocation of that size.
+func TestTrapOversizedArrayLength(t *testing.T) {
+	runErr(t, ".func main 0 1\niconst 65536\niconst 65536\nimul\nnewarr int\npop\nret\n.end", "exceeds the heap's limit")
 }
 
 func TestTrapTypeConfusion(t *testing.T) {
