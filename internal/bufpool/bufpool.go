@@ -1,7 +1,7 @@
 // Package bufpool provides size-classed pooled byte buffers for the
-// decode hot paths (replaylog records, checkpoint state blobs, store
-// exec payloads), and FreeList, a list of larger reusable state that
-// the GC does not empty. The load stage used to allocate a
+// decode hot paths (replaylog records, store exec payloads), and
+// FreeList, a list of larger reusable state that the GC does not
+// empty (engine kits, frame scratch, checkpoint assembly). The load stage used to allocate a
 // fresh make([]byte, n) per record — ~35MB of churn per audited trace
 // at bench scale — almost all of which dies as soon as the trace is
 // audited. An Arena turns that churn into pool round-trips.
@@ -31,7 +31,7 @@ import (
 // decoded as thousands of small payloads; pooling them individually
 // would cost more in pool traffic than it saves). Requests above
 // maxClass are plainly allocated and never pooled — they are rare
-// (giant checkpoint states) and would pin too much memory.
+// (giant payloads) and would pin too much memory.
 const (
 	minClassBits = 12 // 4 KiB
 	maxClassBits = 22 // 4 MiB

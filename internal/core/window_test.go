@@ -27,14 +27,14 @@ func manyInputs(n int, seed uint64) []InputEvent {
 // names, plus representative interior windows.
 func windowsUnderTest(nIPDs, every int) [][2]int {
 	return [][2]int{
-		{0, nIPDs},              // full range (forces the fallback-from-zero path)
-		{nIPDs / 2, nIPDs},      // tail window
-		{every, every + 5},      // checkpoint exactly on the window boundary
-		{every + 1, every + 2},  // single IPD
-		{every + 3, every + 3},  // empty window
-		{nIPDs - 2, nIPDs + 50}, // window past end-of-log
+		{0, nIPDs},               // full range (forces the fallback-from-zero path)
+		{nIPDs / 2, nIPDs},       // tail window
+		{every, every + 5},       // checkpoint exactly on the window boundary
+		{every + 1, every + 2},   // single IPD
+		{every + 3, every + 3},   // empty window
+		{nIPDs - 2, nIPDs + 50},  // window past end-of-log
 		{nIPDs + 10, nIPDs + 20}, // window entirely past the end
-		{3, nIPDs - 3},          // spans several interior boundaries
+		{3, nIPDs - 3},           // spans several interior boundaries
 	}
 }
 

@@ -18,6 +18,8 @@
 package fixtures
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -332,19 +334,26 @@ func scaleNeedle(channels []covert.Channel, packets int) {
 }
 
 // RoundTripLogCheckpointed is RoundTripLog with a synthetic
-// checkpoint index attached — the v2 on-disk format's fuzz seed and
-// round-trip fixture. The state blobs are opaque at the replaylog
-// layer, so arbitrary bytes exercise the decoder fully.
+// checkpoint index attached — the checkpointed on-disk format's fuzz
+// seed and round-trip fixture. The state blobs are opaque at the
+// replaylog layer, so arbitrary bytes exercise the decoder fully;
+// each state is its predecessor with bytes inserted and appended, as
+// a growing guest heap shifts and extends its contents, so the
+// encoding carries both literals and references.
 func RoundTripLogCheckpointed(seed uint64) *replaylog.Log {
 	l := RoundTripLog(seed)
 	rng := hw.NewRNG(seed ^ 0xC4E7)
+	random := func(n int64) []byte {
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(rng.Uint64())
+		}
+		return b
+	}
 	n := int64(len(l.Records))
+	state := random(5000 + rng.Int63n(2000))
 	for i := int64(1); i <= 3; i++ {
 		cursor := i * n / 4
-		state := make([]byte, 16+rng.Int63n(64))
-		for j := range state {
-			state[j] = byte(rng.Uint64())
-		}
 		l.Checkpoints = append(l.Checkpoints, replaylog.Checkpoint{
 			Instr:      l.Records[cursor-1].Instr + 1,
 			Outputs:    i * 8,
@@ -352,8 +361,111 @@ func RoundTripLogCheckpointed(seed uint64) *replaylog.Log {
 			PlayCycles: (i * 8) * 1_000_000,
 			State:      state,
 		})
+		at := rng.Int63n(int64(len(state)))
+		next := append(append([]byte(nil), state[:at]...), random(1+rng.Int63n(40))...)
+		state = append(append(next, state[at:]...), random(100+rng.Int63n(300))...)
 	}
 	return l
+}
+
+// HostileLog is a hand-built checkpointed log encoding that breaks
+// one rule of state assembly. Want is a fragment of the error every
+// decoder must refuse it with.
+type HostileLog struct {
+	Name, Want string
+	Data       []byte
+}
+
+// hostileOp is one assembly op of a hand-built checkpoint section: a
+// literal of n pattern bytes, or a reference to [off, off+n) of the
+// literal stream.
+type hostileOp struct {
+	ref    bool
+	off, n int64
+}
+
+// hostileCkpt is one hand-built checkpoint: a declared state length,
+// a declared op count, and the ops actually present.
+type hostileCkpt struct {
+	stateLen, nOps int64
+	ops            []hostileOp
+}
+
+// hostileSection encodes RoundTripLog(1)'s records followed by a
+// SANLOG3 checkpoint section holding ckpts, whose index entries are
+// well-formed (boundaries 8 outputs apart, record cursor 0).
+func hostileSection(ckpts ...hostileCkpt) []byte {
+	var buf bytes.Buffer
+	if err := RoundTripLog(1).Encode(&buf); err != nil {
+		panic(err)
+	}
+	b := buf.Bytes()
+	copy(b, "SANLOG3\n")
+	put := func(v int64) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	put(int64(len(ckpts)))
+	for i, c := range ckpts {
+		for _, v := range []int64{int64(i) + 1, 8 * (int64(i) + 1), 0, 0, c.stateLen, c.nOps} {
+			put(v)
+		}
+		for _, o := range c.ops {
+			if o.ref {
+				b = append(b, 'R')
+				put(o.off)
+				put(o.n)
+				continue
+			}
+			b = append(b, 'L')
+			put(o.n)
+			for j := int64(0); j < o.n; j++ {
+				b = append(b, byte(j*7+3))
+			}
+		}
+	}
+	return b
+}
+
+// ckpt declares exactly the ops it carries.
+func ckpt(stateLen int64, ops ...hostileOp) hostileCkpt {
+	return hostileCkpt{stateLen, int64(len(ops)), ops}
+}
+
+func lit(n int64) hostileOp      { return hostileOp{n: n} }
+func ref(off, n int64) hostileOp { return hostileOp{true, off, n} }
+
+// ValidHandBuiltLog is the control for HostileCheckpointLogs: the same
+// hand-built section, well-formed. Its one 600-byte state is a 300-byte
+// literal followed by a reference to it.
+func ValidHandBuiltLog() []byte { return hostileSection(ckpt(600, lit(300), ref(0, 300))) }
+
+// HostileCheckpointLogs returns one hand-built encoding per way a
+// checkpoint section can abuse references: dangling, forward,
+// zero-length and overlong references, a reference past the declared
+// state, an assembly shorter than declared, and a reference-
+// amplification bomb — a 64 KB literal referenced 1 024 times per
+// 64 MB state until the log's states pass their joint cap.
+func HostileCheckpointLogs() []HostileLog {
+	const k64, m64 = 64 << 10, 64 << 20
+	bomb := []hostileCkpt{ckpt(k64, lit(k64))}
+	refs := make([]hostileOp, m64/k64)
+	for i := range refs {
+		refs[i] = ref(0, k64)
+	}
+	for len(bomb) < 4 {
+		bomb = append(bomb, ckpt(m64, refs...))
+	}
+	// The fifth state's declaration alone is refused; its ops need
+	// not follow.
+	bomb = append(bomb, hostileCkpt{stateLen: m64, nOps: m64 / k64})
+	return []HostileLog{
+		{"dangling reference", "outside the 300 literal bytes", hostileSection(ckpt(600, lit(300), ref(200, 300)))},
+		{"forward reference", "outside the 0 literal bytes", hostileSection(ckpt(600, ref(0, 300), lit(300)))},
+		{"zero-length reference", "op 1 of 0 bytes", hostileSection(ckpt(600, lit(300), ref(0, 0), lit(300)))},
+		{"overlong reference", "does not fit", hostileSection(ckpt(600, lit(300), ref(0, 1<<40)))},
+		{"reference past the declared state", "does not fit the 100 left", hostileSection(ckpt(400, lit(300), ref(0, 200)))},
+		{"assembled length differs from declared", "assembles 500 bytes but declares 600", hostileSection(ckpt(600, lit(300), ref(0, 200)))},
+		{"more ops than bytes", "claims 601 ops", hostileSection(hostileCkpt{600, 601, nil})},
+		{"reference amplification bomb", "past 268435456 bytes", hostileSection(bomb...)},
+	}
 }
 
 // RoundTripLog is a seeded replay log exercising every record kind,

@@ -148,7 +148,9 @@ func corrupt(valid []byte, f func([]byte)) []byte {
 }
 
 // decodeSeeds is the decoder's seed corpus: every record kind in both
-// encodings, truncations of each, bare magics, and junk.
+// encodings, truncations of each, bare magics, junk, and the
+// hand-built checkpoint sections — one well-formed, the rest each
+// abusing assembly references one way.
 func decodeSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -157,12 +159,18 @@ func decodeSeeds(t testing.TB) [][]byte {
 	}
 	valid := encodeLog(t, fixtures.RoundTripLog(9))
 	ckpt := encodeLog(t, fixtures.RoundTripLogCheckpointed(9))
-	return append(seeds,
+	seeds = append(seeds,
 		valid[:len(valid)/2],
 		ckpt[:len(ckpt)-7],
 		[]byte("SANLOG1\n"),
 		[]byte("SANLOG2\n"),
-		bytes.Repeat([]byte{0xff}, 64))
+		[]byte("SANLOG3\n"),
+		bytes.Repeat([]byte{0xff}, 64),
+		fixtures.ValidHandBuiltLog())
+	for _, h := range fixtures.HostileCheckpointLogs() {
+		seeds = append(seeds, h.Data)
+	}
+	return seeds
 }
 
 // FuzzDecode is the round-trip fuzz target: any input that decodes

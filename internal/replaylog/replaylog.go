@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"sanity/internal/bufpool"
@@ -87,10 +88,12 @@ type Log struct {
 	// in which case only full replay is possible.
 	Checkpoints []Checkpoint
 
-	// arena backs Payload/State slices of a Decode-produced log;
-	// Release returns them to the shared pools. Nil for logs built by
-	// AppendPacket/AppendValue, whose Release is a no-op.
+	// arena backs the Payload slices of a Decode-produced log and asm
+	// its States; Release returns them to the shared pools. Nil for
+	// logs built by AppendPacket/AppendValue, whose Release is a
+	// no-op.
 	arena *bufpool.Arena
+	asm   *assembly
 	// held, for a DecodeWindow-produced log, indexes the one checkpoint
 	// whose State was retained (-1: the window opens before the first
 	// checkpoint, so none was). Only meaningful when windowed is set.
@@ -124,6 +127,11 @@ func (l *Log) Release() {
 	a := l.arena
 	l.arena = nil
 	a.Release()
+	if l.asm != nil {
+		l.asm.reset()
+		assemblies.Put(l.asm)
+		l.asm = nil
+	}
 }
 
 // Equal reports whether two logs carry the same identity and the same
@@ -183,23 +191,16 @@ const recordOverhead = 25
 // SizeBytes returns the encoded size of the log, the quantity §6.5
 // reports as the log growth rate.
 func (l *Log) SizeBytes() int64 {
-	// magic + three 4-byte string length prefixes + 8-byte record count.
-	n := int64(len(magic)) + 12 + 8 + int64(len(l.Program)+len(l.Machine)+len(l.Profile))
-	for _, r := range l.Records {
-		n += recordOverhead
-		if r.Kind == KindPacket {
-			n += int64(len(r.Payload))
-		}
-	}
-	if len(l.Checkpoints) > 0 {
-		// v2 checkpoint section: count + per-checkpoint indexing and
-		// state-length prefix.
-		n += 8
-		for _, c := range l.Checkpoints {
-			n += 4*8 + 8 + int64(len(c.State))
-		}
-	}
-	return n
+	var n byteCounter
+	l.Encode(&n) // a byteCounter never fails
+	return int64(n)
+}
+
+type byteCounter int64
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
 }
 
 // Stats summarizes the log composition for the §6.5 experiment.
@@ -225,92 +226,104 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Format magics. Version 1 is the checkpoint-free format; version 2
-// appends a checkpoint section after the records. Encode emits v1
-// whenever the log carries no checkpoints, so corpora recorded
-// without checkpointing stay byte-identical to what older writers
-// produced, and Decode accepts both.
+// Format magics. SANLOG1 is the checkpoint-free format; SANLOG3
+// appends a checkpoint section after the records. Encode emits SANLOG1
+// whenever the log carries no checkpoints, so corpora recorded without
+// checkpointing stay byte-identical to what older writers produced.
+// SANLOG2, whose checkpoint section stored every state whole, is
+// refused: its traces must be re-recorded.
+//
+// The SANLOG3 checkpoint section is
+//
+//	count        uint64
+//	per checkpoint, in boundary order:
+//	  instr, outputs, records, playCycles   int64 each (the index)
+//	  stateLen, ops                          int64 each
+//	  ops times:
+//	    'L' n uint64, then n bytes           a literal
+//	    'R' off uint64, n uint64             a reference
+//
+// with every integer little-endian. The literal bytes of the whole
+// section, concatenated in order, form the log's literal stream. A
+// state is its ops' spans of that stream in order: a literal's bytes
+// are appended to the stream and copied, a reference copies
+// [off, off+n) of the stream written so far. Writers chunk states at
+// content-defined boundaries (chunk.go), so a state mostly repeating
+// earlier ones costs its new chunks plus a few references.
 var (
 	magic   = []byte("SANLOG1\n")
 	magicV2 = []byte("SANLOG2\n")
+	magicV3 = []byte("SANLOG3\n")
 )
 
-// maxCheckpoints and maxCheckpointState bound what a decoder will
-// accept, mirroring the record-count and payload guards: a hostile
-// checkpoint section cannot demand unbounded allocations.
+// Assembly op tags.
+const (
+	opLiteral = 'L'
+	opRef     = 'R'
+)
+
+// maxCheckpoints, maxCheckpointState and maxLogState bound what a
+// decoder will accept, mirroring the record-count and payload guards:
+// a hostile checkpoint section cannot demand unbounded allocations.
+// References let a few bytes claim many, so the states of one log are
+// capped together as well as one by one, and no state is assembled
+// before the whole log has passed every check.
 const (
 	maxCheckpoints     = 1 << 20
 	maxCheckpointState = 1 << 26
+	maxLogState        = 1 << 28
 )
 
 // Encode writes the log in its binary on-disk format.
 func (l *Log) Encode(w io.Writer) error {
+	// bufio.Writer keeps its first error and refuses everything after
+	// it, so only Flush needs checking.
 	bw := bufio.NewWriter(w)
-	m := magic
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		bw.Write(buf[:])
+	}
 	if len(l.Checkpoints) > 0 {
-		m = magicV2
-	}
-	if _, err := bw.Write(m); err != nil {
-		return err
-	}
-	writeStr := func(s string) error {
-		var lenBuf [4]byte
-		binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(s)))
-		if _, err := bw.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
+		bw.Write(magicV3)
+	} else {
+		bw.Write(magic)
 	}
 	for _, s := range []string{l.Program, l.Machine, l.Profile} {
-		if err := writeStr(s); err != nil {
-			return err
-		}
+		binary.LittleEndian.PutUint32(buf[:4], uint32(len(s)))
+		bw.Write(buf[:4])
+		bw.WriteString(s)
 	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(l.Records)))
-	if _, err := bw.Write(buf[:]); err != nil {
-		return err
-	}
+	put(int64(len(l.Records)))
 	for _, r := range l.Records {
-		if err := bw.WriteByte(byte(r.Kind)); err != nil {
-			return err
-		}
-		for _, v := range []int64{r.Instr, r.PlayPs} {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
-		}
+		bw.WriteByte(byte(r.Kind))
+		put(r.Instr)
+		put(r.PlayPs)
 		if r.Kind == KindPacket {
-			binary.LittleEndian.PutUint64(buf[:], uint64(len(r.Payload)))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
-			if _, err := bw.Write(r.Payload); err != nil {
-				return err
-			}
+			put(int64(len(r.Payload)))
+			bw.Write(r.Payload)
 		} else {
-			binary.LittleEndian.PutUint64(buf[:], uint64(r.Value))
-			if _, err := bw.Write(buf[:]); err != nil {
-				return err
-			}
+			put(r.Value)
 		}
 	}
 	if len(l.Checkpoints) > 0 {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(l.Checkpoints)))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
+		put(int64(len(l.Checkpoints)))
+		var d deduper
 		for _, c := range l.Checkpoints {
-			for _, v := range []int64{c.Instr, c.Outputs, c.Records, c.PlayCycles, int64(len(c.State))} {
-				binary.LittleEndian.PutUint64(buf[:], uint64(v))
-				if _, err := bw.Write(buf[:]); err != nil {
-					return err
-				}
+			ops := d.assemble(c.State)
+			for _, v := range []int64{c.Instr, c.Outputs, c.Records, c.PlayCycles, int64(len(c.State)), int64(len(ops))} {
+				put(v)
 			}
-			if _, err := bw.Write(c.State); err != nil {
-				return err
+			for _, o := range ops {
+				if o.literal != nil {
+					bw.WriteByte(opLiteral)
+					put(o.n)
+					bw.Write(o.literal)
+				} else {
+					bw.WriteByte(opRef)
+					put(o.off)
+					put(o.n)
+				}
 			}
 		}
 	}
@@ -347,18 +360,19 @@ func Decode(r io.Reader) (*Log, error) { return decode(r, -1) }
 // DecodeWindow is Decode for an audit that will only replay a window
 // opening at IPD fromIPD: records and every checkpoint's index entry
 // are kept (the replay re-quiesces at each boundary it crosses), but
-// of the States only the one Window(fromIPD, ·) resumes from. The
-// encoding is read and checked exactly as Decode does; a Window query
-// that would resume from a dropped State fails.
+// of the States only the one Window(fromIPD, ·) resumes from is
+// assembled. The encoding is read and checked exactly as Decode does;
+// a Window query that would resume from another State fails.
 func DecodeWindow(r io.Reader, fromIPD int) (*Log, error) {
 	return decode(r, int64(max(fromIPD, 0)))
 }
 
 // Validate is Decode keeping nothing: every check applies — magic,
 // string caps, record kinds, payload and state caps, checkpoint
-// monotonicity and cursor bounds, trailing garbage — and fails with
-// the same error, but payloads and states are discarded as they
-// stream past. Admission cross-checks the summary it returns.
+// monotonicity and cursor bounds, assembly references, trailing
+// garbage — and fails with the same error, but payloads and literal
+// bytes are discarded as they stream past and no state is assembled.
+// Admission cross-checks the summary it returns.
 func Validate(r io.Reader) (Summary, error) { return walk(r, nil, -1) }
 
 func decode(r io.Reader, resume int64) (*Log, error) {
@@ -372,7 +386,33 @@ func decode(r io.Reader, resume int64) (*Log, error) {
 	return l, nil
 }
 
-// walker is the one parser of the SANLOG1/2 encoding. What it retains
+// assembly is a decoding walk's state-building memory: the literal
+// stream so far, the spans of the states to assemble, in order, and
+// the assembled states, which the decoded log owns until Release.
+// Assemblies live on a free list the GC does not empty, so a steady
+// stream of decodes reuses the same buffers whenever the GC runs.
+type assembly struct {
+	lits    []byte
+	ops     []span
+	pending []pending
+	// states grows with headroom, so traces of similar sizes reuse it.
+	states bufpool.Scratch
+}
+
+func (a *assembly) reset() {
+	a.lits, a.ops, a.pending = a.lits[:0], a.ops[:0], a.pending[:0]
+}
+
+// pending is a checkpoint whose State assemble builds: the next n
+// bytes of the ops.
+type pending struct {
+	idx int
+	n   int64
+}
+
+var assemblies bufpool.FreeList[assembly]
+
+// walker is the one parser of the SANLOG1/3 encoding. What it retains
 // is the caller's policy: log == nil keeps nothing (Validate), resume
 // < 0 keeps everything (Decode), resume >= 0 keeps everything but the
 // checkpoint States a window opening at IPD resume never restores
@@ -382,6 +422,10 @@ type walker struct {
 	buf    [8]byte
 	log    *Log
 	resume int64
+	// lits counts the literal stream's bytes, whether or not a is
+	// keeping them: references are checked against it alone.
+	lits int64
+	a    *assembly // nil when nothing is assembled
 }
 
 func (w *walker) i64() (int64, error) {
@@ -415,6 +459,31 @@ func (w *walker) fill(dst []byte, n int) error {
 	return err
 }
 
+// appendLits reads n literal bytes onto the kept stream. The buffer
+// grows as bytes arrive, so a length claim costs no more memory than
+// the bytes behind it; a short read fails as fill's would.
+func (w *walker) appendLits(n int) error {
+	a := w.a
+	for done := 0; done < n; {
+		k := min(n-done, 64<<10)
+		at := len(a.lits)
+		if cap(a.lits)-at < k {
+			// Double: the stream reaches its size in a few copies.
+			a.lits = slices.Grow(a.lits, max(k, cap(a.lits)))
+		}
+		a.lits = a.lits[:at+k]
+		if _, err := io.ReadFull(w.br, a.lits[at:]); err != nil {
+			a.lits = a.lits[:at]
+			if err == io.EOF && done > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		done += k
+	}
+	return nil
+}
+
 func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 	br := brPool.Get().(*bufio.Reader)
 	br.Reset(r)
@@ -424,7 +493,7 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 	}()
 	w := &walker{br: br, log: l, resume: resume}
 	var s Summary
-	magicBuf := w.buf[:] // len(magic) == len(magicV2) == 8
+	magicBuf := w.buf[:] // every magic is 8 bytes
 	if _, err := io.ReadFull(br, magicBuf); err != nil {
 		return s, fmt.Errorf("replaylog: reading magic: %w", err)
 	}
@@ -432,8 +501,10 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 	switch string(magicBuf) {
 	case string(magic):
 		version = 1
+	case string(magicV3):
+		version = 3
 	case string(magicV2):
-		version = 2
+		return s, fmt.Errorf("replaylog: SANLOG2 checkpoint encoding is no longer read; re-record the trace")
 	default:
 		return s, fmt.Errorf("replaylog: bad magic %q", magicBuf)
 	}
@@ -497,7 +568,15 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 		}
 		s.Records++
 	}
-	if version >= 2 {
+	if version == 3 {
+		if l != nil {
+			// The log owns the assembly from here on; Release (which
+			// decode calls on failure) hands it back.
+			if w.a = assemblies.Get(); w.a == nil {
+				w.a = new(assembly)
+			}
+			l.asm = w.a
+		}
 		if err := w.checkpoints(&s); err != nil {
 			return s, err
 		}
@@ -511,14 +590,19 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 		}
 		return s, fmt.Errorf("replaylog: trailing garbage after record %d", count)
 	}
+	if w.a != nil {
+		w.assemble()
+	}
 	return s, nil
 }
 
-// checkpoints walks and validates the v2 checkpoint section. The
+// checkpoints walks and validates the checkpoint section. The
 // indexing invariants are enforced here — strictly increasing
 // boundaries with record cursors inside the record stream — so
 // everything downstream (Window, the replay engine) can trust a
-// decoded log's segment index structurally.
+// decoded log's segment index structurally. So are the assembly
+// invariants, against the literal-stream counter alone, which is why
+// Validate, Decode and DecodeWindow refuse exactly the same inputs.
 func (w *walker) checkpoints(s *Summary) error {
 	n, err := w.i64()
 	if err != nil {
@@ -533,10 +617,11 @@ func (w *walker) checkpoints(s *Summary) error {
 		l.Checkpoints = make([]Checkpoint, 0, min(count, 4096))
 	}
 	var prev Checkpoint
+	var total int64 // declared state bytes so far
 	for i := uint64(0); i < count; i++ {
 		var c Checkpoint
-		var stateLen int64
-		for _, dst := range []*int64{&c.Instr, &c.Outputs, &c.Records, &c.PlayCycles, &stateLen} {
+		var stateLen, ops int64
+		for _, dst := range []*int64{&c.Instr, &c.Outputs, &c.Records, &c.PlayCycles, &stateLen, &ops} {
 			if *dst, err = w.i64(); err != nil {
 				return fmt.Errorf("replaylog: checkpoint %d: %w", i, err)
 			}
@@ -553,19 +638,27 @@ func (w *walker) checkpoints(s *Summary) error {
 		if stateLen < 0 || stateLen > maxCheckpointState {
 			return fmt.Errorf("replaylog: checkpoint %d state of %d bytes", i, stateLen)
 		}
-		if l != nil && (w.resume < 0 || c.Outputs <= w.resume) {
+		if total += stateLen; total > maxLogState {
+			return fmt.Errorf("replaylog: checkpoint %d takes the log's states past %d bytes", i, maxLogState)
+		}
+		if ops < 0 || ops > stateLen {
+			return fmt.Errorf("replaylog: checkpoint %d claims %d ops for a %d-byte state", i, ops, stateLen)
+		}
+		// Outputs strictly increase, so the States a window keeps are
+		// a prefix of the checkpoints and so are the literals they
+		// reference.
+		keep := w.a != nil && (w.resume < 0 || c.Outputs <= w.resume)
+		if keep {
 			if w.resume >= 0 {
 				// The newest eligible checkpoint is the one a window
 				// at resume restores; its predecessor no longer is.
-				if l.held >= 0 {
-					l.Checkpoints[l.held].State = nil
-				}
+				w.a.ops, w.a.pending = w.a.ops[:0], w.a.pending[:0]
 				l.held = int(i)
 			}
-			c.State = l.arena.Alloc(int(stateLen))
+			w.a.pending = append(w.a.pending, pending{int(i), stateLen})
 		}
-		if err := w.fill(c.State, int(stateLen)); err != nil {
-			return fmt.Errorf("replaylog: checkpoint %d state: %w", i, err)
+		if err := w.state(i, stateLen, ops, keep); err != nil {
+			return err
 		}
 		if l != nil {
 			l.Checkpoints = append(l.Checkpoints, c)
@@ -574,6 +667,84 @@ func (w *walker) checkpoints(s *Summary) error {
 		s.Checkpoints++
 	}
 	return nil
+}
+
+// state walks checkpoint i's ops, which must assemble exactly
+// stateLen bytes from spans of the literal stream written before them
+// (a literal's own bytes included). keep appends the literal bytes to
+// the kept stream and the spans to the ops to assemble.
+func (w *walker) state(i uint64, stateLen, ops int64, keep bool) error {
+	var got int64
+	for j := int64(0); j < ops; j++ {
+		tag, err := w.br.ReadByte()
+		if err != nil {
+			return fmt.Errorf("replaylog: checkpoint %d op %d: %w", i, j, err)
+		}
+		var sp span
+		switch tag {
+		case opLiteral:
+			sp.off = w.lits
+			sp.n, err = w.i64()
+		case opRef:
+			if sp.off, err = w.i64(); err == nil {
+				sp.n, err = w.i64()
+			}
+		default:
+			return fmt.Errorf("replaylog: checkpoint %d op %d has unknown tag %q", i, j, tag)
+		}
+		if err != nil {
+			return fmt.Errorf("replaylog: checkpoint %d op %d: %w", i, j, err)
+		}
+		if sp.n <= 0 || sp.n > stateLen-got {
+			return fmt.Errorf("replaylog: checkpoint %d op %d of %d bytes does not fit the %d left of its %d-byte state", i, j, sp.n, stateLen-got, stateLen)
+		}
+		if tag == opRef && (sp.off < 0 || sp.off > w.lits-sp.n) {
+			return fmt.Errorf("replaylog: checkpoint %d op %d references [%d, +%d), outside the %d literal bytes before it", i, j, sp.off, sp.n, w.lits)
+		}
+		if tag == opLiteral {
+			if keep {
+				err = w.appendLits(int(sp.n))
+			} else {
+				err = bufpool.Discard(w.br, int(sp.n))
+			}
+			if err != nil {
+				return fmt.Errorf("replaylog: checkpoint %d state: %w", i, err)
+			}
+			w.lits += sp.n
+		}
+		if keep {
+			w.a.ops = append(w.a.ops, sp)
+		}
+		got += sp.n
+	}
+	if got != stateLen {
+		return fmt.Errorf("replaylog: checkpoint %d assembles %d bytes but declares %d", i, got, stateLen)
+	}
+	return nil
+}
+
+// assemble builds the States the walk kept, back to back in one
+// buffer. It runs only once the whole encoding has passed, so a log
+// that fails any check costs no state memory, and the walk has
+// bounds-checked every span it copies.
+func (w *walker) assemble() {
+	a := w.a
+	var total int
+	for _, p := range a.pending {
+		total += int(p.n)
+	}
+	buf, ops := a.states.Grow(total), a.ops
+	if buf == nil {
+		buf = []byte{} // a kept empty State is empty, not absent
+	}
+	for _, p := range a.pending {
+		dst := buf[:p.n:p.n]
+		buf = buf[p.n:]
+		for rest := dst; len(rest) > 0; ops = ops[1:] {
+			rest = rest[copy(rest, a.lits[ops[0].off:ops[0].off+ops[0].n]):]
+		}
+		w.log.Checkpoints[p.idx].State = dst
+	}
 }
 
 // LogWindow is the replay plan for an audited IPD range: where to

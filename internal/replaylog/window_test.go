@@ -4,21 +4,33 @@ import (
 	"bytes"
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"sanity/internal/fixtures"
 	"sanity/internal/replaylog"
 )
 
-// TestCheckpointRoundTrip: the v2 format (records + checkpoint
-// section) survives encode/decode bit-exactly, and a checkpoint-free
-// log still encodes as v1 so old corpora stay byte-stable.
+// TestCheckpointRoundTrip: the SANLOG3 format (records + chunked
+// checkpoint section) survives encode/decode bit-exactly, states that
+// repeat their predecessors encode smaller than they are, and a
+// checkpoint-free log still encodes as v1 so old corpora stay
+// byte-stable.
 func TestCheckpointRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		l := fixtures.RoundTripLogCheckpointed(seed)
 		data := encodeLog(t, l)
-		if !bytes.HasPrefix(data, []byte("SANLOG2\n")) {
-			t.Fatalf("seed %d: checkpointed log did not encode as v2", seed)
+		if !bytes.HasPrefix(data, []byte("SANLOG3\n")) {
+			t.Fatalf("seed %d: checkpointed log did not encode as SANLOG3", seed)
+		}
+		var states int
+		for _, c := range l.Checkpoints {
+			states += len(c.State)
+		}
+		plain := *l
+		plain.Checkpoints = nil
+		if section := len(data) - len(encodeLog(t, &plain)); section >= states {
+			t.Fatalf("seed %d: checkpoint section of %d bytes for %d bytes of states", seed, section, states)
 		}
 		got, err := replaylog.Decode(bytes.NewReader(data))
 		if err != nil {
@@ -27,13 +39,60 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !got.Equal(l) {
 			t.Fatalf("seed %d: round trip lost checkpoints", seed)
 		}
-		if got.SizeBytes() != l.SizeBytes() {
-			t.Fatalf("seed %d: size drifted: %d -> %d", seed, l.SizeBytes(), got.SizeBytes())
+		if got.SizeBytes() != l.SizeBytes() || got.SizeBytes() != int64(len(data)) {
+			t.Fatalf("seed %d: size drifted: %d -> %d (encoded %d)", seed, l.SizeBytes(), got.SizeBytes(), len(data))
 		}
 	}
 	plain := encodeLog(t, fixtures.RoundTripLog(1))
 	if !bytes.HasPrefix(plain, []byte("SANLOG1\n")) {
 		t.Fatal("checkpoint-free log stopped encoding as v1")
+	}
+}
+
+// TestDecodersRefuseHostileReferences: every hand-built abuse of the
+// assembly references is refused by Validate, Decode and DecodeWindow
+// alike, with the same error, for the reason the case names — the
+// well-formed control built the same way decodes to the state it
+// spells.
+func TestDecodersRefuseHostileReferences(t *testing.T) {
+	l, err := replaylog.Decode(bytes.NewReader(fixtures.ValidHandBuiltLog()))
+	if err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	want := make([]byte, 600)
+	for j := range 300 {
+		want[j] = byte(j*7 + 3)
+		want[300+j] = want[j]
+	}
+	if len(l.Checkpoints) != 1 || !bytes.Equal(l.Checkpoints[0].State, want) {
+		t.Fatal("control assembled the wrong state")
+	}
+	l.Release()
+	for _, h := range fixtures.HostileCheckpointLogs() {
+		t.Run(h.Name, func(t *testing.T) {
+			_, err := replaylog.Decode(bytes.NewReader(h.Data))
+			if err == nil || !strings.Contains(err.Error(), h.Want) {
+				t.Fatalf("Decode: %v, want an error containing %q", err, h.Want)
+			}
+			for _, from := range []int{0, 8, 1 << 20} {
+				walksAgree(t, h.Data, from)
+			}
+		})
+	}
+}
+
+// TestDecodeRefusesSANLOG2: the checkpoint encoding that stored every
+// state whole is no longer read; the error says what to do.
+func TestDecodeRefusesSANLOG2(t *testing.T) {
+	data := encodeLog(t, fixtures.RoundTripLog(2))
+	copy(data, "SANLOG2\n")
+	for _, decode := range []func() error{
+		func() error { _, err := replaylog.Decode(bytes.NewReader(data)); return err },
+		func() error { _, err := replaylog.Validate(bytes.NewReader(data)); return err },
+	} {
+		if err := decode(); err == nil || !strings.Contains(err.Error(), "re-record") {
+			t.Fatalf("SANLOG2 log: %v, want a re-record error", err)
+		}
 	}
 }
 
@@ -73,9 +132,9 @@ func TestWindowSelection(t *testing.T) {
 		return n
 	}
 	cases := []struct {
-		name       string
-		from, to   int
-		wantCkpt   int // index into l.Checkpoints, -1 = none
+		name     string
+		from, to int
+		wantCkpt int // index into l.Checkpoints, -1 = none
 	}{
 		{"before first checkpoint", 0, 5, -1},
 		{"just short of first", 7, 9, -1},
@@ -153,13 +212,13 @@ func TestDecodeRejectsMalformedCheckpoints(t *testing.T) {
 		}),
 		"trailing garbage": append(mutate(func(*replaylog.Log) {}), 0xAB),
 	}
-	// A state-length claim far past the actual bytes.
-	huge := mutate(func(*replaylog.Log) {})
-	lenOff := bytes.LastIndex(huge, fixtures.RoundTripLogCheckpointed(7).Checkpoints[2].State)
-	if lenOff > 8 {
-		binary.LittleEndian.PutUint64(huge[lenOff-8:], 1<<40)
-		cases["huge state length"] = huge
-	}
+	// A state-length claim past the per-state cap, patched into the
+	// hand-built control, whose section ends with stateLen, op count,
+	// a 300-byte literal (tag, length, bytes) and a reference (tag,
+	// offset, length).
+	huge := fixtures.ValidHandBuiltLog()
+	binary.LittleEndian.PutUint64(huge[len(huge)-(16+9+300+17):], 1<<40)
+	cases["huge state length"] = huge
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := replaylog.Decode(bytes.NewReader(data)); err == nil {
@@ -187,7 +246,11 @@ func FuzzWindow(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(plain.Bytes(), 0, 1)
-	f.Add([]byte("SANLOG2\n"), 0, 100)
+	f.Add([]byte("SANLOG3\n"), 0, 100)
+	f.Add(fixtures.ValidHandBuiltLog(), 8, 9)
+	for _, h := range fixtures.HostileCheckpointLogs() {
+		f.Add(h.Data, 8, 16)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, from, to int) {
 		l, err := replaylog.Decode(bytes.NewReader(data))
 		if err != nil {
@@ -223,4 +286,62 @@ func FuzzWindow(f *testing.F) {
 			t.Fatalf("skipped counts %d+%d outside [0,%d]", w.SkippedRandoms, w.SkippedPackets, w.Start.Records)
 		}
 	})
+}
+
+// TestEmptyStateIsKept: a checkpoint whose State is empty decodes to
+// an empty State, not a missing one, under Decode and DecodeWindow.
+func TestEmptyStateIsKept(t *testing.T) {
+	l := fixtures.RoundTripLogCheckpointed(4)
+	for i := range l.Checkpoints {
+		l.Checkpoints[i].State = nil
+	}
+	data := encodeLog(t, l)
+	full, err := replaylog.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Release()
+	win, err := replaylog.DecodeWindow(bytes.NewReader(data), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer win.Release()
+	if full.Checkpoints[2].State == nil || win.Checkpoints[1].State == nil || win.Checkpoints[2].State != nil {
+		t.Fatal("an empty kept State decoded as absent, or an unkept one as present")
+	}
+	walksAgree(t, data, 16)
+}
+
+// TestConcurrentDecodes: decodes on several goroutines draw assembly
+// buffers from one free list; each decoded log keeps its own until
+// Release, so concurrent decodes, releases and re-decodes never see
+// each other's states.
+func TestConcurrentDecodes(t *testing.T) {
+	want := fixtures.RoundTripLogCheckpointed(6)
+	data := encodeLog(t, want)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				l, err := replaylog.Decode(bytes.NewReader(data))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				win, err := replaylog.DecodeWindow(bytes.NewReader(data), 16)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !l.Equal(want) || !bytes.Equal(win.Checkpoints[1].State, want.Checkpoints[1].State) {
+					t.Error("a concurrent decode saw another's state")
+				}
+				l.Release()
+				win.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -6,10 +6,10 @@
 // directory-level manifest.json naming every trace and the shards
 // (program + machine type + noise profile populations) they belong to.
 //
-// Container format, version 1:
+// Container format, version 3 (version 1 is the same layout):
 //
 //	magic    "TDRTRACE"                      (8 bytes)
-//	version  0x01                            (1 byte)
+//	version  0x03, or 0x01                   (1 byte)
 //	frames   until the end frame:
 //	  type     one of 'M' 'I' 'L' 'X' 'E'    (1 byte)
 //	  length   payload bytes, little-endian  (uint32, <= MaxFrame)
@@ -23,6 +23,13 @@
 // neither writing nor reading ever buffers a whole log. Trailing bytes
 // after the end frame are corruption, as is a missing end frame — a
 // truncated upload can never be mistaken for a complete trace.
+//
+// The version names what the 'L' section may hold. A v1 log carries
+// no checkpoints (SANLOG1); a v3 log may carry the chunk-deduplicated
+// checkpoint section (SANLOG3). Writers stamp v1 whenever a trace has
+// no checkpoints, so checkpoint-free corpora stay byte-identical to
+// what older writers produced. Version 2, whose SANLOG2 logs stored
+// every checkpoint state whole, is refused: re-record such traces.
 package store
 
 import (
@@ -51,16 +58,25 @@ const (
 	FrameEnd FrameType = 'E'
 )
 
-// Version is the container format version this package writes.
-// Version 2 containers may carry checkpointed replay logs (the
-// SANLOG2 encoding with quiescence-boundary snapshots) in their 'L'
-// section; the frame layout is unchanged. Readers accept version 1
-// containers too — their logs simply carry no checkpoints, so audits
-// over old corpora fall back to full replay.
-const Version = 2
+// Version is the container format version this package writes for
+// a checkpointed trace; checkpoint-free traces are written as v1 (see
+// WriteTrace).
+const Version = 3
 
 // minVersion is the oldest container version readers accept.
 const minVersion = 1
+
+// supportedVersion reports whether readers accept container (or
+// manifest) version v, and why not.
+func supportedVersion(what string, v int) error {
+	switch {
+	case v == 2:
+		return fmt.Errorf("store: %s version 2 holds whole-state (SANLOG2) checkpoints, which are no longer read; re-record it", what)
+	case v < minVersion || v > Version:
+		return fmt.Errorf("store: unsupported %s version %d (want %d or %d)", what, v, minVersion, Version)
+	}
+	return nil
+}
 
 const (
 	// chunkSize bounds the payload of frames the Writer emits, so
@@ -85,9 +101,9 @@ type Writer struct {
 }
 
 // NewWriter writes the container header at the current Version and
-// returns the frame writer. WriteTrace downgrades to v1 when nothing
-// in the trace needs v2 (see NewWriterVersion), so checkpoint-free
-// corpora stay readable by pre-v2 auditors.
+// returns the frame writer. WriteTrace downgrades to v1 when the trace
+// has no checkpoints (see NewWriterVersion), so checkpoint-free
+// corpora stay byte-identical to older writers' output.
 func NewWriter(w io.Writer) (*Writer, error) {
 	return NewWriterVersion(w, Version)
 }
@@ -95,8 +111,8 @@ func NewWriter(w io.Writer) (*Writer, error) {
 // NewWriterVersion writes the container header at an explicit
 // version. Only versions this package can itself read are accepted.
 func NewWriterVersion(w io.Writer, version byte) (*Writer, error) {
-	if version < minVersion || version > Version {
-		return nil, fmt.Errorf("store: cannot write container version %d (supported %d..%d)", version, minVersion, Version)
+	if err := supportedVersion("container", int(version)); err != nil {
+		return nil, err
 	}
 	if _, err := w.Write(containerMagic); err != nil {
 		return nil, fmt.Errorf("store: writing magic: %w", err)
@@ -243,8 +259,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(hdr[:len(containerMagic)]) != string(containerMagic) {
 		return nil, fmt.Errorf("store: bad container magic %q", hdr[:len(containerMagic)])
 	}
-	if v := hdr[len(containerMagic)]; v < minVersion || v > Version {
-		return nil, fmt.Errorf("store: unsupported container version %d (want %d..%d)", v, minVersion, Version)
+	if err := supportedVersion("container", int(hdr[len(containerMagic)])); err != nil {
+		return nil, err
 	}
 	return &Reader{r: r}, nil
 }

@@ -17,9 +17,10 @@ import (
 
 // FuzzReadTrace throws hostile containers at the full trace decode
 // path. The seed corpus covers both container versions, checkpoint
-// sections (the SANLOG2 'L' payload), chunked multi-frame sections,
-// and the oversized-metadata rejection path, so the fuzzer starts
-// from every boundary the reader defends. Properties: never panic,
+// sections (the SANLOG3 'L' payload, well-formed and with each kind
+// of hostile assembly reference), chunked multi-frame sections, and
+// the oversized-metadata rejection path, so the fuzzer starts from
+// every boundary the reader defends. Properties: never panic,
 // errors stay wrapped, the typed ErrMetaTooLarge is the only way an
 // oversized metadata section resolves, and a successfully decoded
 // trace can be released and decoded again identically (the pooled
@@ -66,6 +67,11 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(big.Bytes())
 	f.Add([]byte("TDRTRACE\x01"))
 	f.Add([]byte("TDRTRACE\x02"))
+	f.Add([]byte("TDRTRACE\x03"))
+	f.Add(handBuiltContainer(f, fixtures.ValidHandBuiltLog()))
+	for _, h := range fixtures.HostileCheckpointLogs() {
+		f.Add(handBuiltContainer(f, h.Data))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, tr, err := store.ReadTrace(bytes.NewReader(data))
@@ -171,6 +177,47 @@ func admissionAgrees(t *testing.T, data []byte, meta store.Meta, tr *detect.Trac
 	}
 	if admitted.IPDs != len(tr.IPDs) || (tr.Log != nil && admitted.Records != len(tr.Log.Records)) {
 		t.Fatalf("admitted metadata counts %d/%d disagree with the trace", admitted.IPDs, admitted.Records)
+	}
+}
+
+// handBuiltContainer wraps a hand-built log (fixtures.HostileLog and
+// its control) in an otherwise well-formed v3 container.
+func handBuiltContainer(t testing.TB, log []byte) []byte {
+	var buf bytes.Buffer
+	w, err := store.NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mj := fmt.Sprintf(`{"id":"h","shard":"s","role":"test","label":"unknown","records":%d}`, len(fixtures.RoundTripLog(1).Records))
+	w.Section(store.FrameMeta).Write([]byte(mj))
+	w.Section(store.FrameLog).Write(log)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestHostileReferencesRefusedAtAdmission: a container whose log
+// abuses assembly references is refused by ReadTrace, by admission
+// with the same error, and for the reason its case names, while the
+// well-formed control is admitted.
+func TestHostileReferencesRefusedAtAdmission(t *testing.T) {
+	control := handBuiltContainer(t, fixtures.ValidHandBuiltLog())
+	meta, tr, err := store.ReadTrace(bytes.NewReader(control))
+	if err != nil {
+		t.Fatalf("control: %v", err)
+	}
+	admissionAgrees(t, control, meta, tr, nil)
+	tr.Release()
+	for _, h := range fixtures.HostileCheckpointLogs() {
+		t.Run(h.Name, func(t *testing.T) {
+			data := handBuiltContainer(t, h.Data)
+			meta, _, err := store.ReadTrace(bytes.NewReader(data))
+			if err == nil || !strings.Contains(err.Error(), h.Want) {
+				t.Fatalf("ReadTrace: %v, want an error containing %q", err, h.Want)
+			}
+			admissionAgrees(t, data, meta, nil, err)
+		})
 	}
 }
 

@@ -147,8 +147,8 @@ func Create(dir string) (*Store, error) {
 	}
 	// A fresh corpus starts at the oldest format and is upgraded by
 	// content: admitting a checkpointed trace bumps the manifest (and
-	// that trace's container) to v2, so corpora that never use v2
-	// features remain readable by pre-v2 auditors.
+	// that trace's container) to v3, so corpora that never carry
+	// checkpoints remain readable by auditors that predate them.
 	s := &Store{dir: dir, manifest: Manifest{Version: minVersion}}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
 		return Open(dir)
@@ -157,8 +157,10 @@ func Create(dir string) (*Store, error) {
 }
 
 // Open loads an existing store's manifest. Every version this
-// package can read is accepted — v1 corpora (recorded before
-// checkpointing existed) audit through the full-replay fallback.
+// package can read is accepted — v1 corpora (recorded without
+// checkpoints) audit through the full-replay fallback. A v2 corpus
+// holds whole-state checkpoints, which are no longer read, and is
+// refused with a re-record error.
 func Open(dir string) (*Store, error) {
 	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -168,22 +170,20 @@ func Open(dir string) (*Store, error) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("store: parsing manifest: %w", err)
 	}
-	if m.Version < minVersion || m.Version > Version {
-		return nil, fmt.Errorf("store: manifest version %d, want %d..%d", m.Version, minVersion, Version)
+	if err := supportedVersion("manifest", m.Version); err != nil {
+		return nil, err
 	}
 	return &Store{dir: dir, manifest: m}, nil
 }
 
 // noteLog upgrades the manifest version when admitted content needs
-// it (a checkpointed log makes the corpus v2).
+// it (a checkpointed log makes the corpus v3).
 func (s *Store) noteLog(log *replaylog.Summary) {
 	if log == nil || log.Checkpoints == 0 {
 		return
 	}
 	s.mu.Lock()
-	if s.manifest.Version < 2 {
-		s.manifest.Version = 2
-	}
+	s.manifest.Version = Version
 	s.mu.Unlock()
 }
 

@@ -408,9 +408,10 @@ func TestPutContainerValidates(t *testing.T) {
 // TestManifestVersionFollowsContent: corpora are stamped by what they
 // contain. Checkpoint-free corpora stay at manifest (and container)
 // v1 — readable by pre-checkpointing auditors — while admitting one
-// checkpointed trace upgrades the manifest to v2; and Open accepts
-// the whole readable version range, so legacy corpora keep auditing
-// through the full-replay fallback.
+// checkpointed trace upgrades the manifest to v3; Open accepts both,
+// so legacy corpora keep auditing through the full-replay fallback,
+// and refuses a v2 corpus, whose whole-state checkpoints are no
+// longer read, with a re-record error.
 func TestManifestVersionFollowsContent(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Create(dir)
@@ -462,20 +463,23 @@ func TestManifestVersionFollowsContent(t *testing.T) {
 	if err := reopened.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if v := readVersion(); v != 2 {
-		t.Fatalf("checkpointed corpus stamped manifest v%d, want 2", v)
+	if v := readVersion(); v != 3 {
+		t.Fatalf("checkpointed corpus stamped manifest v%d, want 3", v)
 	}
 	if _, err := store.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Versions beyond what this package reads are still refused.
-	b, _ := os.ReadFile(filepath.Join(dir, store.ManifestName))
-	b = bytes.Replace(b, []byte(`"version": 2`), []byte(`"version": 9`), 1)
-	if err := os.WriteFile(filepath.Join(dir, store.ManifestName), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future manifest version accepted: %v", err)
+	// A v2 corpus and versions beyond what this package reads are
+	// refused.
+	orig, _ := os.ReadFile(filepath.Join(dir, store.ManifestName))
+	for v, want := range map[string]string{"2": "re-record", "9": "version 9"} {
+		b := bytes.Replace(orig, []byte(`"version": 3`), []byte(`"version": `+v), 1)
+		if err := os.WriteFile(filepath.Join(dir, store.ManifestName), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Open(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("manifest version %s: %v, want an error containing %q", v, err, want)
+		}
 	}
 }
 
@@ -830,7 +834,8 @@ func TestPutContainerRetainsNothing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
 		raw := encode(t, meta, tr)
-		if containerBytes = len(raw); containerBytes < 4<<20 {
+		// Retaining the upload must not fit the budget unnoticed.
+		if containerBytes = len(raw); containerBytes <= 512<<10 {
 			t.Fatalf("fixture container is only %d bytes", containerBytes)
 		}
 		on, off := admit(triaged, raw), admit(plain, raw)
@@ -855,6 +860,61 @@ func TestPutContainerRetainsNothing(t *testing.T) {
 		if got := st.Entries(); len(got) != 5 {
 			t.Fatalf("%d of 5 containers in the manifest", len(got))
 		}
+	}
+}
+
+// checkpointedContainerBytes is the exact size of the
+// PlayTraceCheckpointed(120, 42, 42, 16) container (7 checkpoints,
+// 7 343 728 bytes of states) under the identity the test gives it.
+const checkpointedContainerBytes = 882_373
+
+// TestCheckpointedContainerBytes pins the checkpointed container's
+// size and checks that it grows linearly with trace length: the
+// states a recording carries grow quadratically (one more checkpoint,
+// each holding the whole heap), but each one mostly repeats its
+// predecessor and costs only what changed.
+func TestCheckpointedContainerBytes(t *testing.T) {
+	size := func(packets int) int {
+		tr, err := fixtures.PlayTraceCheckpointed(packets, 42, 42, 16, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := store.WriteTrace(&buf, store.Meta{ID: "x", Shard: "s", Role: store.RoleTest, Label: store.LabelBenign}, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	s60, s120, s240 := size(60), size(120), size(240)
+	t.Logf("container bytes at 60/120/240 packets: %d / %d / %d", s60, s120, s240)
+	if s120 != checkpointedContainerBytes {
+		t.Fatalf("120-packet checkpointed container is %d bytes, want %d", s120, checkpointedContainerBytes)
+	}
+	if s240 > 2*s120 {
+		t.Fatalf("doubling the trace grew the container %.2fx, want <= 2", float64(s240)/float64(s120))
+	}
+	// Linear growth adds twice the bytes over twice the packets;
+	// quadratic growth would add four times.
+	if r := float64(s240-s120) / float64(s120-s60); r > 2.5 {
+		t.Fatalf("120 more packets add %.2fx what the 60 before them did, want <= 2.5", r)
+	}
+}
+
+// TestReadRefusesVersion2: a v2 container carries whole-state
+// checkpoints this package no longer reads; every reader refuses it
+// and says to re-record.
+func TestReadRefusesVersion2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := store.WriteTrace(&buf, testMeta(), fullTrace()); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len("TDRTRACE")] = 2
+	if _, _, err := store.ReadTrace(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("ReadTrace of a v2 container: %v", err)
+	}
+	if _, err := store.ReadMeta(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "re-record") {
+		t.Fatalf("ReadMeta of a v2 container: %v", err)
 	}
 }
 

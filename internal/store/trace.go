@@ -139,12 +139,11 @@ func WriteTrace(w io.Writer, meta Meta, tr *detect.Trace) error {
 	if err := meta.validate(); err != nil {
 		return err
 	}
-	// A container is only v2 when it actually carries v2 content (a
-	// checkpointed log); everything else stays v1 so that pre-v2
-	// readers keep accepting corpora that never needed the bump.
+	// A container is only v3 when it carries a checkpointed log;
+	// everything else stays v1, byte-identical to older writers.
 	version := byte(1)
 	if tr.Log != nil && len(tr.Log.Checkpoints) > 0 {
-		version = 2
+		version = Version
 	}
 	fw, err := NewWriterVersion(w, version)
 	if err != nil {

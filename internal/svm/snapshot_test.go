@@ -24,7 +24,7 @@ func snapProgram(t *testing.T) *Program {
 		{Op: OpIConst, A: 0}, // i in local 1
 		{Op: OpStore, A: 1},
 		// loop:
-		{Op: OpLoad, A: 1},          // 5
+		{Op: OpLoad, A: 1}, // 5
 		{Op: OpIConst, A: 2000},
 		{Op: OpICmp},
 		{Op: OpIfGe, A: 17},

@@ -53,7 +53,9 @@ type Config struct {
 	// GCThreshold in bytes of allocation between collections. Zero
 	// selects the default.
 	GCThreshold int64
-	// MaxSteps aborts runaway programs (0 = no limit).
+	// MaxSteps aborts runaway programs (0 = no limit): Run fails once
+	// it has interpreted this many instructions. Idle iterations
+	// modelled by SkipIdle advance InstrCount but do not count.
 	MaxSteps int64
 	// Prepared, when non-nil and built for the same program, lets New
 	// skip bytecode verification and the code-layout computation —
@@ -128,6 +130,10 @@ type VM struct {
 	ExitCode int64
 
 	nctx NativeCtx // the context of the native call in progress
+
+	// idle is the part of InstrCount that SkipIdle modelled rather
+	// than interpreted; Run's MaxSteps budget excludes it.
+	idle int64
 }
 
 // New prepares a VM for the program: lays out code and globals,
@@ -262,6 +268,7 @@ func (vm *VM) SkipIdle(iters, instrPerIter, cyclesPerIter int64) {
 		return
 	}
 	vm.InstrCount += iters * instrPerIter
+	vm.idle += iters * instrPerIter
 	if vm.Platform != nil {
 		vm.Platform.AddCycles(iters * cyclesPerIter)
 	}
@@ -309,18 +316,24 @@ func (vm *VM) trap(t *Thread, format string, args ...any) *TrapError {
 	}
 }
 
-// Run executes until the VM halts, a limit is reached, or a fault
-// escapes. It returns nil on clean halt.
+// Run executes until the VM halts, it has interpreted MaxSteps
+// instructions, or a fault escapes. It returns nil on clean halt.
 func (vm *VM) Run() error {
-	limit := vm.maxSteps
-	if limit <= 0 {
-		limit = math.MaxInt64
+	if vm.maxSteps <= 0 {
+		return vm.runUntil(math.MaxInt64)
 	}
-	if err := vm.runUntil(limit); err != nil {
-		return err
-	}
-	if !vm.halted {
-		return fmt.Errorf("svm: instruction limit %d exceeded", vm.maxSteps)
+	// The budget's end in InstrCount moves whenever SkipIdle adds
+	// instructions nobody interpreted, so run to the current end and
+	// recompute it until the VM halts or the end stops moving.
+	base := vm.InstrCount - vm.idle
+	for !vm.halted {
+		limit := base + vm.idle + vm.maxSteps
+		if vm.InstrCount >= limit {
+			return fmt.Errorf("svm: instruction limit %d exceeded", vm.maxSteps)
+		}
+		if err := vm.runUntil(limit); err != nil {
+			return err
+		}
 	}
 	return nil
 }

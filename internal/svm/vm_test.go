@@ -1,6 +1,7 @@
 package svm_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -966,4 +967,60 @@ func abs64(x int64) int64 {
 		return -x
 	}
 	return x
+}
+
+// TestMaxStepsCountsInterpretedOnly: Run's MaxSteps budget is spent by
+// interpreted instructions alone. Idle polling that SkipIdle models
+// advances InstrCount far past the cap without exhausting it, while a
+// loop that really interprets past the cap still stops exactly there.
+func TestMaxStepsCountsInterpretedOnly(t *testing.T) {
+	const src = `
+.func main 0 1
+    iconst 0
+    store 0
+loop:
+    load 0
+    iconst %d
+    if_icmpge done
+    ncall test.idle 0
+    pop
+    iinc 0 1
+    goto loop
+done:
+    ret
+.end`
+	natives := map[string]svm.NativeFunc{
+		"test.idle": func(ctx *svm.NativeCtx) error {
+			ctx.VM.SkipIdle(1000, 1000, 1)
+			return nil
+		},
+	}
+	runLoop := func(iters int) (*svm.VM, error) {
+		prog, err := asm.Assemble("idle", fmt.Sprintf(src, iters))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm, err := svm.New(prog, natives, svm.Config{MaxSteps: 10_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vm, vm.Run()
+	}
+	// 7 interpreted instructions and 10^6 idle ones per iteration.
+	vm, err := runLoop(1000)
+	if err != nil {
+		t.Fatalf("7 000 interpreted instructions under a 10 000 cap: %v", err)
+	}
+	if vm.InstrCount < 1000*1_000_000 {
+		t.Fatalf("InstrCount %d leaves out the idle instructions", vm.InstrCount)
+	}
+	vm, err = runLoop(2000)
+	if err == nil || !strings.Contains(err.Error(), "instruction limit 10000 exceeded") {
+		t.Fatalf("14 000 interpreted instructions under a 10 000 cap: %v", err)
+	}
+	// The first 10 000 interpreted instructions (two set-up ones,
+	// then a call at the sixth of every seven) make 1 428 idle calls.
+	if idle := int64(1428) * 1_000_000; vm.InstrCount != 10_000+idle {
+		t.Fatalf("stopped at InstrCount %d, want the cap plus %d idle", vm.InstrCount, idle)
+	}
 }
