@@ -25,7 +25,9 @@ const noSlot = 0
 // cacheMemoSize is a power of two, sized on the NFS fixture: with 32
 // entries all but 2 % of a replay's L1D hits are found without a scan
 // (8 entries: 10 %), since a frame's locals, the heap object being
-// walked and a packet buffer no longer evict each other.
+// walked and a packet buffer no longer evict each other. An L1's
+// virtual-line memo trusts a slot only while this memo names it, so
+// its size also bounds how many lines the platform's fast path keeps.
 const cacheMemoSize = 32
 
 // memoIndex spreads line numbers over the memo: neighbouring lines
@@ -52,7 +54,10 @@ type Cache struct {
 	// holds the same live line it is the way a scan would stop at, so
 	// Lookup probes it first and does to it exactly what the scan's hit
 	// does. Fill drops the entry of the line it inserts: a fill is the
-	// one operation that can put a line in an earlier way of its set.
+	// one operation that can put a line in an earlier way of its set
+	// (the platform fills only after a miss, but Initialize's unflushed
+	// prefill does not look first). The same invariant lets an L1's
+	// virtual-line memo trust a slot this memo names.
 	memo [cacheMemoSize]int
 
 	Hits   int64
@@ -79,15 +84,6 @@ func (c *Cache) Spec() CacheSpec { return c.spec }
 
 func (c *Cache) live(s *slot) bool { return s.meta > c.flushed }
 
-// remembered reports whether the memo still knows the slot Lookup
-// would hit for the line with the given tag, and which. It changes
-// nothing.
-func (c *Cache) remembered(tag uint64) (int, bool) {
-	i := c.memo[memoIndex(tag)]
-	s := &c.slots[i]
-	return i, s.tag == tag && c.live(s)
-}
-
 // touch is a hit on slot i: advance the LRU clock, stamp the slot,
 // mark it dirty on a write, count the hit.
 func (c *Cache) touch(i int, write bool) {
@@ -106,27 +102,39 @@ func (c *Cache) touch(i int, write bool) {
 // without inserting; callers insert explicitly with Fill so that a
 // multi-level hierarchy can control the fill path.
 func (c *Cache) Lookup(paddr int64, write bool) bool {
+	_, hit := c.lookup(paddr, write)
+	return hit
+}
+
+// lookup is Lookup that also returns the slot it hit.
+func (c *Cache) lookup(paddr int64, write bool) (int, bool) {
 	tag := uint64(paddr >> c.lineBits)
-	if i, ok := c.remembered(tag); ok {
+	if i := c.memo[memoIndex(tag)]; c.slots[i].tag == tag && c.live(&c.slots[i]) {
 		c.touch(i, write)
-		return true
+		return i, true
 	}
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	for i, end := base, base+int(c.ways); i < end; i++ {
 		if s := &c.slots[i]; s.tag == tag && c.live(s) {
 			c.touch(i, write)
 			c.memo[memoIndex(tag)] = i
-			return true
+			return i, true
 		}
 	}
 	c.Misses++
-	return false
+	return noSlot, false
 }
 
 // Fill inserts the line containing paddr, evicting the LRU way if the
 // set is full. It reports whether a dirty line was evicted (the
 // hierarchy charges a write-back for it).
 func (c *Cache) Fill(paddr int64, write bool) (evictedDirty bool) {
+	_, evictedDirty = c.fill(paddr, write)
+	return evictedDirty
+}
+
+// fill is Fill that also returns the slot the line went to.
+func (c *Cache) fill(paddr int64, write bool) (slot int, evictedDirty bool) {
 	tag := uint64(paddr >> c.lineBits)
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	victim := base
@@ -151,7 +159,7 @@ func (c *Cache) Fill(paddr int64, write bool) (evictedDirty bool) {
 		v.meta |= slotDirty
 	}
 	c.memo[memoIndex(tag)] = noSlot
-	return evictedDirty
+	return victim, evictedDirty
 }
 
 // Flush invalidates every line, as Sanity does with wbinvd during
@@ -193,6 +201,77 @@ func (c *Cache) Occupancy() int64 {
 	}
 	return n
 }
+
+// l1Cache is a first-level cache with a virtual-line memo in front of
+// it: per virtual line, where the step-by-step path last left the
+// line resident — its physical line number (the tag), the TLB slot
+// that mapped its page and the cache slot that held it. While the TLB
+// slot still maps the page and the cache slot still holds the line,
+// live, and is the slot the cache's own memo names for it, translating
+// the address would hit that TLB slot and Lookup would hit that cache
+// slot, so the platform charges the hit without translating: one
+// probe instead of the mapper's, the TLB's and the cache's.
+//
+// An entry is a claim re-checked against the slots, never trusted:
+// TLB misses, Fill, EvictRandom and flushes change them behind its
+// back, and a Fill of a line already present (Initialize's unflushed
+// prefill can put one in an earlier way) resets the cache memo's entry
+// for it, which fails the last check. What the slots cannot show is a
+// page moving to another frame; that happens only when the mapper is
+// emptied, and the platform forgets every entry then.
+type l1Cache struct {
+	Cache
+	lines [lineMemoSize]vline
+}
+
+// lineMemoSize is a power of two: 128 lines are 8 KB of consecutive
+// code or data, indexed by the low bits of the virtual line number.
+const lineMemoSize = 128
+
+// vline is one entry of an L1's virtual-line memo. It keeps the page
+// number so the probe compares it with the TLB slot's tag as it is,
+// without translating the address. The zero value matches no line.
+type vline struct {
+	key  uint64 // lineKey of the virtual line
+	tag  uint64 // its physical line number
+	vpn  uint64 // its virtual page number, the TLB's tag for it
+	tlb  int32  // the TLB slot that mapped its page
+	slot int32  // the cache slot that held it
+}
+
+func lineKey(vl int64) uint64 { return uint64(vl)<<1 | 1 }
+
+func newL1Cache(spec CacheSpec) *l1Cache { return &l1Cache{Cache: *NewCache(spec)} }
+
+// remember records where the step-by-step path left the line
+// containing vaddr: physically at paddr, in cache slot slot, its page
+// vpn in TLB slot entry.
+func (c *l1Cache) remember(vaddr, paddr, vpn int64, entry, slot int) {
+	vl := vaddr >> c.lineBits
+	c.lines[vl&(lineMemoSize-1)] = vline{
+		key: lineKey(vl), tag: uint64(paddr >> c.lineBits), vpn: uint64(vpn), tlb: int32(entry), slot: int32(slot),
+	}
+}
+
+// entry returns the memo's entry for the line containing vaddr, or
+// nil when the memo holds another line or none.
+func (c *l1Cache) entry(vaddr int64) *vline {
+	vl := vaddr >> c.lineBits
+	if e := &c.lines[vl&(lineMemoSize-1)]; e.key == lineKey(vl) {
+		return e
+	}
+	return nil
+}
+
+// holds reports whether e's slot still holds e's line, live, and is
+// the slot the cache memo names for it: the slot Lookup would hit.
+func (c *l1Cache) holds(e *vline) bool {
+	s := &c.slots[e.slot]
+	return s.tag == e.tag && c.live(s) && c.memo[memoIndex(e.tag)] == int(e.slot)
+}
+
+// forget empties the memo.
+func (c *l1Cache) forget() { c.lines = [lineMemoSize]vline{} }
 
 // TLB is a set-associative translation lookaside buffer over virtual
 // page numbers, with the same deterministic LRU policy as the caches.
@@ -238,12 +317,11 @@ func NewTLB(spec TLBSpec) *TLB {
 
 func (t *TLB) live(s *slot) bool { return s.meta > t.flushed }
 
-// remembered reports whether the memo still knows the slot mapping
-// vpn, and which. It changes nothing.
-func (t *TLB) remembered(vpn int64) (int, bool) {
-	i := t.memo[pageHash(vpn, tlbMemoBits)]
-	s := &t.slots[i]
-	return i, s.tag == uint64(vpn) && t.live(s)
+// maps reports whether e's TLB slot still maps e's page, live: the
+// slot Lookup would hit, since at most one live slot maps a page.
+func (t *TLB) maps(e *vline) bool {
+	s := &t.slots[e.tlb]
+	return s.tag == e.vpn && t.live(s)
 }
 
 // touch is a hit on (or an insertion into) slot i.
@@ -255,12 +333,18 @@ func (t *TLB) touch(i int) {
 // Lookup probes for the given virtual page number, inserting it on a
 // miss, and reports whether it hit.
 func (t *TLB) Lookup(vpn int64) bool {
-	if i, ok := t.remembered(vpn); ok {
+	_, hit := t.lookup(vpn)
+	return hit
+}
+
+// lookup is Lookup that also returns the slot that maps vpn afterwards.
+func (t *TLB) lookup(vpn int64) (int, bool) {
+	tag := uint64(vpn)
+	if i := t.memo[pageHash(vpn, tlbMemoBits)]; t.slots[i].tag == tag && t.live(&t.slots[i]) {
 		t.touch(i)
 		t.Hits++
-		return true
+		return i, true
 	}
-	tag := uint64(vpn)
 	base := int((vpn & t.setMask) * t.ways)
 	end := base + int(t.ways)
 	for i := base; i < end; i++ {
@@ -268,7 +352,7 @@ func (t *TLB) Lookup(vpn int64) bool {
 			t.touch(i)
 			t.Hits++
 			t.memo[pageHash(vpn, tlbMemoBits)] = i
-			return true
+			return i, true
 		}
 	}
 	t.Misses++
@@ -288,7 +372,7 @@ func (t *TLB) Lookup(vpn int64) bool {
 	t.slots[victim].tag = tag
 	t.touch(victim)
 	t.memo[pageHash(vpn, tlbMemoBits)] = victim
-	return false
+	return victim, false
 }
 
 // Flush invalidates all entries (CR4.PCIDE toggle in the prototype),

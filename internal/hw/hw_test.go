@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,13 +93,20 @@ func TestCacheSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	bad := CacheSpec{SizeBytes: 31 << 10, LineBytes: 64, Ways: 8}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("non-divisible spec accepted")
-	}
-	zero := CacheSpec{}
-	if err := zero.Validate(); err == nil {
-		t.Fatal("zero spec accepted")
+	for _, tc := range []struct {
+		spec CacheSpec
+		want string // in the error
+	}{
+		{CacheSpec{}, "non-positive geometry"},
+		{CacheSpec{SizeBytes: 32<<10 + 64, LineBytes: 64, Ways: 8}, "not divisible"},
+		{CacheSpec{SizeBytes: 24 << 10, LineBytes: 64, Ways: 8}, "set count 48"},
+		// 64 sets of 8 ways of 48 B: only the line size is wrong.
+		{CacheSpec{SizeBytes: 64 * 8 * 48, LineBytes: 48, Ways: 8}, "line size 48"},
+		{CacheSpec{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitCycles: -1}, "latency -1"},
+	} {
+		if err := tc.spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: got %v, want an error about %q", tc.spec, err, tc.want)
+		}
 	}
 }
 
@@ -273,16 +281,30 @@ func TestPageMapperStableWithinRun(t *testing.T) {
 }
 
 func TestMachineSpecValidate(t *testing.T) {
-	if err := Optiplex9020().Validate(); err != nil {
-		t.Fatalf("preset invalid: %v", err)
+	for _, m := range KnownMachines() {
+		if err := m.Validate(); err != nil {
+			t.Fatalf("preset %s invalid: %v", m.Name, err)
+		}
 	}
-	if err := SlowerT().Validate(); err != nil {
-		t.Fatalf("preset invalid: %v", err)
-	}
-	bad := Optiplex9020()
-	bad.PageSize = 3000
-	if err := bad.Validate(); err == nil {
-		t.Fatal("non-power-of-two page size accepted")
+	for _, tc := range []struct {
+		mutate func(*MachineSpec)
+		want   string // in the error
+	}{
+		{func(m *MachineSpec) { m.PageSize = 3000 }, "page size 3000"},
+		{func(m *MachineSpec) { m.L1D = CacheSpec{SizeBytes: 64 * 8 * 48, LineBytes: 48, Ways: 8, HitCycles: 4} }, "line size 48"},
+		{func(m *MachineSpec) { m.L2.HitCycles = -12 }, "latency -12"},
+		{func(m *MachineSpec) { m.PageSize = 32 }, "exceeds the page size"},
+		{func(m *MachineSpec) { m.Frames = 0 }, "no frames"},
+		{func(m *MachineSpec) { m.TLB.Entries = 63 }, "bad TLB spec"},
+		{func(m *MachineSpec) { m.TLB.Entries = 48 }, "TLB set count 12"},
+		{func(m *MachineSpec) { m.TLB.WalkCycles = -1 }, "walk -1"},
+		{func(m *MachineSpec) { m.DRAMCycles = -1 }, "DRAM -1"},
+	} {
+		m := Optiplex9020()
+		tc.mutate(&m)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got %v, want an error about %q", err, tc.want)
+		}
 	}
 }
 
@@ -517,14 +539,75 @@ func benchInstr(b *testing.B, profile NoiseProfile) {
 	}
 }
 
-// BenchmarkPlatformInstr is the fused fetch+base charge on its fast
-// path: no events but heartbeats, no frequency scaling.
+// BenchmarkPlatformInstr is that stream on the Sanity profile (no
+// events but heartbeats, no frequency scaling). 64 KB of code is twice
+// the L1I, so one fetch in eight misses and walks the hierarchy; the
+// all-hit case is BenchmarkPlatformInstrHot.
 func BenchmarkPlatformInstr(b *testing.B) { benchInstr(b, ProfileSanity()) }
 
 // BenchmarkPlatformInstrNoisy is the same stream with every noise
 // source on, where most charges are scaled and so take the two-call
 // fallback: it must not cost more than FetchInstr+AddCycles did.
 func BenchmarkPlatformInstrNoisy(b *testing.B) { benchInstr(b, ProfileUserNoisy()) }
+
+// The hot working sets are 2 KB of code and 2 KB of data: inside the
+// L1s, their virtual-line memos and the caches' own slot memos, so
+// once warm every fetch and access is charged on the fast path except
+// the few that cross a heartbeat.
+const hotCode, hotData, hotBytes = 0x0100_0000, 0x1000_0000, 2 << 10
+
+func hotPlatform() *Platform {
+	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
+	p.Initialize()
+	for pass := 0; pass < 2; pass++ {
+		for off := int64(0); off < hotBytes; off += 8 {
+			p.Instr(hotCode+off, 1)
+			p.Access(hotData+off, 8, false)
+		}
+	}
+	return p
+}
+
+// BenchmarkPlatformInstrHot is Instr when every fetch hits: a loop
+// over 256 instructions.
+func BenchmarkPlatformInstrHot(b *testing.B) {
+	p := hotPlatform()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Instr(hotCode+int64(i*8)%hotBytes, 1)
+	}
+}
+
+// BenchmarkPlatformAccessHot is Access when every access hits: reads
+// and writes over 256 words.
+func BenchmarkPlatformAccessHot(b *testing.B) {
+	p := hotPlatform()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Access(hotData+int64(i*8)%hotBytes, 8, i&3 == 0)
+	}
+}
+
+// TestHotChargesDoNotAllocate: the fast path of Instr and Access, the
+// charge behind every replayed instruction, allocates nothing. The
+// benchmarks above rest on the hot working sets being on it.
+func TestHotChargesDoNotAllocate(t *testing.T) {
+	p := hotPlatform()
+	for off := int64(0); off < hotBytes; off += 8 {
+		if !probe(p, p.l1i, hotCode+off) || !probe(p, p.l1d, hotData+off) {
+			t.Fatalf("offset %d of the hot working sets is not on the fast path", off)
+		}
+	}
+	off := int64(0)
+	if n := testing.AllocsPerRun(1000, func() { off = (off + 8) % hotBytes; p.Instr(hotCode+off, 1) }); n != 0 {
+		t.Errorf("Instr allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { off = (off + 8) % hotBytes; p.Access(hotData+off, 8, off&16 == 0) }); n != 0 {
+		t.Errorf("Access allocates %v times", n)
+	}
+}
 
 // BenchmarkPlatformAccessStreaming misses every level on every access
 // (a 64 MB stride-64 sweep against an 8 MB L3), the pattern of a

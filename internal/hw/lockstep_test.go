@@ -140,7 +140,7 @@ func (l *lockstep) deep() string {
 		name string
 		ref  *refCache
 		got  *Cache
-	}{{"l1i", r.l1i, g.l1i}, {"l1d", r.l1d, g.l1d}, {"l2", r.l2, g.l2}, {"l3", r.l3, g.l3}} {
+	}{{"l1i", r.l1i, &g.l1i.Cache}, {"l1d", r.l1d, &g.l1d.Cache}, {"l2", r.l2, g.l2}, {"l3", r.l3, g.l3}} {
 		if d := sameSets(c.name, c.ref.spec.Ways, c.ref.tags, c.ref.valid, c.ref.dirty, c.ref.stamp,
 			c.got.slots, c.got.flushed, slotClockShift); d != "" {
 			return d

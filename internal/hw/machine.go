@@ -30,10 +30,19 @@ func (c CacheSpec) Sets() int64 {
 	return c.SizeBytes / (c.LineBytes * int64(c.Ways))
 }
 
-// Validate reports whether the geometry is internally consistent.
+// Validate reports whether the geometry is internally consistent and
+// one the model handles: it finds a line by shifting and masking and a
+// set by masking, so both counts are powers of two, and a hit never
+// makes the clock run backwards.
 func (c CacheSpec) Validate() error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("hw: cache spec has non-positive geometry: %+v", c)
+	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("hw: cache line size %d is not a power of two", c.LineBytes)
+	}
+	if c.HitCycles < 0 {
+		return fmt.Errorf("hw: cache hit latency %d is negative", c.HitCycles)
 	}
 	if c.SizeBytes%(c.LineBytes*int64(c.Ways)) != 0 {
 		return fmt.Errorf("hw: cache size %d not divisible by line*ways", c.SizeBytes)
@@ -82,24 +91,37 @@ func (m MachineSpec) PsPerCycle() int64 {
 	return int64(1000.0/m.ClockGHz + 0.5)
 }
 
-// Validate checks the whole specification.
+// Validate checks the whole specification. Beyond each cache's own
+// geometry, a line lies within one page (an L1 remembers lines by
+// virtual address, so a line must not span two translations), the
+// TLB's set count is a power of two (it picks a set by masking), and
+// no latency is negative.
 func (m MachineSpec) Validate() error {
 	if m.ClockGHz <= 0 {
 		return fmt.Errorf("hw: machine %q has non-positive clock", m.Name)
+	}
+	if m.PageSize <= 0 || m.PageSize&(m.PageSize-1) != 0 {
+		return fmt.Errorf("hw: page size %d is not a power of two", m.PageSize)
 	}
 	for _, c := range []CacheSpec{m.L1I, m.L1D, m.L2, m.L3} {
 		if err := c.Validate(); err != nil {
 			return err
 		}
-	}
-	if m.PageSize <= 0 || m.PageSize&(m.PageSize-1) != 0 {
-		return fmt.Errorf("hw: page size %d is not a power of two", m.PageSize)
+		if c.LineBytes > m.PageSize {
+			return fmt.Errorf("hw: cache line size %d exceeds the page size %d", c.LineBytes, m.PageSize)
+		}
 	}
 	if m.Frames <= 0 {
 		return fmt.Errorf("hw: machine %q has no frames", m.Name)
 	}
 	if m.TLB.Entries <= 0 || m.TLB.Ways <= 0 || m.TLB.Entries%m.TLB.Ways != 0 {
 		return fmt.Errorf("hw: bad TLB spec %+v", m.TLB)
+	}
+	if s := m.TLB.Entries / m.TLB.Ways; s&(s-1) != 0 {
+		return fmt.Errorf("hw: TLB set count %d is not a power of two", s)
+	}
+	if m.TLB.WalkCycles < 0 || m.DRAMCycles < 0 {
+		return fmt.Errorf("hw: machine %q has a negative latency (walk %d, DRAM %d cycles)", m.Name, m.TLB.WalkCycles, m.DRAMCycles)
 	}
 	return nil
 }

@@ -18,9 +18,10 @@ type PageMapper struct {
 	rng      *RNG
 	table    map[int64]int64 // virtual page number -> frame
 	nextSeq  int64           // next frame for pinned assignment
-	// memo is a direct-mapped copy of installed table entries, so the
-	// translation every fetch and data access needs is an array probe.
-	// It only ever holds what the table holds and is cleared with it.
+	// memo is a direct-mapped copy of installed table entries, so a
+	// translation on the step-by-step path (a fetch or access the L1s'
+	// virtual-line memos do not answer) is an array probe. It only ever
+	// holds what the table holds and is cleared with it.
 	memo [mapperMemoSize]mapping
 }
 
@@ -57,7 +58,9 @@ func NewPageMapper(spec MachineSpec, pinned bool, rng *RNG) *PageMapper {
 }
 
 // unmapAll returns the mapper to its freshly built state, keeping its
-// storage. The caller re-keys m.rng.
+// storage. It is the only operation that can move a page to another
+// frame, so the platform forgets every line its L1s remember with it.
+// The caller re-keys m.rng.
 func (m *PageMapper) unmapAll() {
 	clear(m.table)
 	m.memo = [mapperMemoSize]mapping{}
@@ -72,10 +75,10 @@ func (m *PageMapper) unmapAll() {
 // order is part of the simulated machine), so it always takes the
 // table path; the memo answers for pages already installed.
 func (m *PageMapper) Translate(vaddr int64) int64 {
-	if paddr, ok := m.installed(vaddr); ok {
-		return paddr
-	}
 	vpn := vaddr >> m.pageBits
+	if e := &m.memo[pageHash(vpn, mapperMemoBits)]; e.key == pageKey(vpn) {
+		return e.frame<<m.pageBits | (vaddr & (m.pageSize - 1))
+	}
 	frame, ok := m.table[vpn]
 	if !ok {
 		if m.pinned {
@@ -88,18 +91,6 @@ func (m *PageMapper) Translate(vaddr int64) int64 {
 	}
 	m.memo[pageHash(vpn, mapperMemoBits)] = mapping{key: pageKey(vpn), frame: frame}
 	return frame<<m.pageBits | (vaddr & (m.pageSize - 1))
-}
-
-// installed translates vaddr from the memo alone, changing nothing;
-// ok is false when the memo does not hold the page (which may still
-// be mapped).
-func (m *PageMapper) installed(vaddr int64) (paddr int64, ok bool) {
-	vpn := vaddr >> m.pageBits
-	e := &m.memo[pageHash(vpn, mapperMemoBits)]
-	if e.key != pageKey(vpn) {
-		return 0, false
-	}
-	return e.frame<<m.pageBits | (vaddr & (m.pageSize - 1)), true
 }
 
 // VPN returns the virtual page number of vaddr.

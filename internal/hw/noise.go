@@ -205,6 +205,10 @@ type noiseState struct {
 	// comparison. It is derived state, recomputed by horizon whenever
 	// one of the four moves.
 	nextEvent int64
+	// fastEnd is nextEvent while freqMilli is 1000 and math.MinInt64
+	// otherwise: a charge of n cycles needs neither scaling nor an
+	// event check exactly when cycles+n < fastEnd, one comparison.
+	fastEnd int64
 
 	// Accounting, surfaced for tests and for the ablation report.
 	Interrupts   int64
@@ -254,7 +258,7 @@ func (ns *noiseState) schedule(cyclesPerMs float64, at int64) {
 	ns.horizon()
 }
 
-// horizon recomputes nextEvent.
+// horizon recomputes nextEvent and fastEnd.
 func (ns *noiseState) horizon() {
 	next := int64(math.MaxInt64)
 	for _, c := range [...]int64{ns.nextInterruptCycle, ns.nextPreemptionCycle, ns.nextHeartbeatCycle, ns.nextFreqUpdateCycle} {
@@ -263,4 +267,8 @@ func (ns *noiseState) horizon() {
 		}
 	}
 	ns.nextEvent = next
+	ns.fastEnd = next
+	if ns.freqMilli != 1000 {
+		ns.fastEnd = math.MinInt64
+	}
 }

@@ -17,11 +17,12 @@ type Platform struct {
 	Spec    MachineSpec
 	Profile NoiseProfile
 
-	l1i, l1d, l2, l3 *Cache
-	tlb              *TLB
-	mapper           *PageMapper
-	noise            *noiseState
-	rng              *RNG
+	l1i, l1d *l1Cache
+	l2, l3   *Cache
+	tlb      *TLB
+	mapper   *PageMapper
+	noise    *noiseState
+	rng      *RNG
 
 	cycles     int64
 	psPerCycle int64
@@ -46,8 +47,8 @@ func NewPlatform(spec MachineSpec, profile NoiseProfile, seed uint64) (*Platform
 	p := &Platform{
 		Spec:       spec,
 		Profile:    profile,
-		l1i:        NewCache(spec.L1I),
-		l1d:        NewCache(spec.L1D),
+		l1i:        newL1Cache(spec.L1I),
+		l1d:        newL1Cache(spec.L1D),
 		l2:         NewCache(spec.L2),
 		l3:         NewCache(spec.L3),
 		tlb:        NewTLB(spec.TLB),
@@ -120,11 +121,11 @@ func (p *Platform) Reset(seed uint64) {
 	p.dmaBoost = 1
 	p.InstrFetches, p.DataAccesses, p.IOReads = 0, 0, 0
 	p.flush()
-	for _, c := range [...]*Cache{p.l1i, p.l1d, p.l2, p.l3} {
+	for _, c := range [...]*Cache{&p.l1i.Cache, &p.l1d.Cache, p.l2, p.l3} {
 		c.ResetStats()
 	}
 	p.tlb.ResetStats()
-	p.mapper.unmapAll()
+	p.unmapAll()
 	p.rng.splitInto(p.mapper.rng)
 	ns := p.noise
 	ns.Interrupts, ns.Preemptions, ns.Heartbeats, ns.StolenCycles = 0, 0, 0, 0
@@ -139,6 +140,14 @@ func (p *Platform) flush() {
 	p.l2.Flush()
 	p.l3.Flush()
 	p.tlb.Flush()
+}
+
+// unmapAll empties the page mapper. A virtual line may map to another
+// frame from here on, so both L1s forget where their lines were.
+func (p *Platform) unmapAll() {
+	p.mapper.unmapAll()
+	p.l1i.forget()
+	p.l1d.forget()
 }
 
 // Quiesce performs an epoch boundary: the same initialization-and-
@@ -168,7 +177,7 @@ func (p *Platform) Quiesce(epochSeed uint64) {
 	p.flush()
 	rng := RNG{state: epochSeed}
 	rng.splitInto(p.rng)
-	p.mapper.unmapAll()
+	p.unmapAll()
 	rng.splitInto(p.mapper.rng)
 	rng.splitInto(p.noise.rng)
 	p.noise.schedule(p.Spec.ClockGHz*1e6, p.cycles)
@@ -281,113 +290,106 @@ func (p *Platform) fireDue() {
 
 // FetchInstr charges the instruction-fetch cost for the opcode at the
 // given virtual address (one I-cache probe; misses walk the shared
-// L2/L3/DRAM path).
-func (p *Platform) FetchInstr(vaddr int64) {
-	p.InstrFetches++
-	p.memAccess(p.l1i, vaddr, 4, false)
-}
+// L2/L3/DRAM path). It is Instr with no execution cycles.
+func (p *Platform) FetchInstr(vaddr int64) { p.Instr(vaddr, 0) }
 
 // Instr charges one instruction: its fetch at vaddr, then base cycles
-// of execution — FetchInstr(vaddr) followed by AddCycles(base), and
-// always with exactly their effect. In the common case the two charges
-// are one addition (see hit).
+// of execution — the effect of a fetch followed by AddCycles(base).
+//
+// In the common case that is one probe and one addition: the fetch's
+// line is resident where l1i's virtual-line memo says (see l1Cache),
+// the clock is unscaled, and the fetch's hit latency plus base ends
+// before the next noise event. The charge then makes the stamps and
+// counts of a TLB hit and an l1i hit on the remembered slots, in the
+// order translation and Lookup would, and adds the two costs at once.
+// Outside that case a sum is not the answer (scaling truncates each
+// charge separately, and an event between two charges evicts lines
+// through the noise generator), so the fetch walks the hierarchy and
+// base is charged after it.
 func (p *Platform) Instr(vaddr, base int64) {
-	if p.hit(p.l1i, vaddr, false, base) {
-		p.InstrFetches++
+	p.InstrFetches++
+	l1 := p.l1i
+	lat := l1.spec.HitCycles
+	if e := l1.entry(vaddr); e != nil && base >= 0 && p.cycles+lat+base < p.noise.fastEnd &&
+		p.tlb.maps(e) && l1.holds(e) {
+		p.chargeHit(l1, e, false, lat+base)
 		return
 	}
-	p.FetchInstr(vaddr)
+	p.memAccess(l1, vaddr, false)
 	p.AddCycles(base)
 }
 
-// Access charges a data access of the given size at vaddr.
+// Access charges a data access of the given size at vaddr, on the same
+// one-probe fast path as Instr when it stays within one line.
 func (p *Platform) Access(vaddr int64, size int64, write bool) {
 	p.DataAccesses++
-	p.memAccess(p.l1d, vaddr, size, write)
-	// Accesses that straddle a cache line pay for the second line too.
-	line := p.Spec.L1D.LineBytes
+	l1 := p.l1d
+	line, lat := l1.spec.LineBytes, l1.spec.HitCycles
 	if (vaddr&(line-1))+size > line {
+		// Accesses that straddle a cache line pay for the second line too.
+		p.memAccess(l1, vaddr, write)
 		p.DataAccesses++
-		p.memAccess(p.l1d, vaddr+size-1, 1, write)
-	}
-}
-
-// memAccess walks the hierarchy starting at the given L1 and charges
-// the appropriate latency.
-func (p *Platform) memAccess(l1 *Cache, vaddr, size int64, write bool) {
-	if p.hit(l1, vaddr, write, 0) {
+		p.memAccess(l1, vaddr+size-1, write)
 		return
 	}
+	if e := l1.entry(vaddr); e != nil && p.cycles+lat < p.noise.fastEnd &&
+		p.tlb.maps(e) && l1.holds(e) {
+		p.chargeHit(l1, e, write, lat)
+		return
+	}
+	p.memAccess(l1, vaddr, write)
+}
+
+// chargeHit charges n cycles for a fetch or access whose line l1's
+// memo entry e placed: the stamps and counts of a TLB hit and then an
+// l1 hit on the remembered slots, as translation and Lookup would make
+// them.
+func (p *Platform) chargeHit(l1 *l1Cache, e *vline, write bool, n int64) {
+	p.tlb.touch(int(e.tlb))
+	p.tlb.Hits++
+	l1.touch(int(e.slot), write)
+	p.cycles += n
+}
+
+// memAccess walks the hierarchy starting at the given L1, charges the
+// appropriate latency step by step, and records in the L1's
+// virtual-line memo where it left the line.
+func (p *Platform) memAccess(l1 *l1Cache, vaddr int64, write bool) {
 	// Translation first.
-	if !p.tlb.Lookup(p.mapper.VPN(vaddr)) {
+	vpn := p.mapper.VPN(vaddr)
+	entry, hit := p.tlb.lookup(vpn)
+	if !hit {
 		p.AddCycles(p.Spec.TLB.WalkCycles)
 	}
 	paddr := p.mapper.Translate(vaddr)
 
-	if l1.Lookup(paddr, write) {
-		p.AddCycles(l1.Spec().HitCycles)
-		return
-	}
-	if p.l2.Lookup(paddr, write) {
+	line, hit := l1.lookup(paddr, write)
+	switch {
+	case hit:
+		p.AddCycles(l1.spec.HitCycles)
+	case p.l2.Lookup(paddr, write):
 		p.AddCycles(p.Spec.L2.HitCycles)
-		l1.Fill(paddr, write)
-		return
-	}
-	if p.l3.Lookup(paddr, write) {
+		line, _ = l1.fill(paddr, write)
+	case p.l3.Lookup(paddr, write):
 		p.AddCycles(p.Spec.L3.HitCycles)
 		p.l2.Fill(paddr, write)
-		l1.Fill(paddr, write)
-		return
+		line, _ = l1.fill(paddr, write)
+	default:
+		// DRAM access; this is where memory-bus contention with the
+		// SC's DMA traffic can strike (§3.3, §6.9).
+		cost := p.Spec.L3.HitCycles + p.Spec.DRAMCycles
+		prob := p.Profile.BusResidual * float64(p.dmaBoost)
+		if prob > 0 && p.rng.Float64() < prob {
+			cost += p.Profile.BusExtraCycles
+		}
+		if p.l3.Fill(paddr, write) {
+			cost += p.Spec.DRAMCycles / 2 // write-back of a dirty victim
+		}
+		p.l2.Fill(paddr, write)
+		line, _ = l1.fill(paddr, write)
+		p.AddCycles(cost)
 	}
-	// DRAM access; this is where memory-bus contention with the SC's
-	// DMA traffic can strike (§3.3, §6.9).
-	cost := p.Spec.L3.HitCycles + p.Spec.DRAMCycles
-	prob := p.Profile.BusResidual * float64(p.dmaBoost)
-	if prob > 0 && p.rng.Float64() < prob {
-		cost += p.Profile.BusExtraCycles
-	}
-	if p.l3.Fill(paddr, write) {
-		cost += p.Spec.DRAMCycles / 2 // write-back of a dirty victim
-	}
-	p.l2.Fill(paddr, write)
-	l1.Fill(paddr, write)
-	p.AddCycles(cost)
-}
-
-// hit is the constant-time common case of memAccess, optionally fused
-// with a following AddCycles(extra): an access whose outcome is known
-// in advance — the page is mapped and in the TLB, the line is in l1,
-// each where the memos last found them — on an unscaled clock, with
-// the whole cost fitting before the next noise event. It then makes
-// the LRU stamps and counts the three lookups would make, in their
-// order, adds the hit latency and extra once, and reports true;
-// otherwise it changes nothing. Outside that case a sum is not the
-// answer (scaling truncates each charge separately, and an event
-// between two charges evicts lines through the noise generator), so
-// the caller takes the step-by-step path.
-func (p *Platform) hit(l1 *Cache, vaddr int64, write bool, extra int64) bool {
-	ns := p.noise
-	lat := l1.spec.HitCycles
-	if ns.freqMilli != 1000 || lat < 0 || extra < 0 || p.cycles+lat+extra >= ns.nextEvent {
-		return false
-	}
-	paddr, ok := p.mapper.installed(vaddr)
-	if !ok {
-		return false
-	}
-	entry, ok := p.tlb.remembered(p.mapper.VPN(vaddr))
-	if !ok {
-		return false
-	}
-	line, ok := l1.remembered(uint64(paddr >> l1.lineBits))
-	if !ok {
-		return false
-	}
-	p.tlb.touch(entry)
-	p.tlb.Hits++
-	l1.touch(line, write)
-	p.cycles += lat + extra
-	return true
+	l1.remember(vaddr, paddr, vpn, entry, line)
 }
 
 // IORead charges a stable-storage read of the given size. With I/O
