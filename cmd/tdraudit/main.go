@@ -1,8 +1,8 @@
 // Command tdraudit runs the concurrent multi-trace audit pipeline,
 // plus the offline tools around it. Every auditing mode drives the
 // same audit.Auditor session API:
-// declarative options build a reusable auditor, Plan resolves shards,
-// calibration, and per-trace windows, and Run streams verdicts under
+// declarative options build a reusable auditor, Plan resolves shards
+// and calibration, and Run streams verdicts under
 // a cancellable context (Ctrl-C ends a run cleanly with the partial,
 // in-order verdict stream).
 //
@@ -19,8 +19,6 @@
 //	tdraudit audit-dir -dir spool -json        # audit a spooled corpus
 //	tdraudit audit-dir -dir spool -window 16   # windowed replay: audit each
 //	                                           # trace's trailing 16 IPDs only
-//	tdraudit audit-dir -dir spool -window auto # CCE prefilter picks each
-//	                                           # trace's audited range
 //	tdraudit audit-dir -dir spool -trace out.json  # span tree for chrome://tracing
 //	tdraudit audit-dir -dir spool -json -explain   # verdicts with evidence trails
 //	tdraudit triage -dir spool                 # suspicion census, claim order
@@ -145,46 +143,19 @@ func addAuditFlags(fs *flag.FlagSet) *auditFlags {
 		stream:    fs.Bool("stream", false, "print each verdict as it is emitted"),
 		jsonOut:   fs.Bool("json", false, "emit verdicts and the summary as JSON lines"),
 		compare:   fs.Bool("compare", false, "also run with 1 worker and report the speedup"),
-		window: fs.String("window", "full", "replay-window policy: 'full' audits whole traces; an integer N audits "+
-			"each trace's trailing N inter-packet delays; 'auto' (or 'auto:N') lets the CCE prefilter pick each "+
-			"trace's audited N-IPD range, falling back to full coverage where nothing stands out "+
+		window: fs.String("window", "full", "replay-window policy: 'full' (or 0) audits whole traces; an integer N > 0 audits "+
+			"only each trace's trailing N inter-packet delays, and a benign verdict then covers only the window=[a,b) it names "+
 			"(traces recorded with checkpoints resume mid-log; others fall back to full replay)"),
 		trace: fs.String("trace", "", "write the audit's span tree as Chrome trace_event JSON to this file "+
 			"(open in chrome://tracing or Perfetto; '' disables tracing)"),
-		explain: fs.Bool("explain", false, "attach an evidence trail to each verdict: selected window and why, "+
-			"per-window CCE z-scores, TDR deviation summary (visible with -json)"),
-	}
-}
-
-// parseWindow maps the -window flag onto a window policy.
-func parseWindow(s string) (audit.Window, error) {
-	s = strings.TrimSpace(s)
-	switch {
-	case s == "" || s == "full" || s == "0":
-		return audit.WindowFull(), nil
-	case s == "auto":
-		return audit.WindowAuto(0), nil
-	case strings.HasPrefix(s, "auto:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "auto:"))
-		if err != nil || n <= 0 {
-			return audit.Window{}, fmt.Errorf("bad -window %q: auto:N needs a positive IPD count", s)
-		}
-		return audit.WindowAuto(n), nil
-	default:
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return audit.Window{}, fmt.Errorf("bad -window %q: want 'full', an IPD count, or 'auto[:N]'", s)
-		}
-		if n == 0 {
-			return audit.WindowFull(), nil
-		}
-		return audit.WindowTrailing(n), nil
+		explain: fs.Bool("explain", false, "attach an evidence trail to each verdict: audited window and why, "+
+			"TDR deviation summary (visible with -json)"),
 	}
 }
 
 // options renders the shared flags as auditor options.
 func (a *auditFlags) options() ([]audit.Option, error) {
-	w, err := parseWindow(*a.window)
+	w, err := audit.ParseWindow(*a.window)
 	if err != nil {
 		return nil, err
 	}
@@ -522,10 +493,6 @@ func runAuditOpts(src audit.Source, af *auditFlags, opts []audit.Option) {
 	info := plan.Info()
 	logger.Info("auditing", "traces", info.Jobs, "shards", info.Shards,
 		"window", info.Window.Mode.String(), "workers", auditor.Workers(), "gomaxprocs", runtime.GOMAXPROCS(0))
-	if info.Window.Mode == audit.ModeAuto && info.TotalIPDs > 0 {
-		logger.Info("auto windows selected", "narrowed", info.Narrowed, "traces", info.Jobs,
-			"replayedIPDPct", 100*float64(info.AuditIPDs)/float64(info.TotalIPDs))
-	}
 
 	enc := json.NewEncoder(os.Stdout)
 	var verdicts []pipeline.Verdict
@@ -752,16 +719,13 @@ func obsMain(args []string) {
 // obsReportMain is the offline funnel analyzer: it reads persisted
 // span records (one spans.ndjson, or a trace dir with its rotated
 // generations) and renders the audit funnel per stage — counts,
-// p50/p99 wall, alloc, critical-path share — optionally diffed
-// against a second span file or trace dir's per-stage means.
+// p50/p99 wall, alloc, critical-path share.
 //
 //	tdraudit obs report -spans spool-traces/
 //	tdraudit obs report -spans spool-traces/spans.ndjson -json
-//	tdraudit obs report -spans spool-traces/ -baseline old-traces/
 func obsReportMain(args []string) {
 	fs := flag.NewFlagSet("tdraudit obs report", flag.ExitOnError)
 	spans := fs.String("spans", "", "spans.ndjson file, or a trace dir holding it plus rotated generations (required)")
-	baseline := fs.String("baseline", "", "span file or trace dir to diff the per-stage means against ('' = no diff)")
 	jsonOut := fs.Bool("json", false, "emit the funnel report as JSON instead of a table")
 	applyLog := addLogFlags(fs)
 	fs.Parse(args)
@@ -770,7 +734,14 @@ func obsReportMain(args []string) {
 		fatal(fmt.Errorf("obs report: -spans is required"))
 	}
 
-	rep := readFunnel(*spans)
+	recs, err := obs.ReadSpanFiles(*spans)
+	if err != nil {
+		fatal(err)
+	}
+	if len(recs) == 0 {
+		fatal(fmt.Errorf("obs report: no span records under %s", *spans))
+	}
+	rep := obs.BuildFunnelReport(recs)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -780,22 +751,4 @@ func obsReportMain(args []string) {
 	} else {
 		fmt.Print(rep.Format())
 	}
-	if *baseline == "" {
-		return
-	}
-	base := readFunnel(*baseline)
-	fmt.Printf("\nper-stage delta vs %s:\n", *baseline)
-	fmt.Print(obs.FormatStageDeltas(obs.DiffStageSummaries(base.Summaries(), rep.Summaries(), obs.StageDeltaTolerance)))
-}
-
-// readFunnel builds the funnel report of one span file or trace dir.
-func readFunnel(path string) *obs.FunnelReport {
-	recs, err := obs.ReadSpanFiles(path)
-	if err != nil {
-		fatal(err)
-	}
-	if len(recs) == 0 {
-		fatal(fmt.Errorf("obs report: no span records under %s", path))
-	}
-	return obs.BuildFunnelReport(recs)
 }

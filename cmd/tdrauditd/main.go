@@ -7,7 +7,7 @@
 //
 //	tdrauditd -dir spool                        # ingest :7070, http :7071
 //	tdrauditd -dir spool -secret s3cret         # authenticated ingest
-//	tdrauditd -dir spool -window auto -workers 8
+//	tdrauditd -dir spool -window 32 -workers 8  # trailing-window audits
 //	tdrauditd -dir spool -trace-dir traces      # per-sweep Chrome traces
 //	tdrauditd -dir spool -debug-addr :6060      # opt-in pprof
 //
@@ -37,8 +37,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -64,12 +62,12 @@ func main() {
 	maxBytes := fs.Int64("max-bytes-per-conn", 0, "per-connection payload-byte quota (0 = unlimited)")
 	workers := fs.Int("workers", 0, "audit workers (0 = GOMAXPROCS)")
 	threshold := fs.Float64("threshold", 0.05, "TDR suspicion threshold (max relative IPD deviation)")
-	window := fs.String("window", "full", "replay-window policy: 'full', an IPD count N, or 'auto[:N]'")
+	window := fs.String("window", "full", "replay-window policy: 'full' (or 0) audits whole traces; an integer N > 0 audits "+
+		"only each trace's trailing N inter-packet delays, and a benign verdict then covers only the window=[a,b) it names")
 	poll := fs.Duration("poll", 2*time.Second, "spool sweep interval between ingest notifications")
 	triageOn := fs.Bool("triage", true, "score traces at ingest and claim pending audits in descending-suspicion order")
 	claimBatch := fs.Int("claim-batch", 0, "traces claimed per sweep, highest suspicion first (0 = all pending)")
 	agingBoost := fs.Float64("aging-boost", 0, "suspicion added per sweep a pending trace waits unclaimed (0 = default 0.05, negative disables aging)")
-	triageSeed := fs.Bool("triage-seed", false, "let auto-window planning start from each trace's triage-flagged window (seeded verdict streams may differ bit-for-bit from unseeded ones)")
 	traceDir := fs.String("trace-dir", "", "write per-sweep Chrome trace_event JSON and spans.ndjson here ('' disables tracing)")
 	traceMaxBytes := fs.Int64("trace-max-bytes", obs.DefaultSpanLogMaxBytes, "rotate spans.ndjson when the active file exceeds this size")
 	traceKeep := fs.Int("trace-keep", obs.DefaultSpanLogMaxFiles, "rotated spans.ndjson generations to keep")
@@ -90,21 +88,17 @@ func main() {
 		fatal(fmt.Errorf("-dir is required"))
 	}
 
-	w, err := parseWindow(*window)
+	w, err := audit.ParseWindow(*window)
 	if err != nil {
 		fatal(err)
 	}
-	auditorOpts := []audit.Option{
+	auditor, err := audit.New(
 		audit.WithRegistry(fixtures.KnownGood),
 		audit.WithWorkers(*workers),
 		audit.WithThresholds(*threshold, 0),
 		audit.WithWindow(w),
 		audit.WithExplain(),
-	}
-	if *triageSeed {
-		auditorOpts = append(auditorOpts, audit.WithWindowSeed())
-	}
-	auditor, err := audit.New(auditorOpts...)
+	)
 	if err != nil {
 		fatal(err)
 	}
@@ -148,33 +142,6 @@ func main() {
 	}()
 	if err := d.Run(ctx); err != nil {
 		fatal(err)
-	}
-}
-
-// parseWindow maps the -window flag onto a window policy (same
-// grammar as tdraudit).
-func parseWindow(s string) (audit.Window, error) {
-	s = strings.TrimSpace(s)
-	switch {
-	case s == "" || s == "full" || s == "0":
-		return audit.WindowFull(), nil
-	case s == "auto":
-		return audit.WindowAuto(0), nil
-	case strings.HasPrefix(s, "auto:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "auto:"))
-		if err != nil || n <= 0 {
-			return audit.Window{}, fmt.Errorf("bad -window %q: auto:N needs a positive IPD count", s)
-		}
-		return audit.WindowAuto(n), nil
-	default:
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			return audit.Window{}, fmt.Errorf("bad -window %q: want 'full', an IPD count, or 'auto[:N]'", s)
-		}
-		if n == 0 {
-			return audit.WindowFull(), nil
-		}
-		return audit.WindowTrailing(n), nil
 	}
 }
 

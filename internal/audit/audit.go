@@ -12,16 +12,15 @@
 //	auditor, _ := audit.New(
 //	    audit.WithRegistry(reg),
 //	    audit.WithWorkers(8),
-//	    audit.WithWindow(audit.WindowAuto(0)),
+//	    audit.WithWindow(audit.WindowTrailing(32)),
 //	)
 //	plan, _ := auditor.Plan(ctx, audit.Dir("corpus"))
 //	for v, err := range plan.Run(ctx) { ... }
 //
-// Plan resolves shards against the auditor's known-good registry,
-// applies cross-machine calibration, and — for auto windowing — runs
-// the CCE-over-sliding-windows prefilter that picks each trace's
-// audited IPD range. Run streams verdicts in submission order and
-// honors context cancellation at every layer of the pipeline.
+// Plan resolves shards against the auditor's known-good registry and
+// applies cross-machine calibration. Run streams verdicts in
+// submission order and honors context cancellation at every layer of
+// the pipeline.
 package audit
 
 import (
@@ -36,8 +35,8 @@ import (
 // WithProgress callback: which stage the auditor is in and how far
 // along it is. Total is 0 when the stage's size is unknown.
 type Progress struct {
-	// Stage is "resolve" (shard resolution + training loads),
-	// "select" (window prefiltering), or "audit" (verdicts emitted).
+	// Stage is "resolve" (shard resolution + training loads) or
+	// "audit" (verdicts emitted).
 	Stage string
 	// Done and Total count the stage's units (shards, traces, jobs).
 	Done, Total int
@@ -59,7 +58,6 @@ type Auditor struct {
 	models     *calib.Set
 	progress   func(Progress)
 	explain    bool
-	seedWindow bool
 }
 
 // Option configures an Auditor.
@@ -85,8 +83,8 @@ func WithThresholds(tdr, stat float64) Option {
 	return func(a *Auditor) { a.tdrLimit, a.statLimit = tdr, stat }
 }
 
-// WithWindow sets the replay-window policy (WindowFull,
-// WindowTrailing, WindowAuto) applied at plan time.
+// WithWindow sets the replay-window policy (WindowFull or
+// WindowTrailing) applied to every trace of the auditor's plans.
 func WithWindow(w Window) Option { return func(a *Auditor) { a.window = w } }
 
 // WithRegistry sets the auditor's known-good registry: the programs
@@ -113,27 +111,11 @@ func WithCalibration(set *calib.Set) Option { return func(a *Auditor) { a.models
 func WithProgress(fn func(Progress)) Option { return func(a *Auditor) { a.progress = fn } }
 
 // WithExplain attaches the evidence trail to every verdict
-// (Verdict.Explain): which window was audited and why, the window
-// selector's per-window CCE z-scores under auto windowing, and the
-// TDR deviation summary. Scores, decisions, and the canonical verdict
+// (Verdict.Explain): which window was audited and why, and the TDR
+// deviation summary. Scores, decisions, and the canonical verdict
 // encoding are unaffected — explain is additive evidence, not a
 // different audit.
 func WithExplain() Option { return func(a *Auditor) { a.explain = true } }
-
-// WithWindowSeed lets auto-window planning start from each job's
-// triage hint (pipeline.Job.TriageHint — the window the ingest-time
-// detector ensemble flagged): the hinted region is scored first and,
-// when it is decisive on its own, the per-trace sliding scan is
-// skipped entirely. Jobs without a hint, or whose hint does not
-// clear the decisive threshold, fall back to the full scan, so
-// seeding never weakens the selection — it only short-circuits it.
-//
-// Off by default: a decisive seed can narrow a trace to a different
-// (equally decisive) window than the full scan's arg-max would pick,
-// so seeded verdict streams are not guaranteed byte-identical to
-// un-seeded ones. Turn it on when plan latency matters more than
-// bit-for-bit parity with un-triaged audits.
-func WithWindowSeed() Option { return func(a *Auditor) { a.seedWindow = true } }
 
 // New builds an Auditor from its options.
 func New(opts ...Option) (*Auditor, error) {
@@ -155,9 +137,7 @@ func New(opts ...Option) (*Auditor, error) {
 func (a *Auditor) Workers() int { return pipeline.New(a.pipelineConfig()).Workers() }
 
 // pipelineConfig renders the auditor's knobs as a pipeline
-// configuration. The window policy's pipeline half (WindowIPDs) is
-// applied here; the per-job half (auto-selected Job.Window overrides)
-// is applied by Plan.
+// configuration, window policy included.
 func (a *Auditor) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Config{
 		Workers:       a.workers,
@@ -167,7 +147,7 @@ func (a *Auditor) pipelineConfig() pipeline.Config {
 		StatThreshold: a.statLimit,
 		Explain:       a.explain,
 	}
-	if a.window.Mode != ModeFull {
+	if a.window.Mode == ModeTrailing {
 		cfg.WindowIPDs = a.window.IPDs
 	}
 	return cfg

@@ -167,81 +167,49 @@ func TestAuditorParityMixedCorpus(t *testing.T) {
 	}
 }
 
-// TestWindowAutoAgreesWithFullReplay: the auto-selection mode must
-// agree with whole-trace audits on every labeled trace — benign and
-// covert — while actually replaying fewer IPDs. This is the safety
-// contract that lets a service turn `-window auto` on by default.
-func TestWindowAutoAgreesWithFullReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("records a played corpus")
-	}
-	st := exportCheckpointedNFS(t, 16, 60, 8, 20_26)
-
-	a, err := audit.New(audit.WithRegistry(fixtures.KnownGood))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullPlan, err := a.Plan(context.Background(), audit.FromStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := fullPlan.RunAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	auto, err := audit.New(audit.WithRegistry(fixtures.KnownGood), audit.WithWindow(audit.WindowAuto(24)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := auto.Plan(context.Background(), audit.FromStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := plan.Info()
-	if info.AuditIPDs >= info.TotalIPDs || info.Narrowed == 0 {
-		t.Fatalf("auto plan replays %d of %d IPDs (narrowed %d); expected a real reduction",
-			info.AuditIPDs, info.TotalIPDs, info.Narrowed)
-	}
-	r, err := plan.RunAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Verdicts) != len(full.Verdicts) {
-		t.Fatalf("verdict counts diverged: %d vs %d", len(r.Verdicts), len(full.Verdicts))
-	}
-	for i := range r.Verdicts {
-		if r.Verdicts[i].Suspicious != full.Verdicts[i].Suspicious {
-			t.Errorf("trace %s (%s): auto verdict %v, full verdict %v",
-				r.Verdicts[i].JobID, r.Verdicts[i].Label,
-				r.Verdicts[i].Suspicious, full.Verdicts[i].Suspicious)
-		}
-	}
-	if full.Metrics.TruePositives == 0 || full.Metrics.TrueNegatives == 0 {
-		t.Fatalf("degenerate corpus: TP %d TN %d", full.Metrics.TruePositives, full.Metrics.TrueNegatives)
-	}
-}
-
-// TestPlanDoesNotMutateSourceBatch: planning with auto windows must
-// leave the caller's in-memory batch untouched, so one batch can feed
-// plans with different window policies.
+// TestPlanDoesNotMutateSourceBatch: one in-memory batch feeds plans
+// with different window policies. Planning and running a trailing
+// audit leaves the caller's jobs as they were, and a full audit of
+// the same batch afterwards says exactly what it said before.
 func TestPlanDoesNotMutateSourceBatch(t *testing.T) {
 	set, err := fixtures.SyntheticSet(fixtures.SmallSet(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := set.Batch(false, 6)
-	a, err := audit.New(audit.WithWindow(audit.WindowAuto(40)))
+	before := append([]pipeline.Job(nil), b.Jobs...)
+	full, err := audit.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Plan(context.Background(), audit.FromBatch(b)); err != nil {
+	trailing, err := audit.New(audit.WithWindow(audit.WindowTrailing(40)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, j := range b.Jobs {
-		if j.Window != nil {
-			t.Fatalf("plan wrote a window into the source batch's job %d", i)
+	runCanonical := func(a *audit.Auditor) []byte {
+		t.Helper()
+		plan, err := a.Plan(context.Background(), audit.FromBatch(b))
+		if err != nil {
+			t.Fatal(err)
 		}
+		r, err := plan.RunAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Canonical()
+	}
+	want := runCanonical(full)
+	runCanonical(trailing)
+	if len(b.Jobs) != len(before) {
+		t.Fatalf("plan resized the source batch: %d jobs, want %d", len(b.Jobs), len(before))
+	}
+	for i, j := range b.Jobs {
+		if j.ID != before[i].ID || j.Shard != before[i].Shard || j.Label != before[i].Label || j.Trace != before[i].Trace {
+			t.Fatalf("plan rewrote the source batch's job %d", i)
+		}
+	}
+	if got := runCanonical(full); !bytes.Equal(got, want) {
+		t.Fatalf("full audit changed after a trailing plan over the same batch\nbefore:\n%s\nafter:\n%s", want, got)
 	}
 }
 

@@ -1,10 +1,6 @@
 package audit
 
-import (
-	"fmt"
-
-	"sanity/internal/pipeline"
-)
+import "sanity/internal/pipeline"
 
 // ErrCanceled is the sentinel matched by errors.Is when an audit was
 // canceled through its context before every verdict was emitted. It
@@ -13,24 +9,3 @@ import (
 // (pipeline.CanceledError) additionally unwraps to the context cause,
 // so errors.Is(err, context.Canceled) holds too.
 var ErrCanceled = pipeline.ErrCanceled
-
-// ErrNoWindow is the sentinel matched by errors.Is when the window
-// prefilter cannot select an audit window: no training material to
-// learn the benign entropy baseline from, or a trace too short to
-// hold a single window. The typed form is NoWindowError.
-var ErrNoWindow = fmt.Errorf("audit: no audit window")
-
-// NoWindowError is the typed form of ErrNoWindow, carrying why the
-// selection failed. It unwraps to ErrNoWindow.
-type NoWindowError struct {
-	// Reason says what the prefilter was missing.
-	Reason string
-}
-
-// Error implements error.
-func (e *NoWindowError) Error() string {
-	return fmt.Sprintf("audit: cannot select an audit window: %s", e.Reason)
-}
-
-// Unwrap makes errors.Is(err, ErrNoWindow) hold.
-func (e *NoWindowError) Unwrap() error { return ErrNoWindow }

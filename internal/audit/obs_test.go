@@ -151,39 +151,14 @@ func TestAuditSpanTree(t *testing.T) {
 	}
 
 	// Plan-level spans: shard resolution is its own root, once per
-	// plan; window selection only runs in auto mode, so a trailing
-	// plan must not record it.
+	// plan.
 	for _, spans := range [][]obs.SpanRecord{spans1, spans4} {
 		counts := map[string]int{}
 		for _, s := range spans {
 			counts[s.Name]++
 		}
-		if counts[obs.StageResolve] != 1 || counts[obs.StageSelect] != 0 {
-			t.Fatalf("plan-level spans wrong: resolve=%d select=%d, want 1 and 0",
-				counts[obs.StageResolve], counts[obs.StageSelect])
+		if counts[obs.StageResolve] != 1 {
+			t.Fatalf("plan-level spans wrong: resolve=%d, want 1", counts[obs.StageResolve])
 		}
-	}
-
-	// An auto-window plan DOES record the selection stage — planning
-	// alone (no Run) is enough to see resolve + select.
-	tracer := obs.NewTracer()
-	ctx := obs.NewObserver(tracer, nil).Context(context.Background())
-	auto, err := audit.New(
-		audit.WithRegistry(fixtures.KnownGood),
-		audit.WithWindow(audit.WindowAuto(8)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := auto.Plan(ctx, audit.FromStore(st)); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, s := range tracer.Drain() {
-		counts[s.Name]++
-	}
-	if counts[obs.StageResolve] != 1 || counts[obs.StageSelect] != 1 {
-		t.Fatalf("auto plan spans wrong: resolve=%d select=%d, want 1 each",
-			counts[obs.StageResolve], counts[obs.StageSelect])
 	}
 }

@@ -72,8 +72,7 @@ type Config struct {
 	// arrival-order (FIFO) claiming and writes no scores.
 	DisableTriage bool
 	// Triage tunes the detector ensemble (window geometry, CCE
-	// parameters). Zero values select the triage package defaults,
-	// which match the audit planner's window geometry.
+	// parameters). Zero values select the triage package defaults.
 	Triage triage.Options
 	// ClaimBatch caps how many pending traces one sweep claims,
 	// highest priority first. Zero claims everything pending — the
@@ -109,7 +108,7 @@ type Config struct {
 	LogRingSize int
 	// TraceDir, when non-empty, turns span tracing on: after each
 	// sweep the collected spans (ingest admissions, claim, resolve,
-	// select, and the full per-trace replay timeline) are written to
+	// and the full per-trace replay timeline) are written to
 	// TraceDir as one Chrome trace_event JSON file per sweep
 	// (sweep-NNNN.trace.json, openable in chrome://tracing or
 	// Perfetto) and appended to a rotated spans.ndjson log. The

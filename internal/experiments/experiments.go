@@ -75,11 +75,10 @@ type Sizes struct {
 	TriageMatchFP       float64 // FP budget the TP comparison is read at
 
 	// Windowed-replay experiment.
-	ReplayWindowTraces   int   // labeled test traces
-	ReplayWindowPackets  int   // packets per trace
-	ReplayWindowEvery    int   // checkpoint interval (outputs)
-	ReplayWindowSweep    []int // audited tail-window sizes (IPDs)
-	ReplayWindowAutoIPDs int   // auto-selection arm's window size (IPDs)
+	ReplayWindowTraces  int   // labeled test traces
+	ReplayWindowPackets int   // packets per trace
+	ReplayWindowEvery   int   // checkpoint interval (outputs)
+	ReplayWindowSweep   []int // audited tail-window sizes (IPDs)
 }
 
 // DefaultSizes is the quick configuration used by tests and the
@@ -111,11 +110,10 @@ func DefaultSizes() Sizes {
 		TriageNeedlePeriods: []int64{8, 16, 32, 64},
 		TriageMatchFP:       0.2,
 
-		ReplayWindowTraces:   24,
-		ReplayWindowPackets:  96,
-		ReplayWindowEvery:    16,
-		ReplayWindowSweep:    []int{8, 16, 32},
-		ReplayWindowAutoIPDs: 32,
+		ReplayWindowTraces:  24,
+		ReplayWindowPackets: 96,
+		ReplayWindowEvery:   16,
+		ReplayWindowSweep:   []int{8, 16, 32},
 	}
 }
 
@@ -147,11 +145,10 @@ func FullSizes() Sizes {
 		TriageNeedlePeriods: []int64{8, 16, 32, 64, 100},
 		TriageMatchFP:       0.1,
 
-		ReplayWindowTraces:   64,
-		ReplayWindowPackets:  400,
-		ReplayWindowEvery:    25,
-		ReplayWindowSweep:    []int{10, 25, 50, 100, 200},
-		ReplayWindowAutoIPDs: 100,
+		ReplayWindowTraces:  64,
+		ReplayWindowPackets: 400,
+		ReplayWindowEvery:   25,
+		ReplayWindowSweep:   []int{10, 25, 50, 100, 200},
 	}
 }
 

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
-	"sanity/internal/audit"
 	"sanity/internal/fixtures"
 	"sanity/internal/pipeline"
 )
@@ -17,10 +15,6 @@ type ReplayWindowPoint struct {
 	// WindowIPDs is the IPD window each trace was audited over; 0
 	// marks the full-audit baseline row.
 	WindowIPDs int
-	// Auto marks the auto-selection arm: the window is not a fixed
-	// trailing range but the per-trace region the CCE prefilter
-	// flagged, with whole-trace fallback when nothing stood out.
-	Auto bool
 
 	TracesPerSec float64
 	// Speedup is TracesPerSec over the full-audit baseline's.
@@ -29,18 +23,10 @@ type ReplayWindowPoint struct {
 	// VerdictAgreement is the fraction of traces whose binary verdict
 	// matches the full audit's; CovertAgreement restricts it to the
 	// covert-labeled traces — the population windowing could hurt.
-	// Trailing windows change *coverage* (a delay outside the window
-	// is invisible by construction); the auto arm narrows only where
-	// the statistics localize the anomaly and must therefore hold
-	// CovertAgreement at 1.0.
+	// Trailing windows change *coverage*: a delay outside the window
+	// is invisible by construction.
 	VerdictAgreement float64
 	CovertAgreement  float64
-
-	// Narrowed counts traces the auto prefilter narrowed; CoverageFrac
-	// is the fraction of all IPDs the TDR path replayed (1.0 for the
-	// baseline; the auto arm's measure of "fewer IPDs").
-	Narrowed     int
-	CoverageFrac float64
 
 	TruePositives  int
 	FalsePositives int
@@ -53,19 +39,16 @@ type ReplayWindowResult struct {
 	Traces          int
 	Packets         int
 	CheckpointEvery int
-	AutoWindowIPDs  int
 	Points          []ReplayWindowPoint
 }
 
 // ReplayWindow measures what checkpointed logs buy the audit hot
 // path: one labeled corpus is recorded with quiescence-boundary
-// checkpoints, then audited in full, with progressively narrower
-// trailing windows, and through the auto-selection arm, where the
-// CCE-over-sliding-windows prefilter picks each trace's audited
-// range. Every windowed audit resumes each trace's replay from the
-// last checkpoint before its window and halts at the window's end,
-// so the per-trace replay cost shrinks from the whole log to roughly
-// window + checkpoint-interval outputs.
+// checkpoints, then audited in full and with progressively narrower
+// trailing windows. Every windowed audit resumes each trace's replay
+// from the last checkpoint before its window and halts at the
+// window's end, so the per-trace replay cost shrinks from the whole
+// log to roughly window + checkpoint-interval outputs.
 func ReplayWindow(sizes Sizes, baseSeed uint64) (*ReplayWindowResult, error) {
 	batch, err := fixtures.CheckpointedAuditBatch(
 		sizes.ReplayWindowTraces, sizes.ReplayWindowPackets, sizes.ReplayWindowEvery, baseSeed)
@@ -76,7 +59,6 @@ func ReplayWindow(sizes Sizes, baseSeed uint64) (*ReplayWindowResult, error) {
 		Traces:          len(batch.Jobs),
 		Packets:         sizes.ReplayWindowPackets,
 		CheckpointEvery: sizes.ReplayWindowEvery,
-		AutoWindowIPDs:  sizes.ReplayWindowAutoIPDs,
 	}
 
 	run := func(window int) (*pipeline.Results, float64, error) {
@@ -98,9 +80,7 @@ func ReplayWindow(sizes Sizes, baseSeed uint64) (*ReplayWindowResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: replaywindow full audit: %w", err)
 	}
-	base := pointFrom(0, full, full, fullTps, fullTps)
-	base.CoverageFrac = 1
-	res.Points = append(res.Points, base)
+	res.Points = append(res.Points, pointFrom(0, full, full, fullTps, fullTps))
 
 	for _, w := range sizes.ReplayWindowSweep {
 		r, tps, err := run(w)
@@ -110,34 +90,6 @@ func ReplayWindow(sizes Sizes, baseSeed uint64) (*ReplayWindowResult, error) {
 		res.Points = append(res.Points, pointFrom(w, r, full, tps, fullTps))
 	}
 
-	// The auto-selection arm: plan (prefilter included in the timed
-	// cost — it is part of what an auto audit spends) and run.
-	auditor, err := audit.New(audit.WithWindow(audit.WindowAuto(sizes.ReplayWindowAutoIPDs)))
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	plan, err := auditor.Plan(context.Background(), audit.FromBatch(batch))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: replaywindow auto plan: %w", err)
-	}
-	r, err := plan.RunAll(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: replaywindow auto audit: %w", err)
-	}
-	elapsed := time.Since(start).Seconds()
-	tps := 0.0
-	if elapsed > 0 {
-		tps = float64(len(r.Verdicts)) / elapsed
-	}
-	p := pointFrom(sizes.ReplayWindowAutoIPDs, r, full, tps, fullTps)
-	p.Auto = true
-	info := plan.Info()
-	p.Narrowed = info.Narrowed
-	if info.TotalIPDs > 0 {
-		p.CoverageFrac = float64(info.AuditIPDs) / float64(info.TotalIPDs)
-	}
-	res.Points = append(res.Points, p)
 	return res, nil
 }
 
@@ -186,16 +138,9 @@ func FormatReplayWindow(r *ReplayWindowResult) string {
 		if p.WindowIPDs == 0 {
 			label = "  full"
 		}
-		if p.Auto {
-			label = fmt.Sprintf("auto%2d", p.WindowIPDs)
-		}
 		fmt.Fprintf(&sb, "  %s  %9.2f  %7.2fx  %5.1f%%  %12.1f%%  %3d %3d %3d %3d",
 			label, p.TracesPerSec, p.Speedup, p.VerdictAgreement*100, p.CovertAgreement*100,
 			p.TruePositives, p.FalsePositives, p.TrueNegatives, p.FalseNegatives)
-		if p.Auto {
-			fmt.Fprintf(&sb, "  (narrowed %d/%d traces, %.0f%% of IPDs replayed)",
-				p.Narrowed, r.Traces, p.CoverageFrac*100)
-		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()

@@ -116,20 +116,6 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[i]
 }
 
-// Summaries converts the report to the StageSummary map shape, for
-// diffing via DiffStageSummaries.
-func (r *FunnelReport) Summaries() map[string]StageSummary {
-	out := make(map[string]StageSummary, len(r.Stages))
-	for _, s := range r.Stages {
-		out[s.Stage] = StageSummary{
-			Count:           uint64(s.Count),
-			TotalSeconds:    s.TotalSeconds,
-			TotalAllocBytes: float64(s.TotalAllocBytes),
-		}
-	}
-	return out
-}
-
 // Format renders the funnel table.
 func (r *FunnelReport) Format() string {
 	var b strings.Builder
@@ -233,92 +219,4 @@ func ReadSpanFiles(path string) ([]SpanRecord, error) {
 		out = append(out, recs...)
 	}
 	return out, nil
-}
-
-// StageDelta compares one stage's per-span means between a baseline
-// and a current run.
-type StageDelta struct {
-	Stage            string  `json:"stage"`
-	BaseCount        uint64  `json:"baseCount"`
-	Count            uint64  `json:"count"`
-	BaseMeanSeconds  float64 `json:"baseMeanSeconds"`
-	MeanSeconds      float64 `json:"meanSeconds"`
-	BaseMeanAlloc    float64 `json:"baseMeanAlloc"`
-	MeanAlloc        float64 `json:"meanAlloc"`
-	WallDeltaFrac    float64 `json:"wallDeltaFrac"`  // (cur-base)/base, 0 when base is 0
-	AllocDeltaFrac   float64 `json:"allocDeltaFrac"` // (cur-base)/base, 0 when base is 0
-	Regressed        bool    `json:"regressed"`
-	RegressedBecause string  `json:"regressedBecause,omitempty"`
-}
-
-// StageDeltaTolerance is the relative growth in a stage's mean wall
-// time or mean allocation past which `tdraudit obs report -baseline`
-// marks the stage REGRESSED.
-const StageDeltaTolerance = 0.25
-
-// DiffStageSummaries compares per-stage means against a baseline and
-// flags stages whose mean wall time or mean allocation grew past
-// 1+tol. Wall-time deltas are machine-dependent (same caveat as every
-// ns/op comparison); the flags are advisory, not a gate.
-func DiffStageSummaries(base, cur map[string]StageSummary, tol float64) []StageDelta {
-	names := make(map[string][]float64) // reuse stageOrder's key ordering
-	for name := range base {
-		names[name] = nil
-	}
-	for name := range cur {
-		names[name] = nil
-	}
-	var out []StageDelta
-	for _, name := range stageOrder(names) {
-		b, c := base[name], cur[name]
-		d := StageDelta{Stage: name, BaseCount: b.Count, Count: c.Count}
-		if b.Count > 0 {
-			d.BaseMeanSeconds = b.TotalSeconds / float64(b.Count)
-			d.BaseMeanAlloc = b.TotalAllocBytes / float64(b.Count)
-		}
-		if c.Count > 0 {
-			d.MeanSeconds = c.TotalSeconds / float64(c.Count)
-			d.MeanAlloc = c.TotalAllocBytes / float64(c.Count)
-		}
-		if d.BaseMeanSeconds > 0 {
-			d.WallDeltaFrac = (d.MeanSeconds - d.BaseMeanSeconds) / d.BaseMeanSeconds
-		}
-		if d.BaseMeanAlloc > 0 {
-			d.AllocDeltaFrac = (d.MeanAlloc - d.BaseMeanAlloc) / d.BaseMeanAlloc
-		}
-		switch {
-		case b.Count > 0 && c.Count > 0 && d.WallDeltaFrac > tol:
-			d.Regressed, d.RegressedBecause = true, "wall"
-		case b.Count > 0 && c.Count > 0 && d.AllocDeltaFrac > tol:
-			d.Regressed, d.RegressedBecause = true, "alloc"
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// FormatStageDeltas renders a delta table, one row per stage, with a
-// REGRESSED marker on flagged rows.
-func FormatStageDeltas(deltas []StageDelta) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %12s %12s %8s %12s %12s %8s\n",
-		"stage", "base", "now", "wall", "base alloc", "now alloc", "alloc")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regressed {
-			mark = "  REGRESSED(" + d.RegressedBecause + ")"
-		}
-		switch {
-		case d.BaseCount == 0:
-			mark = "  (new)"
-		case d.Count == 0:
-			mark = "  (gone)"
-		}
-		fmt.Fprintf(&b, "%-14s %12s %12s %+7.1f%% %12s %12s %+7.1f%%%s\n",
-			d.Stage,
-			fmtSeconds(d.BaseMeanSeconds), fmtSeconds(d.MeanSeconds), d.WallDeltaFrac*100,
-			fmtBytes(int64(d.BaseMeanAlloc)), fmtBytes(int64(d.MeanAlloc)), d.AllocDeltaFrac*100,
-			mark)
-	}
-	return b.String()
 }

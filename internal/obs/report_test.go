@@ -119,47 +119,3 @@ func TestReadSpanFiles(t *testing.T) {
 		t.Fatal("mid-file garbage not rejected")
 	}
 }
-
-// TestDiffStageSummaries: regression flags fire past tolerance on
-// wall or alloc means, and new/gone stages are marked not regressed.
-func TestDiffStageSummaries(t *testing.T) {
-	base := map[string]StageSummary{
-		StageReplay:  {Count: 10, TotalSeconds: 1.0, TotalAllocBytes: 10 << 20},
-		StageStat:    {Count: 10, TotalSeconds: 0.1, TotalAllocBytes: 1 << 20},
-		StageCompare: {Count: 10, TotalSeconds: 0.2, TotalAllocBytes: 1 << 20},
-		"old.stage":  {Count: 5, TotalSeconds: 0.5},
-	}
-	cur := map[string]StageSummary{
-		StageReplay:  {Count: 10, TotalSeconds: 2.0, TotalAllocBytes: 10 << 20}, // wall 2x
-		StageStat:    {Count: 10, TotalSeconds: 0.1, TotalAllocBytes: 4 << 20},  // alloc 4x
-		StageCompare: {Count: 20, TotalSeconds: 0.44, TotalAllocBytes: 2 << 20}, // means ~+10%
-		"new.stage":  {Count: 5, TotalSeconds: 0.5},
-	}
-	deltas := DiffStageSummaries(base, cur, 0.25)
-	byStage := make(map[string]StageDelta)
-	for _, d := range deltas {
-		byStage[d.Stage] = d
-	}
-	if d := byStage[StageReplay]; !d.Regressed || d.RegressedBecause != "wall" {
-		t.Fatalf("replay should flag wall regression: %+v", d)
-	}
-	if d := byStage[StageStat]; !d.Regressed || d.RegressedBecause != "alloc" {
-		t.Fatalf("stat should flag alloc regression: %+v", d)
-	}
-	if d := byStage[StageCompare]; d.Regressed {
-		t.Fatalf("compare within tolerance flagged: %+v", d)
-	}
-	if d := byStage["new.stage"]; d.Regressed || d.BaseCount != 0 {
-		t.Fatalf("new stage mishandled: %+v", d)
-	}
-	if d := byStage["old.stage"]; d.Regressed || d.Count != 0 {
-		t.Fatalf("gone stage mishandled: %+v", d)
-	}
-	table := FormatStageDeltas(deltas)
-	if !strings.Contains(table, "REGRESSED(wall)") || !strings.Contains(table, "REGRESSED(alloc)") {
-		t.Fatalf("delta table lacks regression markers:\n%s", table)
-	}
-	if !strings.Contains(table, "(new)") || !strings.Contains(table, "(gone)") {
-		t.Fatalf("delta table lacks new/gone markers:\n%s", table)
-	}
-}

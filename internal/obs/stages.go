@@ -11,7 +11,6 @@ const (
 	StageSweep       = "sweep"
 	StageClaim       = "claim"
 	StageResolve     = "resolve"
-	StageSelect      = "select"
 	StageTrace       = "trace"
 	StageLoad        = "load"
 	StageStat        = "stat"
@@ -25,10 +24,10 @@ const (
 )
 
 // Stages lists every canonical stage in funnel order — the row order
-// reports and delta tables print, and the vocabulary CI checks
-// rendered tables against.
+// reports print, and the vocabulary CI checks rendered tables
+// against.
 var Stages = []string{
-	StageIngest, StageTriage, StageSweep, StageClaim, StageResolve, StageSelect,
+	StageIngest, StageTriage, StageSweep, StageClaim, StageResolve,
 	StageTrace, StageLoad, StageStat, StageTDR, StageSegment,
 	StageRestore, StageReplay, StageCompare, StageVerdict, StageStoreDecode,
 }

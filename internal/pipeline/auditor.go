@@ -12,8 +12,7 @@ import (
 	"sanity/internal/svm"
 )
 
-// IPDWindow is an explicit audited IPD range [From, To) for one job
-// in windowed mode.
+// IPDWindow is the IPD range [From, To) a windowed audit replayed.
 type IPDWindow struct {
 	From, To int
 }
@@ -90,18 +89,12 @@ func newAuditor(s *Shard, cfg Config) (*auditor, error) {
 	return a, nil
 }
 
-// windowFor resolves the audited IPD range for one job. Windowing is
-// opt-in at the pipeline level (Config.WindowIPDs > 0): only then do
-// per-job overrides apply, else the trailing configured window; a
-// pipeline configured for whole-trace audits ignores Job.Window
-// entirely (ok == false), so stale overrides can never silently
-// shrink an audit's coverage. A whole-trace audit is [0, -1).
-func (a *auditor) windowFor(job Job, ipds int) (from, to int, ok bool) {
+// windowFor resolves the audited IPD range of a trace with ipds
+// delays: the trailing Config.WindowIPDs when windowing is on, else
+// the whole trace ([0, -1), ok == false).
+func (a *auditor) windowFor(ipds int) (from, to int, ok bool) {
 	if a.tdrWindow <= 0 {
 		return 0, -1, false
-	}
-	if job.Window != nil {
-		return job.Window.From, job.Window.To, true
 	}
 	return max(ipds-a.tdrWindow, 0), ipds, true
 }
@@ -117,7 +110,7 @@ func (a *auditor) load(job Job) (*Trace, error) {
 		return job.Load()
 	}
 	return job.LoadWindow(func(ipds int) int {
-		from, _, _ := a.windowFor(job, ipds)
+		from, _, _ := a.windowFor(ipds)
 		return from
 	})
 }
@@ -165,7 +158,7 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 		v.Scores = append(v.Scores, Score{Detector: d.Name(), Value: s})
 	}
 	statSpan.End()
-	from, to, windowed := a.windowFor(job, len(tr.IPDs))
+	from, to, windowed := a.windowFor(len(tr.IPDs))
 	if a.tdr != nil && tr.Log != nil && tr.Play != nil {
 		tctx, tdrSpan := obs.StartSpan(ctx, obs.StageTDR)
 		cmp, score, err := a.tdr.Detail(tctx, tr, from, to, a.resume)
@@ -187,28 +180,21 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 		v.Err = strings.Join(errs, "; ")
 	}
 	if a.explain {
-		a.fillExplain(&v, job, from, to, windowed)
+		a.fillExplain(&v, from, to, windowed)
 	}
 	verdictSpan.End()
 	return v
 }
 
 // fillExplain attaches the evidence trail: the audited window and the
-// policy behind it (seeded by the plan in auto mode), plus the TDR
-// deviation summary located under the same slack the threshold used.
-func (a *auditor) fillExplain(v *Verdict, job Job, from, to int, windowed bool) {
-	ex := job.Explain.clone()
+// policy behind it, plus the TDR deviation summary located under the
+// same slack the threshold used.
+func (a *auditor) fillExplain(v *Verdict, from, to int, windowed bool) {
+	ex := &Explain{WindowMode: "full", WindowReason: "whole trace audited (no window policy)"}
 	if windowed {
+		ex.WindowMode = "trailing"
+		ex.WindowReason = fmt.Sprintf("trailing %d IPDs (pipeline window policy)", a.tdrWindow)
 		ex.Window = &IPDWindow{From: from, To: to}
-	}
-	if ex.WindowMode == "" {
-		if windowed {
-			ex.WindowMode = "trailing"
-			ex.WindowReason = fmt.Sprintf("trailing %d IPDs (pipeline window policy)", a.tdrWindow)
-		} else {
-			ex.WindowMode = "full"
-			ex.WindowReason = "whole trace audited (no window policy)"
-		}
 	}
 	if v.TDR != nil {
 		slack := int64(0)

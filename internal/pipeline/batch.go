@@ -72,29 +72,6 @@ type Job struct {
 	// window never restores (store.LoadTraceWindow). Optional; when nil
 	// the auditor calls Load.
 	LoadWindow func(resume func(ipds int) int) (*Trace, error)
-	// LoadIPDs, optionally set alongside Load, materializes only the
-	// job's inter-packet delays, skipping the (much larger) log and
-	// execution sections. Statistical prefilters — the audit planner's
-	// window selection — use it so planning a corpus never decodes a
-	// replay log. Optional; when nil, a prefilter falls back to Load.
-	LoadIPDs func() ([]int64, error)
-	// Window, when non-nil and the pipeline runs in windowed mode,
-	// overrides the audited IPD range for this job — e.g. the region a
-	// cheap statistical prefilter flagged. Nil selects the pipeline's
-	// trailing default window.
-	Window *IPDWindow
-	// TriageHint is the IPD range the ingest-time triage ensemble
-	// flagged as most suspicious, when the trace carries a persisted
-	// score with one. It is advisory: the audit planner's seeded
-	// window selection (audit.WithWindowSeed) checks the hinted
-	// region first and skips its full scan when the hint proves
-	// decisive. Nil (or planners without seeding) changes nothing.
-	TriageHint *IPDWindow
-	// Explain, when the pipeline runs with Config.Explain, seeds the
-	// verdict's evidence trail — the audit planner stores the window
-	// scan that chose (or declined) this job's window here. Ignored
-	// when explain mode is off.
-	Explain *Explain
 }
 
 // Batch is one pipeline input: a set of shards and the jobs to audit

@@ -2,8 +2,11 @@ package pipeline_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"sanity/internal/calib"
@@ -91,6 +94,67 @@ func TestDifferentialWindowedSameMachine(t *testing.T) {
 		}
 	}
 	_ = ref
+
+	// A trailing window is a partial audit by design, so a benign
+	// verdict must say which range it covers: the JSON verdict's
+	// tdrWindow, the canonical text's window=[a,b) and the explain
+	// trail all name the trailing k IPDs of an n-IPD trace.
+	t.Run("benign_verdict_names_its_window", func(t *testing.T) {
+		ipds := map[string]int{}
+		for _, e := range st.Entries() {
+			if e.Role != store.RoleTest {
+				continue
+			}
+			d, err := st.LoadIPDs(e.File)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ipds[e.ID] = len(d)
+		}
+		canon, res := runCanonical(t, st, fixtures.Resolver,
+			pipeline.Config{Workers: 1, WindowIPDs: window, Explain: true})
+		lines := strings.Split(string(canon), "\n")
+		benign := 0
+		for i, v := range res.Verdicts {
+			if v.Label != pipeline.LabelBenign || v.Suspicious {
+				continue
+			}
+			benign++
+			n := ipds[v.JobID]
+			from := n - window
+			raw, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got struct {
+				TDRWindow []int `json:"tdrWindow"`
+				Explain   struct {
+					WindowMode string `json:"windowMode"`
+					Window     *struct {
+						From, To int
+					} `json:"window"`
+				} `json:"explain"`
+			}
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			if len(got.TDRWindow) != 2 || got.TDRWindow[0] != from || got.TDRWindow[1] != n {
+				t.Fatalf("job %s (%d IPDs): tdrWindow %v, want [%d %d]\n%s", v.JobID, n, got.TDRWindow, from, n, raw)
+			}
+			if want := fmt.Sprintf(" window=[%d,%d) ", from, n); !strings.Contains(lines[i], want) {
+				t.Fatalf("job %s: canonical line %q lacks %q", v.JobID, lines[i], want)
+			}
+			if got.Explain.WindowMode != "trailing" {
+				t.Fatalf("job %s: explain windowMode %q, want \"trailing\"\n%s", v.JobID, got.Explain.WindowMode, raw)
+			}
+			if w := got.Explain.Window; w == nil || w.From != from || w.To != n {
+				t.Fatalf("job %s: explain window %+v, want [%d,%d)\n%s", v.JobID, w, from, n, raw)
+			}
+		}
+		if benign == 0 {
+			t.Fatal("no benign verdict to check")
+		}
+	})
 
 	// The windowed audit replays less, so it must never allocate more
 	// than the full audit of the same corpus. It used to: the load

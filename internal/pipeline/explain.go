@@ -2,16 +2,6 @@ package pipeline
 
 import "sanity/internal/core"
 
-// WindowScore is one candidate window from the auto-selection scan:
-// the CCE z-score of the IPD range [From, To) against the shard's
-// benign baseline. Sign is kept (suspicion is |Z|) so the evidence
-// shows which direction the entropy moved.
-type WindowScore struct {
-	From int     `json:"from"`
-	To   int     `json:"to"`
-	Z    float64 `json:"z"`
-}
-
 // TDRExplain summarizes the timing comparison behind a TDR verdict:
 // the deviation statistics the threshold was applied to and the
 // single worst inter-packet delay (absolute index into the trace), so
@@ -24,40 +14,19 @@ type TDRExplain struct {
 }
 
 // Explain is the optional evidence trail attached to a Verdict when
-// explain mode is on: which window was audited and why, the
-// per-window z-scores the selector saw, and the TDR deviation
-// summary. It never participates in Canonical() — explainability is
-// additive, determinism contracts are untouched.
+// explain mode is on: which window was audited and why, and the TDR
+// deviation summary. It never participates in Canonical() —
+// explainability is additive, determinism contracts are untouched.
 type Explain struct {
 	// WindowMode names the policy that chose the audited range:
-	// "full", "trailing", or "auto".
+	// "full" or "trailing".
 	WindowMode string `json:"windowMode,omitempty"`
 	// Window is the audited IPD range, when the audit was windowed.
 	Window *IPDWindow `json:"window,omitempty"`
 	// WindowReason says in words why this range was audited.
 	WindowReason string `json:"windowReason,omitempty"`
-	// Windows holds the selector's per-window CCE z-scores (auto mode
-	// only) — the scan that picked (or declined to pick) a window.
-	Windows []WindowScore `json:"windows,omitempty"`
-	// SelectedZ is the winning window's z-score in auto mode.
-	SelectedZ float64 `json:"selectedZ,omitempty"`
 	// TDR summarizes the replay comparison when the TDR path ran.
 	TDR *TDRExplain `json:"tdr,omitempty"`
-}
-
-// clone deep-copies the explain seed so per-verdict fills never
-// mutate plan-owned state shared across reruns.
-func (e *Explain) clone() *Explain {
-	if e == nil {
-		return &Explain{}
-	}
-	cp := *e
-	if e.Window != nil {
-		w := *e.Window
-		cp.Window = &w
-	}
-	cp.Windows = append([]WindowScore(nil), e.Windows...)
-	return &cp
 }
 
 // tdrExplain condenses a timing comparison into the verdict evidence,

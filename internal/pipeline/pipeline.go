@@ -33,8 +33,8 @@ type Config struct {
 	StatThreshold float64
 	// WindowIPDs, when positive, switches the TDR path to windowed
 	// replay: each job audits only its trailing WindowIPDs inter-packet
-	// delays (or the job's explicit Window override), resuming from the
-	// log's last checkpoint at or before the window. Logs without
+	// delays, resuming from the log's last checkpoint at or before the
+	// window. Logs without
 	// checkpoints fall back to full replay transparently. The windowed
 	// score is bit-identical to scoring the same window out of a full
 	// replay; it differs from the whole-trace score only in coverage.
@@ -42,8 +42,7 @@ type Config struct {
 	WindowIPDs int
 
 	// Explain attaches the evidence trail (Verdict.Explain) to every
-	// verdict: the audited window and the policy that chose it, the
-	// selector's per-window z-scores when a plan seeded them, and the
+	// verdict: the audited window and the policy that chose it, and the
 	// TDR deviation summary. It never changes scores, decisions, or
 	// the canonical encoding.
 	Explain bool

@@ -106,11 +106,9 @@ func BatchFromStoreContext(ctx context.Context, st *store.Store, resolve ShardRe
 }
 
 // storeJob renders one manifest entry as a lazily-loaded audit job.
-// A persisted triage score's flagged window rides along as the job's
-// advisory TriageHint.
 func storeJob(st *store.Store, e store.Entry) Job {
 	file := e.File
-	j := Job{
+	return Job{
 		ID:    e.ID,
 		Shard: e.Shard,
 		Label: ParseLabel(e.Label),
@@ -122,14 +120,7 @@ func storeJob(st *store.Store, e store.Entry) Job {
 			_, tr, err := st.LoadTraceWindow(file, resume)
 			return tr, err
 		},
-		LoadIPDs: func() ([]int64, error) {
-			return st.LoadIPDs(file)
-		},
 	}
-	if e.Triage != nil && e.Triage.HasWindow() {
-		j.TriageHint = &IPDWindow{From: e.Triage.TopWindow[0], To: e.Triage.TopWindow[1]}
-	}
-	return j
 }
 
 // BatchFromEntries builds a batch over an explicit subset of a

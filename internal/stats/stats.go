@@ -238,10 +238,10 @@ func CCE(symbols []int, q, maxM int) float64 {
 // window of `window` symbols, advanced by `step`: result[i] is
 // CCE(symbols[i*step : i*step+window], q, maxM). The final partial
 // window is dropped — a shorter window has a systematically different
-// entropy level and would need its own baseline. This is the audit
-// planner's prefilter primitive: a cheap scan that localizes where in
-// a trace the symbol sequence is most (ab)normal before any replay is
-// paid for.
+// entropy level and would need its own baseline. It is the batch
+// reference that triage's streaming CCEDetector is pinned against:
+// triage's equivalence test requires the same windows and the same
+// float64 bits from both.
 func SlidingCCE(symbols []int, q, maxM, window, step int) []float64 {
 	if window <= 0 || step <= 0 || len(symbols) < window {
 		return nil

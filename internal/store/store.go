@@ -724,9 +724,10 @@ func (s *Store) LoadTraceWindow(rel string, resume func(ipds int) int) (Meta, *d
 }
 
 // LoadIPDs decodes only a trace's inter-packet delays by its
-// manifest-relative path, skipping the log and execution sections.
-// This is the prefilter fast path: statistical window selection over
-// a corpus reads every trace's delays without ever decoding a log.
+// manifest-relative path, skipping the log and execution sections:
+// the fast path for statistical passes (triage backfill, the daemon's
+// pre-plan readability check) that need a trace's delays but never
+// its log.
 func (s *Store) LoadIPDs(rel string) ([]int64, error) {
 	t := s.obs.Stage(obs.StageStoreDecode)
 	defer t.End()

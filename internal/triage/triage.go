@@ -42,8 +42,10 @@ type Score struct {
 	// series the ROC experiment sweeps.
 	PerDetector map[string]float64 `json:"perDetector,omitempty"`
 	// TopWindow is the [from,to) IPD range the highest-scoring
-	// detector flagged, [0,0) when no detector produced one. The audit
-	// planner's WindowAuto seeding starts its selection here.
+	// detector flagged, [0,0) when no detector produced one. It is
+	// evidence shown beside the suspicion that sets claim priority
+	// (sidecar, /triage, a trace's timeline); no audit reads it to
+	// bound a replay.
 	TopWindow [2]int `json:"topWindow"`
 }
 
@@ -55,10 +57,7 @@ func Neutral() Score {
 // HasWindow reports whether the score carries a usable flagged window.
 func (s Score) HasWindow() bool { return s.TopWindow[1] > s.TopWindow[0] }
 
-// Options configures a Scorer. The zero value means "defaults",
-// chosen to match the audit planner's window geometry
-// (audit.DefaultAutoWindowIPDs) so a flagged window is directly
-// reusable as a selection seed.
+// Options configures a Scorer. The zero value means "defaults".
 type Options struct {
 	// Window is the detector window length in IPDs (default 32).
 	Window int
@@ -67,7 +66,7 @@ type Options struct {
 	// non-overlapping windows.
 	Step int
 	// Q and MaxM parameterize the CCE exactly as stats.CCE does
-	// (defaults 5 and 6, the audit planner's values).
+	// (defaults 5 and 6).
 	Q, MaxM int
 	// Epsilon is the regularity detector's relative similarity
 	// threshold between adjacent order statistics (default 0.01).
@@ -187,8 +186,8 @@ var benignCal = map[string][2]float64{
 // CCE detector carries no vote: with no benign training available at
 // ingest it self-calibrates its entropy bins per trace, which leaves
 // its score near chance as a ranker on both fixture corpora — its
-// contribution is the per-window evidence and the flagged window the
-// audit planner seeds from, not the suspicion itself.
+// contribution is the per-window evidence and the flagged window, not
+// the suspicion itself.
 var ensembleWeight = map[string]float64{
 	"regularity": 0.55,
 	"frequency":  0.45,
@@ -232,7 +231,7 @@ func (s *Scorer) Finish() Score {
 		}
 		z := (r.Score - cal[0]) / cal[1]
 		// The flagged window follows the most alarmed detector in
-		// benign-sigma units, vote or no vote — for seeding, the best
+		// benign-sigma units, vote or no vote — as evidence, the best
 		// lead wins even when it doesn't move the suspicion.
 		if z > bestZ {
 			bestZ = z
