@@ -12,6 +12,8 @@ package detect
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"sanity/internal/core"
 	"sanity/internal/obs"
@@ -116,10 +118,11 @@ func (s *Shape) Score(tr *Trace) (float64, error) {
 // between the trace's empirical IPD distribution and the pooled
 // legitimate distribution.
 type KS struct {
-	pooled []float64
+	pooled []float64 // sorted ascending
 }
 
-// NewKS pools the training traces into one reference sample.
+// NewKS pools the training traces into one reference sample, sorted
+// once here so that Score sorts only the trace.
 func NewKS(training [][]int64) (*KS, error) {
 	var pooled []float64
 	for _, tr := range training {
@@ -128,15 +131,28 @@ func NewKS(training [][]int64) (*KS, error) {
 	if len(pooled) == 0 {
 		return nil, fmt.Errorf("detect: KS test needs training data")
 	}
+	slices.Sort(pooled)
 	return &KS{pooled: pooled}, nil
 }
 
 // Name implements Detector.
 func (k *KS) Name() string { return "ks" }
 
+// ksScratch holds the sorted copies of traces' IPDs that KS.Score
+// builds, so that concurrent workers score without allocating.
+var ksScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // Score implements Detector.
 func (k *KS) Score(tr *Trace) (float64, error) {
-	return stats.KSStatistic(stats.Int64sToFloats(tr.IPDs), k.pooled), nil
+	buf := ksScratch.Get().(*[]float64)
+	defer ksScratch.Put(buf)
+	xs := (*buf)[:0]
+	for _, d := range tr.IPDs {
+		xs = append(xs, float64(d))
+	}
+	slices.Sort(xs)
+	*buf = xs
+	return stats.KSSorted(xs, k.pooled), nil
 }
 
 // Regularity is the regularity test of Cabuk et al.: group the trace
@@ -227,13 +243,25 @@ func NewCCE(training [][]int64, q, maxM int) (*CCE, error) {
 	return c, nil
 }
 
+// cceScratch is what one CCE computation reuses: the symbol buffer
+// and the kernel's scratch. Pooled because one CCE detector serves
+// concurrent audit workers.
+type cceScratch struct {
+	symbols []int
+	kernel  stats.CCEKernel
+}
+
+var cceScratchPool = sync.Pool{New: func() any { return new(cceScratch) }}
+
 // cce computes the raw statistic for one IPD sequence.
 func (c *CCE) cce(ipds []int64) float64 {
-	symbols := make([]int, len(ipds))
-	for i, d := range ipds {
-		symbols[i] = stats.BinIndex(c.cuts, float64(d))
+	s := cceScratchPool.Get().(*cceScratch)
+	defer cceScratchPool.Put(s)
+	s.symbols = s.symbols[:0]
+	for _, d := range ipds {
+		s.symbols = append(s.symbols, stats.BinIndex(c.cuts, float64(d)))
 	}
-	return stats.CCE(symbols, c.Q, c.MaxM)
+	return s.kernel.CCE(s.symbols, c.Q, c.MaxM)
 }
 
 // Name implements Detector.

@@ -14,7 +14,8 @@ import (
 
 // IPDWindow is the IPD range [From, To) a windowed audit replayed.
 type IPDWindow struct {
-	From, To int
+	From int `json:"from"`
+	To   int `json:"to"`
 }
 
 // Trace is the detector-visible material of one job.

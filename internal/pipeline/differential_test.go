@@ -150,6 +150,10 @@ func TestDifferentialWindowedSameMachine(t *testing.T) {
 			if w := got.Explain.Window; w == nil || w.From != from || w.To != n {
 				t.Fatalf("job %s: explain window %+v, want [%d,%d)\n%s", v.JobID, w, from, n, raw)
 			}
+			// The keys are camelCase like every other verdict key.
+			if want := fmt.Sprintf(`"window":{"from":%d,"to":%d}`, from, n); !strings.Contains(string(raw), want) {
+				t.Fatalf("job %s: explain trail lacks %s\n%s", v.JobID, want, raw)
+			}
 		}
 		if benign == 0 {
 			t.Fatal("no benign verdict to check")

@@ -43,11 +43,16 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // Percentile returns the p-quantile (0 <= p <= 1) by linear
 // interpolation over the sorted sample.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return percentileSorted(s, p)
+}
+
+// percentileSorted is Percentile over a sample sorted ascending.
+func percentileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return s[0]
 	}
@@ -93,6 +98,13 @@ func KSStatistic(a, b []float64) float64 {
 	bs := append([]float64(nil), b...)
 	sort.Float64s(as)
 	sort.Float64s(bs)
+	return KSSorted(as, bs)
+}
+
+// KSSorted is KSStatistic over two samples already sorted ascending
+// (0 when either is empty). It only reads them, so a caller that
+// scores many samples against one reference sorts the reference once.
+func KSSorted(as, bs []float64) float64 {
 	var d float64
 	i, j := 0, 0
 	for i < len(as) && j < len(bs) {
@@ -119,11 +131,14 @@ func KSStatistic(a, b []float64) float64 {
 
 // EquiprobableBins builds Q-1 cut points from a training sample such
 // that each of the Q bins holds an equal share of the training mass.
-// The detectors bin IPDs this way before entropy estimation.
+// The detectors bin IPDs this way before entropy estimation. Cut k is
+// Percentile(training, k/Q), read off one sorted copy.
 func EquiprobableBins(training []float64, q int) []float64 {
+	s := append([]float64(nil), training...)
+	sort.Float64s(s)
 	cuts := make([]float64, 0, q-1)
 	for k := 1; k < q; k++ {
-		cuts = append(cuts, Percentile(training, float64(k)/float64(q)))
+		cuts = append(cuts, percentileSorted(s, float64(k)/float64(q)))
 	}
 	return cuts
 }
@@ -144,114 +159,25 @@ func Entropy(symbols []int, q int) float64 {
 	if len(symbols) == 0 {
 		return 0
 	}
-	counts := make([]int, q)
+	counts := make([]int32, q)
 	for _, s := range symbols {
 		counts[s]++
 	}
+	return countsEntropy(counts, len(symbols))
+}
+
+// countsEntropy is the entropy of n observations with the given
+// per-symbol counts, summed in symbol order.
+func countsEntropy(counts []int32, n int) float64 {
 	var h float64
-	n := float64(len(symbols))
 	for _, c := range counts {
 		if c == 0 {
 			continue
 		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// patternKey packs up to m symbols (each < q <= 32) into one value.
-func patternKey(symbols []int, start, m int) uint64 {
-	var k uint64
-	for i := 0; i < m; i++ {
-		k = k*32 + uint64(symbols[start+i]) + 1
-	}
-	return k
-}
-
-// blockEntropy returns H(X1..Xm), the joint entropy of length-m
-// patterns, plus the fraction of patterns that occur exactly once
-// (the correction term of the CCE).
-func blockEntropy(symbols []int, m int) (h float64, uniqueFrac float64) {
-	n := len(symbols) - m + 1
-	if n <= 0 {
-		return 0, 1
-	}
-	counts := make(map[uint64]int, n)
-	for i := 0; i < n; i++ {
-		counts[patternKey(symbols, i, m)]++
-	}
-	// Accumulate in sorted-count order, not map order: float addition
-	// is not associative, and entropy summed in Go's randomized map
-	// iteration order drifts by an ulp between runs. The repo's
-	// determinism contract (identical scores for identical inputs,
-	// whatever the interleaving) extends to the detectors.
-	cs := make([]int, 0, len(counts))
-	unique := 0
-	for _, c := range counts {
-		if c == 1 {
-			unique++
-		}
-		cs = append(cs, c)
-	}
-	sort.Ints(cs)
-	for _, c := range cs {
 		p := float64(c) / float64(n)
 		h -= p * math.Log2(p)
 	}
-	return h, float64(unique) / float64(n)
-}
-
-// CCE returns the corrected conditional entropy of the symbol
-// sequence: min over pattern lengths m of
-//
-//	CE(m) + perc(m) * H(1)
-//
-// where CE(m) = H(m) - H(m-1) is the order-m conditional entropy and
-// perc(m) is the fraction of unique length-m patterns. Regular
-// sequences (covert channels with constant encodings) score low;
-// bursty legitimate traffic scores high. Following Gianvecchio & Wang,
-// the minimum over m is the test statistic.
-func CCE(symbols []int, q, maxM int) float64 {
-	if len(symbols) == 0 {
-		return 0
-	}
-	h1 := Entropy(symbols, q)
-	best := h1 // m = 1: CE(1) = H(1), perc correction would only add
-	prev := h1
-	for m := 2; m <= maxM; m++ {
-		hm, uniq := blockEntropy(symbols, m)
-		ce := hm - prev
-		cce := ce + uniq*h1
-		if cce < best {
-			best = cce
-		}
-		prev = hm
-		if uniq >= 0.999 {
-			break // all patterns unique; larger m adds nothing
-		}
-	}
-	return best
-}
-
-// SlidingCCE computes the corrected conditional entropy over every
-// window of `window` symbols, advanced by `step`: result[i] is
-// CCE(symbols[i*step : i*step+window], q, maxM). The final partial
-// window is dropped — a shorter window has a systematically different
-// entropy level and would need its own baseline. It is the batch
-// reference that triage's streaming CCEDetector is pinned against:
-// triage's equivalence test requires the same windows and the same
-// float64 bits from both.
-func SlidingCCE(symbols []int, q, maxM, window, step int) []float64 {
-	if window <= 0 || step <= 0 || len(symbols) < window {
-		return nil
-	}
-	n := (len(symbols)-window)/step + 1
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = CCE(symbols[i*step:i*step+window], q, maxM)
-	}
-	return out
+	return h
 }
 
 // ROCPoint is one point of a receiver operating characteristic.

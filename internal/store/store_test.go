@@ -780,11 +780,9 @@ func TestTraceReleaseAndPoolReuse(t *testing.T) {
 // buffer, the IPDs and bookkeeping — not the log — and takes nothing
 // from the buffer pools. A second store admits the same containers
 // with triage off; the difference is what ingest-time scoring adds.
-// The ensemble keeps one window per detector, but stats.CCE allocates
-// afresh at every window step, so the bytes it allocates grow with
-// the trace: about 9 KB at 47 IPDs and 32 KB at 119. The budget is
-// therefore a rate, 16 KB per 47-IPD trace; past it, scoring has
-// started keeping more than its windows.
+// The ensemble keeps one window per detector and reuses the CCE
+// kernel's scratch from window to window, so that difference is a
+// constant: traces of 47 and 119 IPDs fit the same fixed budget.
 func TestPutContainerRetainsNothing(t *testing.T) {
 	// One P, and every sync.Pool emptied before each admission (two
 	// collections: the first moves pooled objects to the victim cache,
@@ -792,75 +790,91 @@ func TestPutContainerRetainsNothing(t *testing.T) {
 	// encoding/json encoder state depends on earlier tests, and the
 	// difference moves by 13 KB.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tr, err := fixtures.PlayTraceCheckpointed(120, 21, 23, 16, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	shard := fixtures.NFSShardMeta(1)
-	newStore := func() *store.Store {
-		st, err := store.Create(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AddShard(shard); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	triaged, plain := newStore(), newStore()
-	triaged.EnableTriage(triage.Options{})
-	admit := func(st *store.Store, raw []byte) int64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		admitted, sc, err := st.PutContainerScored(bytes.NewReader(raw))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if admitted.Records != len(tr.Log.Records) || admitted.IPDs != len(tr.IPDs) || admitted.Program != tr.Log.Program || (sc == nil) != (st == plain) {
-			t.Fatalf("admission lost what the walk summarized: %+v, score %v", admitted, sc)
-		}
-		return int64(after.TotalAlloc - before.TotalAlloc)
-	}
 	median := func(xs []int64) int64 {
 		sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 		return xs[len(xs)/2]
 	}
-	held := bufpool.Live() // earlier tests may have leaked decodes
-	var allocated, triageCost []int64
-	var containerBytes int
-	for i := 0; i < 5; i++ {
-		meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
-		raw := encode(t, meta, tr)
-		// Retaining the upload must not fit the budget unnoticed.
-		if containerBytes = len(raw); containerBytes <= 512<<10 {
-			t.Fatalf("fixture container is only %d bytes", containerBytes)
+	// admitFive admits five copies of a played trace of the given
+	// length into a triaged and a plain store, and returns the median
+	// bytes one triaged admission allocates, the median triage adds,
+	// and the container's size.
+	admitFive := func(t *testing.T, packets int) (allocated, triageCost int64, containerBytes int) {
+		tr, err := fixtures.PlayTraceCheckpointed(packets, 21, 23, 16, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		on, off := admit(triaged, raw), admit(plain, raw)
-		allocated = append(allocated, on)
-		triageCost = append(triageCost, on-off)
+		newStore := func() *store.Store {
+			st, err := store.Create(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AddShard(shard); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		triaged, plain := newStore(), newStore()
+		triaged.EnableTriage(triage.Options{})
+		admit := func(st *store.Store, raw []byte) int64 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			admitted, sc, err := st.PutContainerScored(bytes.NewReader(raw))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if admitted.Records != len(tr.Log.Records) || admitted.IPDs != len(tr.IPDs) || admitted.Program != tr.Log.Program || (sc == nil) != (st == plain) {
+				t.Fatalf("admission lost what the walk summarized: %+v, score %v", admitted, sc)
+			}
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		held := bufpool.Live() // earlier tests may have leaked decodes
+		var all, costs []int64
+		for i := 0; i < 5; i++ {
+			meta := store.Meta{ID: fmt.Sprintf("t-%d", i), Shard: shard.Key, Role: store.RoleTest, Label: store.LabelBenign}
+			raw := encode(t, meta, tr)
+			containerBytes = len(raw)
+			on, off := admit(triaged, raw), admit(plain, raw)
+			all = append(all, on)
+			costs = append(costs, on-off)
+		}
+		allocated, triageCost = median(all), median(costs)
+		t.Logf("%d IPDs: admission allocates %d bytes per %d-byte container (median of %v), triage %+d of them (median of %v)",
+			len(tr.IPDs), allocated, containerBytes, all, triageCost, costs)
+		if n := bufpool.Live() - held; n != 0 {
+			t.Fatalf("%d pooled blocks outstanding after admission", n)
+		}
+		for _, st := range []*store.Store{triaged, plain} {
+			if got := st.Entries(); len(got) != 5 {
+				t.Fatalf("%d of 5 containers in the manifest", len(got))
+			}
+		}
+		return allocated, triageCost, containerBytes
 	}
-	m, tm := median(allocated), median(triageCost)
-	t.Logf("admission allocates %d bytes per %d-byte container (median of %v), triage %+d of them (median of %v)",
-		m, containerBytes, allocated, tm, triageCost)
+
+	m, triage119, containerBytes := admitFive(t, 120)
+	// Retaining the upload must not fit the budget unnoticed.
+	if containerBytes <= 512<<10 {
+		t.Fatalf("fixture container is only %d bytes", containerBytes)
+	}
 	if m > 512<<10 {
 		t.Fatalf("admitting one container allocates %d bytes, want <= 512 KB", m)
 	}
 	t.Run("triage_budget", func(t *testing.T) {
-		if budget := int64(16<<10) * int64(len(tr.IPDs)) / 47; tm > budget && !fixtures.RaceDetector() {
-			t.Fatalf("triage allocates %d bytes per admitted %d-IPD trace, want <= %d (16 KB per 47 IPDs)", tm, len(tr.IPDs), budget)
+		const budget = 8 << 10
+		_, triage47, _ := admitFive(t, 48)
+		for _, c := range []struct {
+			ipds int
+			cost int64
+		}{{47, triage47}, {119, triage119}} {
+			if c.cost > budget && !fixtures.RaceDetector() {
+				t.Errorf("triage allocates %d bytes per admitted %d-IPD trace, want <= %d whatever the length", c.cost, c.ipds, budget)
+			}
 		}
 	})
-	if n := bufpool.Live() - held; n != 0 {
-		t.Fatalf("%d pooled blocks outstanding after admission", n)
-	}
-	for _, st := range []*store.Store{triaged, plain} {
-		if got := st.Entries(); len(got) != 5 {
-			t.Fatalf("%d of 5 containers in the manifest", len(got))
-		}
-	}
 }
 
 // checkpointedContainerBytes is the exact size of the

@@ -27,9 +27,11 @@ type CCEDetector struct {
 	warm []int64
 
 	// ring holds the last `window` symbols; scratch linearizes a
-	// completed window for the stats.CCE call.
+	// completed window for the kernel, whose own scratch is reused
+	// from window to window.
 	ring    []int
 	scratch []int
+	kernel  stats.CCEKernel
 	n       int
 
 	keep bool
@@ -96,7 +98,7 @@ func (d *CCEDetector) push(sym int) {
 	for i := 0; i < d.window; i++ {
 		d.scratch[i] = d.ring[(from+i)%d.window]
 	}
-	v := stats.CCE(d.scratch, d.q, d.maxM)
+	v := d.kernel.CCE(d.scratch, d.q, d.maxM)
 	if d.keep {
 		d.kept = append(d.kept, v)
 	}
