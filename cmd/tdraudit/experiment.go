@@ -20,7 +20,7 @@ import (
 //	tdraudit experiment -experiment ablate
 func experimentMain(args []string) {
 	fs := flag.NewFlagSet("tdraudit experiment", flag.ExitOnError)
-	which := fs.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig6|fig7|log|fig8|noise|ablate|throughput|crossmachine|triage|replaywindow")
+	which := fs.String("experiment", "all", "experiment to run: all|fig2|fig3|table2|fig6|fig7|log|fig8|noise|ablate|crossmachine|triage")
 	full := fs.Bool("full", false, "use paper-scale experiment sizes (slow)")
 	seed := fs.Uint64("seed", 42, "base noise seed")
 	fs.Parse(args)
@@ -46,10 +46,8 @@ func experimentMain(args []string) {
 		{"noise", render(experiments.Figure7, func(r *experiments.Figure7Result) string {
 			return experiments.FormatNoiseVsJitter(experiments.NoiseVsJitter(r))
 		})},
-		{"throughput", render(experiments.Throughput, experiments.FormatThroughput)},
 		{"crossmachine", render(experiments.CrossMachine, experiments.FormatCrossMachine)},
 		{"triage", render(experiments.TriageROC, experiments.FormatTriageROC)},
-		{"replaywindow", render(experiments.ReplayWindow, experiments.FormatReplayWindow)},
 		{"ablate", render(func(_ experiments.Sizes, seed uint64) ([]experiments.AblationRow, error) {
 			packets := 60
 			if *full {

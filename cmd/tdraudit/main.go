@@ -9,7 +9,6 @@
 //	tdraudit                            # in-memory corpus, all CPUs
 //	tdraudit -traces 240 -workers 4     # fixed pool
 //	tdraudit -stream -json              # machine-readable verdict stream
-//	tdraudit -compare                   # also run 1 worker, report speedup
 //
 //	tdraudit record -dir corpus         # record a labeled corpus to disk
 //	tdraudit record -dir corpus -checkpoint-every auto   # autotuned interval
@@ -125,24 +124,20 @@ func interruptible() (context.Context, context.CancelFunc) {
 
 // auditFlags are the auditor knobs shared by every auditing mode.
 type auditFlags struct {
-	workers, batch, queue *int
-	threshold             *float64
-	stream, jsonOut       *bool
-	compare               *bool
-	window                *string
-	trace                 *string
-	explain               *bool
+	workers         *int
+	threshold       *float64
+	stream, jsonOut *bool
+	window          *string
+	trace           *string
+	explain         *bool
 }
 
 func addAuditFlags(fs *flag.FlagSet) *auditFlags {
 	return &auditFlags{
 		workers:   fs.Int("workers", 0, "audit workers (0 = GOMAXPROCS)"),
-		batch:     fs.Int("batch", 8, "traces per scheduling chunk"),
-		queue:     fs.Int("queue", 0, "bounded queue depth in chunks (0 = 2x workers)"),
 		threshold: fs.Float64("threshold", 0.05, "TDR suspicion threshold (max relative IPD deviation)"),
 		stream:    fs.Bool("stream", false, "print each verdict as it is emitted"),
 		jsonOut:   fs.Bool("json", false, "emit verdicts and the summary as JSON lines"),
-		compare:   fs.Bool("compare", false, "also run with 1 worker and report the speedup"),
 		window: fs.String("window", "full", "replay-window policy: 'full' (or 0) audits whole traces; an integer N > 0 audits "+
 			"only each trace's trailing N inter-packet delays, and a benign verdict then covers only the window=[a,b) it names "+
 			"(traces recorded with checkpoints resume mid-log; others fall back to full replay)"),
@@ -162,8 +157,6 @@ func (a *auditFlags) options() ([]audit.Option, error) {
 	opts := []audit.Option{
 		audit.WithRegistry(fixtures.KnownGood),
 		audit.WithWorkers(*a.workers),
-		audit.WithBatchSize(*a.batch),
-		audit.WithQueueDepth(*a.queue),
 		audit.WithThresholds(*a.threshold, 0),
 		audit.WithWindow(w),
 	}
@@ -461,15 +454,15 @@ func runAudit(src audit.Source, af *auditFlags) {
 	runAuditOpts(src, af, opts)
 }
 
-// runAuditOpts drives one Auditor session (plus the optional 1-worker
-// comparison) with the shared output formats. Interrupting a run
-// keeps the verdicts already streamed and reports the cancellation.
+// runAuditOpts drives one Auditor session with the shared output
+// formats. Interrupting a run keeps the verdicts already streamed and
+// reports the cancellation.
 func runAuditOpts(src audit.Source, af *auditFlags, opts []audit.Option) {
 	ctx, cancel := interruptible()
 	defer cancel()
 
 	// -trace: collect the funnel's span tree and write it as Chrome
-	// trace_event JSON once the audit (and any -compare rerun) ends.
+	// trace_event JSON once the audit ends.
 	var tracer *obs.Tracer
 	if *af.trace != "" {
 		tracer = obs.NewTracer()
@@ -513,7 +506,7 @@ func runAuditOpts(src audit.Source, af *auditFlags, opts []audit.Option) {
 			printVerdict(v)
 		}
 	}
-	r := pipeline.Collect(verdicts, auditor.Workers(), *af.batch, time.Since(start).Nanoseconds())
+	r := pipeline.Collect(verdicts, auditor.Workers(), time.Since(start).Nanoseconds())
 	if runErr != nil {
 		logger.Error("audit ended early", "err", runErr)
 	}
@@ -539,31 +532,6 @@ func runAuditOpts(src audit.Source, af *auditFlags, opts []audit.Option) {
 			logger.Error("writing trace failed", "path", *af.trace, "err", err)
 		}
 		os.Exit(1)
-	}
-
-	if *af.compare && auditor.Workers() > 1 {
-		logger.Info("re-auditing with 1 worker for comparison")
-		one, err := audit.New(append(append([]audit.Option(nil), opts...), audit.WithWorkers(1))...)
-		if err != nil {
-			fatal(err)
-		}
-		plan1, err := one.Plan(ctx, src)
-		if err != nil {
-			fatal(err)
-		}
-		r1, err := plan1.RunAll(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprint(os.Stderr, r1.Format())
-		if r1.Metrics.ThroughputPerSec > 0 {
-			logger.Info("parallel speedup measured", "workers", auditor.Workers(),
-				"speedup", r.Metrics.ThroughputPerSec/r1.Metrics.ThroughputPerSec)
-		}
-		if string(r.Canonical()) != string(r1.Canonical()) {
-			fatal(fmt.Errorf("verdicts diverged between worker counts — determinism violation"))
-		}
-		logger.Info("verdicts identical across worker counts")
 	}
 }
 

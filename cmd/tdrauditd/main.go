@@ -70,7 +70,7 @@ func main() {
 	agingBoost := fs.Float64("aging-boost", 0, "suspicion added per sweep a pending trace waits unclaimed (0 = default 0.05, negative disables aging)")
 	traceDir := fs.String("trace-dir", "", "write per-sweep Chrome trace_event JSON and spans.ndjson here ('' disables tracing)")
 	traceMaxBytes := fs.Int64("trace-max-bytes", obs.DefaultSpanLogMaxBytes, "rotate spans.ndjson when the active file exceeds this size")
-	traceKeep := fs.Int("trace-keep", obs.DefaultSpanLogMaxFiles, "rotated spans.ndjson generations to keep")
+	traceKeep := fs.Int("trace-keep", obs.DefaultSpanLogMaxFiles, "rotated spans.ndjson generations, and sweep-NNNN.trace.json files, to keep (oldest pruned first)")
 	traceSample := fs.Int("trace-sample", 1, "keep 1 in N span trees in the persisted trace (1 = all; /metrics and timelines always see everything)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this address ('' disables; never exposed on -http)")
 	logFormat := fs.String("log-format", "text", "log output format: 'text' or 'json'")

@@ -47,17 +47,15 @@ type Progress struct {
 // concurrently. All fields are set at construction; an Auditor is
 // immutable and safe for concurrent use.
 type Auditor struct {
-	workers    int
-	batchSize  int
-	queueDepth int
-	tdrLimit   float64
-	statLimit  float64
-	window     Window
-	registry   Registry
-	machine    *hw.MachineSpec
-	models     *calib.Set
-	progress   func(Progress)
-	explain    bool
+	workers   int
+	tdrLimit  float64
+	statLimit float64
+	window    Window
+	registry  Registry
+	machine   *hw.MachineSpec
+	models    *calib.Set
+	progress  func(Progress)
+	explain   bool
 }
 
 // Option configures an Auditor.
@@ -66,14 +64,6 @@ type Option func(*Auditor)
 // WithWorkers sets the audit worker-pool size. Zero or negative
 // selects GOMAXPROCS.
 func WithWorkers(n int) Option { return func(a *Auditor) { a.workers = n } }
-
-// WithBatchSize sets how many same-shard jobs are dispatched as one
-// scheduling chunk. Zero selects the pipeline default.
-func WithBatchSize(n int) Option { return func(a *Auditor) { a.batchSize = n } }
-
-// WithQueueDepth bounds the chunk queue between scheduler and
-// workers. Zero selects the pipeline default (2x workers).
-func WithQueueDepth(n int) Option { return func(a *Auditor) { a.queueDepth = n } }
 
 // WithThresholds sets the suspicion thresholds: tdr on the TDR
 // detector's maximum relative IPD deviation, stat on the CCE
@@ -141,8 +131,6 @@ func (a *Auditor) Workers() int { return pipeline.New(a.pipelineConfig()).Worker
 func (a *Auditor) pipelineConfig() pipeline.Config {
 	cfg := pipeline.Config{
 		Workers:       a.workers,
-		BatchSize:     a.batchSize,
-		QueueDepth:    a.queueDepth,
 		TDRThreshold:  a.tdrLimit,
 		StatThreshold: a.statLimit,
 		Explain:       a.explain,

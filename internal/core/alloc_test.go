@@ -65,10 +65,12 @@ func TestWarmReplayAllocBound(t *testing.T) {
 	}
 }
 
-// TestConcurrentWarmReplaysAllocBound: the kit list keeps one kit for
-// every engine that ran at once, not a fixed few, so a second round of
-// eight concurrent replays rebuilds no platform and no ring (each is
-// far more than the headroom the budget leaves).
+// TestConcurrentWarmReplaysAllocBound: with a kit idle for each of
+// eight concurrent replays, the round rebuilds no platform and no ring
+// (each is far more than the headroom the budget leaves). The cold
+// round alone does not guarantee eight idle kits: its replays may
+// overlap less than the warm round's do, so the kits are primed eight
+// at once right before the warm round.
 func TestConcurrentWarmReplaysAllocBound(t *testing.T) {
 	if fixtures.RaceDetector() {
 		t.Skip("allocation budget is held without -race")
@@ -81,6 +83,9 @@ func TestConcurrentWarmReplaysAllocBound(t *testing.T) {
 	cold := replayAllocs(t, n, tr)
 	runtime.GC()
 	runtime.GC()
+	if err := core.PrimeKits(fixtures.ServerConfig(7), n); err != nil {
+		t.Fatal(err)
+	}
 	got := replayAllocs(t, n, tr)
 	t.Logf("%d concurrent ReplayTDRs allocated %d bytes cold, %d warm", n, cold, got)
 	if got > n*maxWarmReplayBytes {

@@ -69,3 +69,24 @@ func ReplayCounted(prog *svm.Program, log *replaylog.Log, cfg Config, fromIPD, t
 	}
 	return e.exec, opsOf(e.plat), nil
 }
+
+// PrimeKits acquires n kits for cfg's machine and profile at once, then
+// releases them all, so that n engines can next run at once without
+// building a kit: however many ran together before, the free list now
+// holds at least n.
+func PrimeKits(cfg Config, n int) error {
+	kits := make([]*kit, 0, n)
+	defer func() {
+		for _, k := range kits {
+			releaseKit(k)
+		}
+	}()
+	for range n {
+		k, err := acquireKit(&cfg)
+		if err != nil {
+			return err
+		}
+		kits = append(kits, k)
+	}
+	return nil
+}

@@ -30,6 +30,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,8 +121,10 @@ type Config struct {
 	// crash never tears a rotated file). Zero selects
 	// obs.DefaultSpanLogMaxBytes.
 	TraceRotateBytes int64
-	// TraceRotateFiles bounds how many rotated generations are kept.
-	// Zero selects obs.DefaultSpanLogMaxFiles.
+	// TraceRotateFiles bounds how many rotated spans.ndjson
+	// generations, and how many sweep-NNNN.trace.json files, are
+	// kept; the oldest go first. Zero selects
+	// obs.DefaultSpanLogMaxFiles.
 	TraceRotateFiles int
 	// TraceSample exports 1 in N span trees to TraceDir (whole trees,
 	// so sampled traces stay complete) — always-on production tracing
@@ -168,8 +171,9 @@ type Daemon struct {
 	firstSweep atomic.Bool
 	draining   atomic.Bool
 
-	// traceSeq numbers the per-sweep trace files; only the watch
-	// goroutine (and Stop, after it exits) touches it.
+	// traceSeq numbers the per-sweep trace files, on from the highest
+	// number already in TraceDir; only the watch goroutine (and Stop,
+	// after it exits) touches it.
 	traceSeq int
 
 	ing      *ingest.Server
@@ -246,6 +250,9 @@ func New(cfg Config) (*Daemon, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("daemon: opening span log: %w", err)
+		}
+		if seqs := sweepTraceSeqs(cfg.TraceDir); len(seqs) > 0 {
+			d.traceSeq = seqs[len(seqs)-1]
 		}
 	}
 	// The observer is always on for a daemon: stage metrics are part
@@ -624,7 +631,7 @@ func (d *Daemon) flushTrace() {
 		return
 	}
 	d.traceSeq++
-	name := filepath.Join(d.cfg.TraceDir, fmt.Sprintf("sweep-%04d.trace.json", d.traceSeq))
+	name := sweepTraceName(d.cfg.TraceDir, d.traceSeq)
 	f, err := os.Create(name)
 	if err != nil {
 		d.log.Error("writing trace file failed", "err", err)
@@ -639,6 +646,36 @@ func (d *Daemon) flushTrace() {
 	if err := d.spanLog.Append(spans); err != nil {
 		d.log.Error("appending span log failed", "err", err)
 	}
+	keep := d.cfg.TraceRotateFiles
+	if keep <= 0 {
+		keep = obs.DefaultSpanLogMaxFiles
+	}
+	seqs := sweepTraceSeqs(d.cfg.TraceDir)
+	for _, seq := range seqs[:max(len(seqs)-keep, 0)] {
+		if err := os.Remove(sweepTraceName(d.cfg.TraceDir, seq)); err != nil {
+			d.log.Error("pruning trace file failed", "err", err)
+		}
+	}
+}
+
+// sweepTraceName is the path of sweep seq's Chrome trace file.
+func sweepTraceName(dir string, seq int) string {
+	return filepath.Join(dir, fmt.Sprintf("sweep-%04d.trace.json", seq))
+}
+
+// sweepTraceSeqs lists the sweep numbers of dir's trace files in
+// ascending order.
+func sweepTraceSeqs(dir string) []int {
+	matches, _ := filepath.Glob(filepath.Join(dir, "sweep-*.trace.json"))
+	var seqs []int
+	for _, m := range matches {
+		var n int
+		if _, err := fmt.Sscanf(filepath.Base(m), "sweep-%d.trace.json", &n); err == nil && m == sweepTraceName(dir, n) {
+			seqs = append(seqs, n)
+		}
+	}
+	slices.Sort(seqs)
+	return seqs
 }
 
 // failTrace marks one claimed trace terminally failed.

@@ -351,17 +351,19 @@ func TestDaemonSkipsCorruptContainer(t *testing.T) {
 // the traces the first one never finished — never the ones it did.
 //
 // The catch is made deterministic, not timing-lucky: the auditor's
-// progress callback blocks the verdict loop after the third verdict,
-// which stalls the pipeline's emission watermark; with tiny
-// workers/batch/queue bounds the scheduler then refuses to dispatch
-// the tail of the corpus, so the plan cannot complete while Stop's
-// cancellation lands.
+// progress callback blocks the verdict loop after the third verdict.
+// The pipeline's verdict stream then fills its buffer (32 verdicts at
+// two workers) and its emission watermark stalls, and the scheduler
+// dispatches no job more than its runahead (48 jobs at two workers,
+// rounded up to a chunk of 8) past the watermark. So at most
+// 3+32+48+8 = 91 jobs can finish, and the 96-trace corpus cannot
+// complete while Stop's cancellation lands.
 func TestDaemonStopMidPlanThenResume(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
 
-	sizes := fixtures.SetSizes{Training: 4, Benign: 12, Covert: 4, Packets: 220}
+	sizes := fixtures.SetSizes{Training: 4, Benign: 64, Covert: 8, Packets: 220}
 	dir := filepath.Join(t.TempDir(), "spool")
 	total := countTest(exportSynthetic(t, dir, sizes, 41))
 
@@ -370,8 +372,6 @@ func TestDaemonStopMidPlanThenResume(t *testing.T) {
 	var once sync.Once
 	blocking := newAuditor(t,
 		audit.WithWorkers(2),
-		audit.WithBatchSize(2),
-		audit.WithQueueDepth(1),
 		audit.WithProgress(func(p audit.Progress) {
 			if p.Stage == "audit" && p.Done == 3 {
 				once.Do(func() { close(reached) })
@@ -437,6 +437,7 @@ func TestDaemonStopMidPlanThenResume(t *testing.T) {
 		t.Fatal("follow stream never terminated after Stop")
 	}
 	n := len(verdicts)
+	t.Logf("stopped after %d of %d verdicts", n, total)
 	if n < 3 || n >= total {
 		t.Fatalf("recorded %d verdicts, want a strict partial prefix of %d (>= 3)", n, total)
 	}

@@ -226,3 +226,57 @@ func TestDaemonObservability(t *testing.T) {
 		t.Fatalf("spans.ndjson has %d records, Chrome files have %d events", spans, totalEvents)
 	}
 }
+
+// TestDaemonSweepTracesAcrossRestart: a daemon started on a trace
+// directory another daemon already wrote numbers its sweep files on
+// from the highest one there, instead of overwriting sweep-0001, and
+// prunes the oldest beyond TraceRotateFiles.
+func TestDaemonSweepTracesAcrossRestart(t *testing.T) {
+	traceDir := filepath.Join(t.TempDir(), "traces")
+	runSweeps := func(keep int, seed uint64) []string {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "spool")
+		st := exportSynthetic(t, dir, testSizes, seed)
+		d, err := daemon.New(daemon.Config{
+			Dir:              dir,
+			Auditor:          newAuditor(t),
+			TraceDir:         traceDir,
+			TraceRotateFiles: keep,
+			Poll:             20 * time.Millisecond,
+			Logger:           quietLogger(t),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		want := countTest(st)
+		for deadline := time.Now().Add(30 * time.Second); d.Store().AuditStates()[store.AuditAudited] != want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("daemon never audited the corpus: %v", d.Store().AuditStates())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err := d.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(traceDir, "sweep-*.trace.json"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no sweep trace files in %s (err=%v)", traceDir, err)
+		}
+		return files // sorted, and every name has four digits
+	}
+
+	first := runSweeps(0, 99)
+	last := first[len(first)-1]
+	// The successor keeps one file: it must be a new one, numbered past
+	// every file the first daemon left.
+	second := runSweeps(1, 7)
+	if len(second) != 1 {
+		t.Fatalf("TraceRotateFiles 1 left %d sweep files: %v", len(second), second)
+	}
+	if second[0] <= last {
+		t.Fatalf("restarted daemon wrote %s, not past the first daemon's %s", filepath.Base(second[0]), filepath.Base(last))
+	}
+}

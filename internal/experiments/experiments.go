@@ -59,10 +59,6 @@ type Sizes struct {
 	Fig8CovertTraces int
 	Fig8Packets      int
 
-	// Throughput experiment (audit pipeline scaling).
-	ThroughputTraces  int // total test traces (half benign, half covert)
-	ThroughputPackets int
-
 	// Cross-machine calibrated-audit experiment.
 	CrossTraces     int   // labeled test traces per direction
 	CrossPackets    int   // packets per trace
@@ -73,12 +69,6 @@ type Sizes struct {
 	TriagePackets       int     // IPDs per trace
 	TriageNeedlePeriods []int64 // needle bit periods to sweep (packets per bit)
 	TriageMatchFP       float64 // FP budget the TP comparison is read at
-
-	// Windowed-replay experiment.
-	ReplayWindowTraces  int   // labeled test traces
-	ReplayWindowPackets int   // packets per trace
-	ReplayWindowEvery   int   // checkpoint interval (outputs)
-	ReplayWindowSweep   []int // audited tail-window sizes (IPDs)
 }
 
 // DefaultSizes is the quick configuration used by tests and the
@@ -98,9 +88,6 @@ func DefaultSizes() Sizes {
 		Fig8CovertTraces: 16,
 		Fig8Packets:      220,
 
-		ThroughputTraces:  120,
-		ThroughputPackets: 60,
-
 		CrossTraces:     16,
 		CrossPackets:    60,
 		CrossTrainSweep: []int{2, 4},
@@ -109,11 +96,6 @@ func DefaultSizes() Sizes {
 		TriagePackets:       256,
 		TriageNeedlePeriods: []int64{8, 16, 32, 64},
 		TriageMatchFP:       0.2,
-
-		ReplayWindowTraces:  24,
-		ReplayWindowPackets: 96,
-		ReplayWindowEvery:   16,
-		ReplayWindowSweep:   []int{8, 16, 32},
 	}
 }
 
@@ -133,9 +115,6 @@ func FullSizes() Sizes {
 		Fig8CovertTraces: 50,
 		Fig8Packets:      400,
 
-		ThroughputTraces:  240,
-		ThroughputPackets: 220,
-
 		CrossTraces:     48,
 		CrossPackets:    120,
 		CrossTrainSweep: []int{1, 2, 4, 8},
@@ -144,11 +123,6 @@ func FullSizes() Sizes {
 		TriagePackets:       512,
 		TriageNeedlePeriods: []int64{8, 16, 32, 64, 100},
 		TriageMatchFP:       0.1,
-
-		ReplayWindowTraces:  64,
-		ReplayWindowPackets: 400,
-		ReplayWindowEvery:   25,
-		ReplayWindowSweep:   []int{10, 25, 50, 100, 200},
 	}
 }
 

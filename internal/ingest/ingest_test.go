@@ -78,7 +78,7 @@ func TestPushSyntheticCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.Config{Workers: 2, BatchSize: 3}
+	cfg := pipeline.Config{Workers: 2}
 	base, err := pipeline.New(cfg).Run(set.Batch(false, 7))
 	if err != nil {
 		t.Fatal(err)
@@ -484,7 +484,7 @@ func TestStoreIngestAuditRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := fixtures.HeterogeneousBatch(nfs, echo, seed)
-	base, err := pipeline.New(pipeline.Config{Workers: 1, BatchSize: 1}).Run(mem)
+	base, err := pipeline.New(pipeline.Config{Workers: 1}).Run(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,8 +506,8 @@ func TestStoreIngestAuditRoundTrip(t *testing.T) {
 	}
 
 	for _, cfg := range []pipeline.Config{
-		{Workers: 1, BatchSize: 1},
-		{Workers: 4, BatchSize: 2},
+		{Workers: 1},
+		{Workers: 4},
 	} {
 		b, err := pipeline.BatchFromStore(spool, fixtures.Resolver)
 		if err != nil {

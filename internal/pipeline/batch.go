@@ -8,8 +8,8 @@
 // same program on the same machine profile share one shard, so the
 // expensive per-population setup — assembling the known-good binary,
 // training Shape/KS/CCE on legitimate traffic — happens once per
-// shard instead of once per trace. Within a shard, jobs are grouped
-// into chunks of Config.BatchSize to amortize dispatch overhead.
+// shard instead of once per trace. Within a shard, jobs are dispatched
+// in chunks of eight (chunkJobs) to amortize dispatch overhead.
 //
 // Determinism is a first-class requirement, matching the rest of the
 // codebase: the verdict stream of an N-worker run is identical in

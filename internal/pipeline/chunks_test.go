@@ -81,15 +81,15 @@ func TestRunEmptyBatchNoShards(t *testing.T) {
 	}
 }
 
-// TestRunBatchSizeLargerThanJobs: one chunk, every verdict present, in
-// order.
+// TestRunBatchSizeLargerThanJobs: fewer jobs than one chunk holds
+// make one chunk, every verdict present, in order.
 func TestRunBatchSizeLargerThanJobs(t *testing.T) {
 	b := &Batch{}
 	b.AddShard(&Shard{Key: "s", Training: [][]int64{{10, 20, 30, 40, 50, 60}, {12, 22, 28, 41, 52, 58}}})
 	for i := 0; i < 3; i++ {
 		b.Append(Job{ID: fmt.Sprintf("j%d", i), Shard: "s", Trace: &Trace{IPDs: []int64{10, 20, 30, 40, 50, 60}}})
 	}
-	r, err := New(Config{Workers: 2, BatchSize: 1000}).Run(b)
+	r, err := New(Config{Workers: 2}).Run(b)
 	if err != nil {
 		t.Fatal(err)
 	}

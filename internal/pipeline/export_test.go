@@ -8,3 +8,10 @@ func FullReplayReference(cfg Config) Config {
 	cfg.fullReplay = true
 	return cfg
 }
+
+// ChunkJobs is the dispatch unit, in jobs of one shard.
+const ChunkJobs = chunkJobs
+
+// RunaheadJobs is how far past the first unemitted verdict a run of
+// the given worker count dispatches.
+func RunaheadJobs(workers int) int { return runaheadJobs(workers) }

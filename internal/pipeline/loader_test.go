@@ -30,11 +30,11 @@ func lazyCopy(b *pipeline.Batch) *pipeline.Batch {
 // counts.
 func TestLazyLoadMatchesEager(t *testing.T) {
 	eager := syntheticBatch()
-	base := run(t, eager, pipeline.Config{Workers: 1, BatchSize: 1}).Canonical()
+	base := run(t, eager, pipeline.Config{Workers: 1}).Canonical()
 	lazy := lazyCopy(eager)
 	for _, cfg := range []pipeline.Config{
-		{Workers: 1, BatchSize: 1},
-		{Workers: 4, BatchSize: 3},
+		{Workers: 1},
+		{Workers: 4},
 	} {
 		if got := run(t, lazy, cfg).Canonical(); !bytes.Equal(base, got) {
 			t.Fatalf("lazy batch diverged at workers=%d:\n--- want\n%s--- got\n%s", cfg.Workers, base, got)
@@ -95,10 +95,10 @@ func TestHeterogeneousDeterminism(t *testing.T) {
 	if len(b.Shards) != 2 {
 		t.Fatalf("%d shards", len(b.Shards))
 	}
-	base := run(t, b, pipeline.Config{Workers: 1, BatchSize: 1}).Canonical()
+	base := run(t, b, pipeline.Config{Workers: 1}).Canonical()
 	for _, cfg := range []pipeline.Config{
-		{Workers: 4, BatchSize: 2},
-		{Workers: 8, BatchSize: 3, QueueDepth: 1},
+		{Workers: 4},
+		{Workers: 8},
 	} {
 		if got := run(t, b, cfg).Canonical(); !bytes.Equal(base, got) {
 			t.Fatalf("heterogeneous batch diverged at workers=%d:\n--- want\n%s--- got\n%s", cfg.Workers, base, got)

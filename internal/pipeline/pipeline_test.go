@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sanity/internal/fixtures"
 	"sanity/internal/pipeline"
@@ -47,23 +50,20 @@ func run(t *testing.T, b *pipeline.Batch, cfg pipeline.Config) *pipeline.Results
 // 1-worker run over the same batch.
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	b := syntheticBatch()
-	base := run(t, b, pipeline.Config{Workers: 1, BatchSize: 1}).Canonical()
+	base := run(t, b, pipeline.Config{Workers: 1}).Canonical()
 	if len(base) == 0 {
 		t.Fatal("empty canonical results")
 	}
 	for _, cfg := range []pipeline.Config{
-		{Workers: 2, BatchSize: 1},
-		{Workers: 4, BatchSize: 3},
-		{Workers: 8, BatchSize: 8},
-		{Workers: 3, BatchSize: 100, QueueDepth: 1},
-		// Tiny runahead: the scheduler's reorder-bound watermark must
-		// throttle dispatch without deadlocking or reordering.
-		{Workers: 2, BatchSize: 1, QueueDepth: 1},
+		{Workers: 2},
+		{Workers: 3},
+		{Workers: 4},
+		{Workers: 8},
 	} {
 		got := run(t, b, cfg).Canonical()
 		if !bytes.Equal(base, got) {
-			t.Fatalf("workers=%d batch=%d diverged from 1-worker run:\n--- want\n%s--- got\n%s",
-				cfg.Workers, cfg.BatchSize, base, got)
+			t.Fatalf("workers=%d diverged from 1-worker run:\n--- want\n%s--- got\n%s",
+				cfg.Workers, base, got)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestDeterministicTDRPath(t *testing.T) {
 	}
 	b := playedBatch()
 	base := run(t, b, pipeline.Config{Workers: 1}).Canonical()
-	got := run(t, b, pipeline.Config{Workers: 4, BatchSize: 2}).Canonical()
+	got := run(t, b, pipeline.Config{Workers: 4}).Canonical()
 	if !bytes.Equal(base, got) {
 		t.Fatalf("TDR path diverged across worker counts:\n--- 1 worker\n%s--- 4 workers\n%s", base, got)
 	}
@@ -86,7 +86,7 @@ func TestDeterministicTDRPath(t *testing.T) {
 // order with matching job IDs, whatever the worker interleaving.
 func TestStreamOrder(t *testing.T) {
 	b := syntheticBatch()
-	s, err := pipeline.New(pipeline.Config{Workers: 6, BatchSize: 2}).Go(b)
+	s, err := pipeline.New(pipeline.Config{Workers: 6}).GoContext(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestMultiShard(t *testing.T) {
 		}
 		b.Append(pipeline.Job{ID: lt.ID, Shard: shard, Label: lt.Label, Trace: lt.Trace})
 	}
-	r := run(t, b, pipeline.Config{Workers: 3, BatchSize: 2})
+	r := run(t, b, pipeline.Config{Workers: 3})
 	for i, v := range r.Verdicts {
 		want := "a"
 		if i%2 == 1 {
@@ -216,7 +216,7 @@ func TestMultiShard(t *testing.T) {
 	}
 	// Identical shards, deterministic scoring: a job's scores must not
 	// depend on which shard (with equal training) handled it.
-	base := run(t, b, pipeline.Config{Workers: 1, BatchSize: 1}).Canonical()
+	base := run(t, b, pipeline.Config{Workers: 1}).Canonical()
 	if got := r.Canonical(); !bytes.Equal(base, got) {
 		t.Fatalf("multi-shard run not deterministic:\n%s\nvs\n%s", base, got)
 	}
@@ -244,5 +244,72 @@ func TestStreamErrAfterVerdictsClose(t *testing.T) {
 	// No Wait(): the channel just closed, and Err must already be set.
 	if err := s.Err(); !errors.Is(err, pipeline.ErrCanceled) {
 		t.Fatalf("Err after Verdicts close = %v, want ErrCanceled", err)
+	}
+}
+
+// TestRunaheadBound pins the scheduler's reorder bound: while one job's
+// load blocks, the jobs after it keep being dispatched until exactly
+// the runahead past it have started, and no more. The blocked job is
+// the last of its chunk, so nothing else waits behind it on its
+// worker and the bound is reached exactly. Canceling then yields the
+// in-order prefix up to the bound, each verdict what a complete run
+// gives for that job.
+func TestRunaheadBound(t *testing.T) {
+	const workers = 2
+	runahead := pipeline.RunaheadJobs(workers)
+	blocked := pipeline.ChunkJobs - 1
+	src := syntheticBatch()
+	b := &pipeline.Batch{Shards: src.Shards}
+	release := make(chan struct{})
+	bound := make(chan struct{}) // closed when the runahead-th load past it begins
+	var past atomic.Int64        // jobs after the blocked one whose load began
+	for i := 0; i < blocked+1+runahead+4*pipeline.ChunkJobs; i++ {
+		j := src.Jobs[i%len(src.Jobs)]
+		ipds := j.Trace.IPDs
+		load := func() (*pipeline.Trace, error) {
+			if i == blocked {
+				<-release
+			} else if i > blocked && past.Add(1) == int64(runahead) {
+				close(bound)
+			}
+			// A trace of its own: the auditor releases what it loads.
+			return &pipeline.Trace{IPDs: ipds}, nil
+		}
+		b.Append(pipeline.Job{ID: fmt.Sprintf("%s#%d", j.ID, i), Shard: j.Shard, Label: j.Label, Load: load})
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s, err := pipeline.New(pipeline.Config{Workers: workers}).GoContext(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-bound:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("only %d jobs past the blocked one started, want the runahead %d", past.Load(), runahead)
+	}
+	time.Sleep(50 * time.Millisecond) // room for a dispatch past the bound to show
+	if got := past.Load(); got != int64(runahead) {
+		t.Fatalf("%d jobs past the blocked one started, want the runahead %d", got, runahead)
+	}
+
+	cancel()
+	close(release)
+	var got []pipeline.Verdict
+	for v := range s.Verdicts {
+		got = append(got, v)
+	}
+	if want := blocked + 1 + runahead; len(got) != want {
+		t.Fatalf("canceled run emitted %d verdicts, want the %d up to the bound", len(got), want)
+	}
+	var ce *pipeline.CanceledError
+	if err := s.Err(); !errors.As(err, &ce) || ce.Emitted != len(got) {
+		t.Fatalf("Err = %v, want a CanceledError after %d verdicts", err, len(got))
+	}
+	prefix := pipeline.Collect(got, workers, 0).Canonical()
+	full := run(t, b, pipeline.Config{Workers: workers}).Canonical()
+	if !bytes.HasPrefix(full, prefix) {
+		t.Fatalf("canceled prefix differs from the complete run:\n--- prefix\n%s--- complete\n%s", prefix, full)
 	}
 }

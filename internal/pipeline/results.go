@@ -114,10 +114,9 @@ type Metrics struct {
 	P50LatencyNs int64 `json:"p50LatencyNs"`
 	P99LatencyNs int64 `json:"p99LatencyNs"`
 
-	// Workers and BatchSize echo the configuration that produced the
-	// run (after defaulting).
-	Workers   int `json:"workers"`
-	BatchSize int `json:"batchSize"`
+	// Workers echoes the worker-pool size that produced the run (after
+	// defaulting).
+	Workers int `json:"workers"`
 }
 
 // Results is a completed run: every verdict in submission order plus
@@ -157,12 +156,12 @@ func (r *Results) Canonical() []byte {
 // drained a plan's verdict iterator themselves and still want the
 // summary shape. elapsedNs is the caller-measured wall-clock time of
 // the run (0 leaves throughput unset).
-func Collect(verdicts []Verdict, workers, batchSize int, elapsedNs int64) *Results {
+func Collect(verdicts []Verdict, workers int, elapsedNs int64) *Results {
 	r := &Results{}
 	for _, v := range verdicts {
 		r.add(v)
 	}
-	r.finish(elapsedNs, workers, batchSize)
+	r.finish(elapsedNs, workers)
 	return r
 }
 
@@ -195,11 +194,10 @@ func (r *Results) add(v Verdict) {
 }
 
 // finish computes the derived metrics.
-func (r *Results) finish(elapsedNs int64, workers, batchSize int) {
+func (r *Results) finish(elapsedNs int64, workers int) {
 	m := &r.Metrics
 	m.ElapsedNs = elapsedNs
 	m.Workers = workers
-	m.BatchSize = batchSize
 	if elapsedNs > 0 {
 		m.ThroughputPerSec = float64(m.Traces) / (float64(elapsedNs) / 1e9)
 	}
@@ -217,8 +215,8 @@ func (r *Results) finish(elapsedNs int64, workers, batchSize int) {
 func (r *Results) Format() string {
 	m := r.Metrics
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "audited %d traces with %d workers (batch %d) in %.2fs — %.1f traces/s\n",
-		m.Traces, m.Workers, m.BatchSize, float64(m.ElapsedNs)/1e9, m.ThroughputPerSec)
+	fmt.Fprintf(&sb, "audited %d traces with %d workers in %.2fs — %.1f traces/s\n",
+		m.Traces, m.Workers, float64(m.ElapsedNs)/1e9, m.ThroughputPerSec)
 	fmt.Fprintf(&sb, "  latency p50 %.1fms  p99 %.1fms\n", float64(m.P50LatencyNs)/1e6, float64(m.P99LatencyNs)/1e6)
 	fmt.Fprintf(&sb, "  suspicious %d/%d", m.Suspicious, m.Traces)
 	if m.TruePositives+m.FalsePositives+m.TrueNegatives+m.FalseNegatives > 0 {

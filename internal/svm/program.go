@@ -172,14 +172,4 @@ func (p *Program) GlobalIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// TotalInstructions returns the static instruction count across all
-// functions (used by tests and the stats report).
-func (p *Program) TotalInstructions() int {
-	n := 0
-	for _, f := range p.Funcs {
-		n += len(f.Code)
-	}
-	return n
-}
-
 func floatBits(f float64) uint64 { return math.Float64bits(f) }

@@ -39,9 +39,6 @@ func Null() Value { return Value{K: KRef} }
 // Ref returns the value as a reference handle (valid only for KRef).
 func (v Value) Ref() Ref { return Ref(v.I) }
 
-// IsNull reports whether the value is the null reference.
-func (v Value) IsNull() bool { return v.K == KRef && v.I == 0 }
-
 // String renders the value for diagnostics and the disassembler.
 func (v Value) String() string {
 	switch v.K {

@@ -219,9 +219,6 @@ func (vm *VM) spawn(fnIdx int, args []Value) *Thread {
 // Threads returns the VM's threads (read-only use by engines/tests).
 func (vm *VM) Threads() []*Thread { return vm.threads }
 
-// Halted reports whether the VM has stopped.
-func (vm *VM) Halted() bool { return vm.halted }
-
 // Halt stops the VM with the given exit code. Engines use it to end
 // a windowed replay as soon as the audited range has been
 // reproduced; the current instruction (typically the native call
@@ -230,9 +227,6 @@ func (vm *VM) Halt(code int64) {
 	vm.halted = true
 	vm.ExitCode = code
 }
-
-// StringRef returns the heap handle of interned string constant i.
-func (vm *VM) StringRef(i int) Ref { return vm.strRefs[i] }
 
 // TimePs returns the virtual time, or the instruction count in plain
 // mode (so plain-mode callers still get a monotone clock).
