@@ -8,6 +8,7 @@ import (
 	"sanity/internal/core"
 	"sanity/internal/detect"
 	"sanity/internal/fixtures"
+	"sanity/internal/hw"
 	"sanity/internal/nfs"
 )
 
@@ -90,5 +91,58 @@ func TestConcurrentWarmReplaysAllocBound(t *testing.T) {
 	t.Logf("%d concurrent ReplayTDRs allocated %d bytes cold, %d warm", n, cold, got)
 	if got > n*maxWarmReplayBytes {
 		t.Fatalf("%d concurrent warm ReplayTDRs allocated %d bytes, budget %d", n, got, n*maxWarmReplayBytes)
+	}
+}
+
+// TestAlternatingMachineWarmReplaysAllocBound: on primed kits, warm
+// replays that alternate machine types allocate no more than the same
+// replays run one machine type at a time. One kit serves every machine
+// type, so the difference is what reshaping a kit from one type to the
+// other allocates: nothing once the kit has held the larger machine.
+// A kit rebuilt per type, or an L3 slot array regrown on every switch,
+// costs a megabyte or more per replay.
+func TestAlternatingMachineWarmReplaysAllocBound(t *testing.T) {
+	if fixtures.RaceDetector() {
+		t.Skip("allocation budget is held without -race")
+	}
+	tr, err := fixtures.PlayTrace(120, 42, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, opt := nfs.ServerProgram(), fixtures.ServerConfig(7)
+	slow := opt
+	slow.Machine = hw.SlowerT()
+	// replays runs the replays one after another and returns the bytes
+	// the process allocated meanwhile.
+	replays := func(cfgs ...core.Config) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, cfg := range cfgs {
+			if _, err := core.ReplayTDR(prog, tr.Log, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	replays(opt, slow) // warm both paths
+	// The idle kit the replays take is the one PrimeKits released last:
+	// shaped for the larger machine, whatever earlier tests left.
+	if err := core.PrimeKits(opt, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	same := replays(opt, opt) + replays(slow, slow)
+	alt := replays(opt, slow, opt, slow)
+	t.Logf("two replays per machine type allocated %d bytes one type at a time, %d alternating", same, alt)
+	// The slack covers what the runtime allocates on its own meanwhile;
+	// a reshape that allocated would add an L3 slot array (1 MB and more).
+	const slack = 64 << 10
+	if alt > same+slack {
+		t.Fatalf("alternating machine types allocated %d bytes, %d more than one type at a time", alt, alt-same)
+	}
+	if alt > 4*maxWarmReplayBytes {
+		t.Fatalf("four alternating warm replays allocated %d bytes, budget %d", alt, 4*maxWarmReplayBytes)
 	}
 }

@@ -70,10 +70,11 @@ func ReplayCounted(prog *svm.Program, log *replaylog.Log, cfg Config, fromIPD, t
 	return e.exec, opsOf(e.plat), nil
 }
 
-// PrimeKits acquires n kits for cfg's machine and profile at once, then
-// releases them all, so that n engines can next run at once without
-// building a kit: however many ran together before, the free list now
-// holds at least n.
+// PrimeKits acquires n kits at once, reshaped for cfg's machine and
+// profile, then releases them all, so that n engines can next run at
+// once without building a kit: however many ran together before, the
+// free list now holds at least n, each shaped at least as large as
+// cfg's machine.
 func PrimeKits(cfg Config, n int) error {
 	kits := make([]*kit, 0, n)
 	defer func() {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"sanity/internal/bufpool"
 	"sanity/internal/hw"
 	"sanity/internal/replaylog"
@@ -27,37 +25,22 @@ type kit struct {
 	scratch *svm.RestoreScratch
 }
 
-type kitKey struct {
-	machine string
-	profile string
-}
+// kits keeps as many idle kits as engines ran at once, for as long as
+// they keep being reused. A kit serves any machine type and profile:
+// acquireKit reshapes its platform for the engine's configuration, and
+// a platform once shaped for the largest machine type reshapes to any
+// other without allocating, so a worker that alternates machine types
+// keeps one kit, not one per type.
+var kits bufpool.FreeList[kit]
 
-// kitLists maps a kitKey to its *bufpool.FreeList[kit], which keeps
-// as many idle kits as engines ran at once, for as long as they keep
-// being reused. The lists are keyed by machine and profile name, and
-// every reuse re-checks the full specs for equality, so a test that
-// registers a divergent spec under a colliding name gets a fresh kit
-// rather than a wrong geometry.
-var kitLists sync.Map
-
-func kitList(m hw.MachineSpec, p hw.NoiseProfile) *bufpool.FreeList[kit] {
-	key := kitKey{machine: m.Name, profile: p.Name}
-	if v, ok := kitLists.Load(key); ok {
-		return v.(*bufpool.FreeList[kit])
-	}
-	v, _ := kitLists.LoadOrStore(key, new(bufpool.FreeList[kit]))
-	return v.(*bufpool.FreeList[kit])
-}
-
-// acquireKit returns an idle kit for cfg's machine and profile, reset
-// to the state a new one has for cfg.Seed, or builds one.
+// acquireKit returns an idle kit reshaped to the state a new one has
+// for cfg's machine, profile and seed, or builds one.
 func acquireKit(cfg *Config) (*kit, error) {
-	l := kitList(cfg.Machine, cfg.Profile)
-	for k := l.Get(); k != nil; k = l.Get() {
-		if k.plat.Spec != cfg.Machine || k.plat.Profile != cfg.Profile {
-			continue // name collision with a different spec: drop it
+	if k := kits.Get(); k != nil {
+		if err := k.plat.Reshape(cfg.Machine, cfg.Profile, cfg.Seed); err != nil {
+			kits.Put(k)
+			return nil, err
 		}
-		k.plat.Reset(cfg.Seed)
 		k.st.AlignResume(0)
 		k.ts.AlignResume(0)
 		return k, nil
@@ -95,5 +78,5 @@ func releaseKit(k *kit) {
 	clear(k.values)
 	k.packets, k.values = k.packets[:0], k.values[:0]
 	k.scratch.Reset()
-	kitList(k.plat.Spec, k.plat.Profile).Put(k)
+	kits.Put(k)
 }

@@ -354,10 +354,10 @@ func TestDaemonSkipsCorruptContainer(t *testing.T) {
 // progress callback blocks the verdict loop after the third verdict.
 // The pipeline's verdict stream then fills its buffer (32 verdicts at
 // two workers) and its emission watermark stalls, and the scheduler
-// dispatches no job more than its runahead (48 jobs at two workers,
-// rounded up to a chunk of 8) past the watermark. So at most
-// 3+32+48+8 = 91 jobs can finish, and the 96-trace corpus cannot
-// complete while Stop's cancellation lands.
+// dispatches no job more than its runahead (48 jobs at two workers)
+// past the watermark. So at most 3+32+1+48 = 84 jobs can finish (the
+// emitted ones, the watermark job and the runahead past it), and the
+// 96-trace corpus cannot complete while Stop's cancellation lands.
 func TestDaemonStopMidPlanThenResume(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	client := &http.Client{}

@@ -66,17 +66,41 @@ type Cache struct {
 
 // NewCache builds an empty cache with the given geometry.
 func NewCache(spec CacheSpec) *Cache {
-	sets := spec.Sets()
-	c := &Cache{
-		spec:    spec,
-		ways:    int64(spec.Ways),
-		setMask: sets - 1,
-		slots:   make([]slot, sets*int64(spec.Ways)),
-	}
-	for b := spec.LineBytes; b > 1; b >>= 1 {
-		c.lineBits++
-	}
+	c := new(Cache)
+	c.reshape(spec)
 	return c
+}
+
+// reshape gives c the geometry spec and forgets its memo, keeping the
+// slot array when its capacity suffices. It leaves the content state
+// alone: the caller flushes, which empties every slot however the
+// geometry carves them up, since no slot was stamped after the flush.
+func (c *Cache) reshape(spec CacheSpec) {
+	sets := spec.Sets()
+	c.spec = spec
+	c.ways = int64(spec.Ways)
+	c.setMask = sets - 1
+	c.lineBits = log2(spec.LineBytes)
+	c.slots = resize(c.slots, sets*c.ways)
+	c.memo = [cacheMemoSize]int{}
+}
+
+// resize returns s with length n, reallocated only when its capacity
+// is short. A fresh array is all empty slots.
+func resize(s []slot, n int64) []slot {
+	if int64(cap(s)) < n {
+		return make([]slot, n)
+	}
+	return s[:n]
+}
+
+// log2 is the exponent of the power of two n.
+func log2(n int64) uint {
+	var b uint
+	for ; n > 1; n >>= 1 {
+		b++
+	}
+	return b
 }
 
 // Spec returns the geometry this cache was built with.
@@ -241,8 +265,6 @@ type vline struct {
 
 func lineKey(vl int64) uint64 { return uint64(vl)<<1 | 1 }
 
-func newL1Cache(spec CacheSpec) *l1Cache { return &l1Cache{Cache: *NewCache(spec)} }
-
 // remember records where the step-by-step path left the line
 // containing vaddr: physically at paddr, in cache slot slot, its page
 // vpn in TLB slot entry.
@@ -306,13 +328,18 @@ func pageHash(vpn int64, bits uint) uint64 { return uint64(vpn) * 0x9e3779b97f4a
 
 // NewTLB builds an empty TLB.
 func NewTLB(spec TLBSpec) *TLB {
-	sets := int64(spec.Entries / spec.Ways)
-	return &TLB{
-		spec:    spec,
-		ways:    int64(spec.Ways),
-		setMask: sets - 1,
-		slots:   make([]slot, sets*int64(spec.Ways)),
-	}
+	t := new(TLB)
+	t.reshape(spec)
+	return t
+}
+
+// reshape is Cache.reshape for a TLB.
+func (t *TLB) reshape(spec TLBSpec) {
+	t.spec = spec
+	t.ways = int64(spec.Ways)
+	t.setMask = int64(spec.Entries/spec.Ways) - 1
+	t.slots = resize(t.slots, int64(spec.Entries))
+	t.memo = [tlbMemoSize]int{}
 }
 
 func (t *TLB) live(s *slot) bool { return s.meta > t.flushed }

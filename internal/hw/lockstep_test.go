@@ -66,7 +66,7 @@ func (l *lockstep) step(ref func(*refPlatform), got func(*Platform), format stri
 
 // shallowNames labels the values refShallow and gotShallow return.
 var shallowNames = [...]string{
-	"cycles", "InstrFetches", "DataAccesses", "IOReads", "dmaBoost",
+	"cycles", "InstrFetches", "DataAccesses", "IOReads", "dmaBoost", "psPerCycle",
 	"l1i hits", "l1i misses", "l1d hits", "l1d misses", "l2 hits", "l2 misses", "l3 hits", "l3 misses",
 	"tlb hits", "tlb misses", "platform rng", "mapper rng", "noise rng",
 	"next interrupt", "next preemption", "next heartbeat", "next freq update", "freqMilli",
@@ -78,7 +78,7 @@ type shallowState [len(shallowNames)]int64
 func refShallow(p *refPlatform) shallowState {
 	ns := p.noise
 	return shallowState{
-		p.cycles, p.InstrFetches, p.DataAccesses, p.IOReads, p.dmaBoost,
+		p.cycles, p.InstrFetches, p.DataAccesses, p.IOReads, p.dmaBoost, p.psPerCycle,
 		p.l1i.Hits, p.l1i.Misses, p.l1d.Hits, p.l1d.Misses, p.l2.Hits, p.l2.Misses, p.l3.Hits, p.l3.Misses,
 		p.tlb.Hits, p.tlb.Misses, int64(p.rng.state), int64(p.mapper.rng.state), int64(ns.rng.state),
 		ns.nextInterruptCycle, ns.nextPreemptionCycle, ns.nextHeartbeatCycle, ns.nextFreqUpdateCycle, ns.freqMilli,
@@ -89,7 +89,7 @@ func refShallow(p *refPlatform) shallowState {
 func gotShallow(p *Platform) shallowState {
 	ns := p.noise
 	return shallowState{
-		p.cycles, p.InstrFetches, p.DataAccesses, p.IOReads, p.dmaBoost,
+		p.cycles, p.InstrFetches, p.DataAccesses, p.IOReads, p.dmaBoost, p.psPerCycle,
 		p.l1i.Hits, p.l1i.Misses, p.l1d.Hits, p.l1d.Misses, p.l2.Hits, p.l2.Misses, p.l3.Hits, p.l3.Misses,
 		p.tlb.Hits, p.tlb.Misses, int64(p.rng.state), int64(p.mapper.rng.state), int64(ns.rng.state),
 		ns.nextInterruptCycle, ns.nextPreemptionCycle, ns.nextHeartbeatCycle, ns.nextFreqUpdateCycle, ns.freqMilli,
@@ -294,6 +294,10 @@ func runOps(l *lockstep, data []byte) string {
 				"Quiesce(%#x)", seed)
 		case 14:
 			seed := r.u32()
+			if op&16 != 0 {
+				d = l.reshape(int(r.u8()), seed)
+				break
+			}
 			d = l.step(func(p *refPlatform) { p.Reset(seed) }, func(p *Platform) { p.Reset(seed) },
 				"Reset(%#x)", seed)
 		case 15:
@@ -331,16 +335,52 @@ func randomOps(seed uint64, n int) []byte {
 	return b
 }
 
-// lockstepPairs keeps one platform pair per (machine, profile), so a
-// fuzz execution re-keys megabytes of cache state instead of
-// allocating them. Both sides start each execution from their own
-// Reset; TestResetEqualsFresh is what ties Reset to a fresh platform.
-var lockstepPairs = map[[2]int]*lockstep{}
+// lockstepRefs keeps one reference per (machine, profile) of the
+// lockstep tables, so a fuzz execution or a reshape re-keys megabytes
+// of cache state instead of allocating them.
+var lockstepRefs = map[[2]int]*refPlatform{}
+
+// reshape moves the product platform to machine type k%2 and profile
+// k/2 of the lockstep tables, seeded with seed, and pairs it with that
+// combination's reference Reset to the same seed: from then on the
+// reshaped platform must agree with a fresh one in everything.
+func (l *lockstep) reshape(k int, seed uint64) string {
+	machines, profiles := KnownMachines(), lockstepProfiles()
+	key := [2]int{k % len(machines), k / len(machines) % len(profiles)}
+	spec, profile := machines[key[0]], profiles[key[1]]
+	ref := lockstepRefs[key]
+	if ref == nil {
+		ref = mustNewRefPlatform(spec, profile, seed)
+		lockstepRefs[key] = ref
+	}
+	ref.Reset(seed)
+	l.ops++
+	if err := l.got.Reshape(spec, profile, seed); err != nil {
+		return fmt.Sprintf("op %d, Reshape(%s, %s, %#x): %v", l.ops, spec.Name, profile.Name, seed, err)
+	}
+	l.ref = ref
+	l.clock0 = l.clockLeads()
+	d := l.shallow()
+	if d == "" {
+		d = l.deep()
+	}
+	if d != "" {
+		return fmt.Sprintf("op %d, Reshape(%s, %s, %#x): %s", l.ops, spec.Name, profile.Name, seed, d)
+	}
+	return ""
+}
+
+// fuzzLockstep holds the one product platform every fuzz execution
+// reshapes to its machine type and profile, as the audit pipeline's
+// engine kits are reshaped from job to job.
+var fuzzLockstep *lockstep
 
 // FuzzPlatformLockstep feeds random operation sequences to the product
 // platform and the reference together, on every noise profile and both
 // machine types, and fails at the first operation after which they
-// differ in anything.
+// differ in anything. Each execution first reshapes the platform the
+// previous one left to the execution's machine type and profile, and
+// the sequence reshapes it again between runs of operations.
 func FuzzPlatformLockstep(f *testing.F) {
 	profiles, machines := lockstepProfiles(), KnownMachines()
 	for m := range machines {
@@ -349,17 +389,18 @@ func FuzzPlatformLockstep(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, m, p uint8, seed uint64, data []byte) {
-		key := [2]int{int(m) % len(machines), int(p) % len(profiles)}
-		l := lockstepPairs[key]
-		if l == nil {
-			l = newLockstep(machines[key[0]], profiles[key[1]], seed)
-			lockstepPairs[key] = l
+		if fuzzLockstep == nil {
+			fuzzLockstep = &lockstep{got: MustNewPlatform(machines[0], profiles[0], seed)}
 		}
+		l := fuzzLockstep
 		l.ops = 0
-		l.ref.Reset(seed)
-		l.got.Reset(seed)
-		if d := runOps(l, data); d != "" {
-			t.Fatalf("%s/%s seed %#x: %s", machines[key[0]].Name, profiles[key[1]].Name, seed, d)
+		mi, pi := int(m)%len(machines), int(p)%len(profiles)
+		d := l.reshape(mi+len(machines)*pi, seed)
+		if d == "" {
+			d = runOps(l, data)
+		}
+		if d != "" {
+			t.Fatalf("%s/%s seed %#x: %s", machines[mi].Name, profiles[pi].Name, seed, d)
 		}
 	})
 }
@@ -383,7 +424,8 @@ func TestResetEqualsFresh(t *testing.T) {
 			churn(t, used, 99, 20000)
 			const seed = 0xFEED
 			used.got.Reset(seed)
-			l := pairUp(mustNewRefPlatform(spec, profile, seed), used.got)
+			// The churn may have reshaped the platform.
+			l := pairUp(mustNewRefPlatform(used.got.Spec, used.got.Profile, seed), used.got)
 			if d := l.deep(); d != "" {
 				t.Fatalf("%s/%s: right after Reset: %s", spec.Name, profile.Name, d)
 			}
@@ -395,6 +437,40 @@ func TestResetEqualsFresh(t *testing.T) {
 				t.Fatal(d)
 			}
 			churn(t, l, 6, 9000)
+		}
+	}
+}
+
+// TestReshapeEqualsFresh: on every noise profile, a platform that has
+// been through a noisy run on the other profile and is then reshaped
+// Optiplex → SlowerT → Optiplex is indistinguishable, operation by
+// operation, from the reference built fresh for each step — across a
+// Quiesce too. The first reshape shrinks the L3 inside the slot array
+// the Optiplex left, the second grows it back, so stale geometry,
+// memos or stamps from the larger machine show up in either direction.
+func TestReshapeEqualsFresh(t *testing.T) {
+	profiles := lockstepProfiles()
+	for i, profile := range profiles {
+		used := newLockstep(Optiplex9020(), profiles[(i+1)%len(profiles)], 1)
+		churn(t, used, 99, 6000)
+		p := used.got
+		for j, spec := range []MachineSpec{SlowerT(), Optiplex9020()} {
+			seed := uint64(0xFEED + j)
+			if err := p.Reshape(spec, profile, seed); err != nil {
+				t.Fatal(err)
+			}
+			l := pairUp(mustNewRefPlatform(spec, profile, seed), p)
+			if d := l.deep(); d != "" {
+				t.Fatalf("%s/%s: right after Reshape: %s", spec.Name, profile.Name, d)
+			}
+			if d := l.step(func(p *refPlatform) { p.Initialize() }, func(p *Platform) { p.Initialize() }, "Initialize"); d != "" {
+				t.Fatalf("%s/%s: %s", spec.Name, profile.Name, d)
+			}
+			churn(t, l, 5, 4000)
+			if d := l.step(func(p *refPlatform) { p.Quiesce(77) }, func(p *Platform) { p.Quiesce(77) }, "Quiesce"); d != "" {
+				t.Fatalf("%s/%s: %s", spec.Name, profile.Name, d)
+			}
+			churn(t, l, 6, 4000)
 		}
 	}
 }
@@ -435,7 +511,7 @@ func TestQuiesceDependsOnlyOnEpochSeed(t *testing.T) {
 }
 
 // TestResetAndQuiesceDoNotAllocate: pooled platforms are re-keyed in
-// place.
+// place, and one shaped for the larger machine reshapes to either.
 func TestResetAndQuiesceDoNotAllocate(t *testing.T) {
 	p := MustNewPlatform(Optiplex9020(), ProfileUserNoisy(), 1)
 	p.Initialize()
@@ -448,6 +524,15 @@ func TestResetAndQuiesceDoNotAllocate(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() { seed++; p.Quiesce(seed) }); n != 0 {
 		t.Errorf("Quiesce allocates %v times", n)
+	}
+	specs := [...]MachineSpec{SlowerT(), Optiplex9020()}
+	if n := testing.AllocsPerRun(50, func() {
+		seed++
+		if err := p.Reshape(specs[seed%2], ProfileSanity(), seed); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reshape allocates %v times", n)
 	}
 }
 

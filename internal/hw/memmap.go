@@ -44,17 +44,18 @@ func pageKey(vpn int64) uint64 { return uint64(vpn)<<1 | 1 }
 // deterministic because the instruction stream is); otherwise frames
 // are drawn from rng, so each run gets a different layout.
 func NewPageMapper(spec MachineSpec, pinned bool, rng *RNG) *PageMapper {
-	m := &PageMapper{
-		pageSize: spec.PageSize,
-		frames:   spec.Frames,
-		pinned:   pinned,
-		rng:      rng,
-		table:    make(map[int64]int64),
-	}
-	for b := spec.PageSize; b > 1; b >>= 1 {
-		m.pageBits++
-	}
+	m := &PageMapper{rng: rng, table: make(map[int64]int64)}
+	m.reshape(spec, pinned)
 	return m
+}
+
+// reshape gives m spec's pages and frames and the pinned rule, leaving
+// its contents to the caller's unmapAll.
+func (m *PageMapper) reshape(spec MachineSpec, pinned bool) {
+	m.pageSize = spec.PageSize
+	m.pageBits = log2(spec.PageSize)
+	m.frames = spec.Frames
+	m.pinned = pinned
 }
 
 // unmapAll returns the mapper to its freshly built state, keeping its

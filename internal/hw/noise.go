@@ -217,12 +217,6 @@ type noiseState struct {
 	StolenCycles int64
 }
 
-func newNoiseState(p NoiseProfile, rng *RNG, cyclesPerMs float64) *noiseState {
-	ns := &noiseState{profile: p, rng: rng}
-	ns.schedule(cyclesPerMs, 0)
-	return ns
-}
-
 // schedule draws the noise point processes' first arrivals from
 // ns.rng, relative to the clock value at, so a noise state re-keyed at
 // a quiescence boundary behaves identically whether the platform's

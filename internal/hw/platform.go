@@ -39,25 +39,19 @@ type Platform struct {
 // seed. The seed drives every stochastic noise source; the structural
 // state (caches, mapper in pinned mode) is seed-independent.
 func NewPlatform(spec MachineSpec, profile NoiseProfile, seed uint64) (*Platform, error) {
-	if err := spec.Validate(); err != nil {
+	p := &Platform{
+		l1i:    new(l1Cache),
+		l1d:    new(l1Cache),
+		l2:     new(Cache),
+		l3:     new(Cache),
+		tlb:    new(TLB),
+		mapper: &PageMapper{rng: new(RNG), table: make(map[int64]int64)},
+		noise:  &noiseState{rng: new(RNG)},
+		rng:    new(RNG),
+	}
+	if err := p.Reshape(spec, profile, seed); err != nil {
 		return nil, err
 	}
-	rng := NewRNG(seed)
-	cyclesPerMs := spec.ClockGHz * 1e6
-	p := &Platform{
-		Spec:       spec,
-		Profile:    profile,
-		l1i:        newL1Cache(spec.L1I),
-		l1d:        newL1Cache(spec.L1D),
-		l2:         NewCache(spec.L2),
-		l3:         NewCache(spec.L3),
-		tlb:        NewTLB(spec.TLB),
-		rng:        rng,
-		psPerCycle: spec.PsPerCycle(),
-		dmaBoost:   1,
-	}
-	p.mapper = NewPageMapper(spec, !profile.RandomFrames, rng.Split())
-	p.noise = newNoiseState(profile, rng.Split(), cyclesPerMs)
 	return p, nil
 }
 
@@ -103,14 +97,13 @@ func (p *Platform) Initialize() {
 // Reset returns a used platform to the exact state NewPlatform(Spec,
 // Profile, seed) constructs, without reallocating the cache, TLB, and
 // stamp arrays — several megabytes per platform on a realistic
-// machine model. The audit pipeline replays one log per job across a
-// worker pool; pooling platforms through Reset removes the dominant
-// per-job allocation.
+// machine model. Reshape does the same for another machine type or
+// profile.
 //
-// Equivalence with a fresh platform is exact: the derivation order of
-// the seeded generators (base rng, then the mapper's split, then the
-// noise state's split) mirrors NewPlatform; caches and TLB come back
-// empty with zeroed statistics. The only surviving difference is the
+// Equivalence with a fresh platform is exact: NewPlatform ends in
+// Reset, so the derivation order of the seeded generators (base rng,
+// then the mapper's split, then the noise state's split) is the same;
+// caches and TLB come back empty with zeroed statistics. The only surviving difference is the
 // caches' internal LRU clock, which is compared only relatively and
 // therefore cannot alter any charge; TestResetEqualsFresh runs a reset
 // platform and a fresh one in lockstep. Everything is re-keyed in
@@ -131,6 +124,34 @@ func (p *Platform) Reset(seed uint64) {
 	ns.Interrupts, ns.Preemptions, ns.Heartbeats, ns.StolenCycles = 0, 0, 0, 0
 	p.rng.splitInto(ns.rng)
 	ns.schedule(p.Spec.ClockGHz*1e6, 0)
+}
+
+// Reshape turns a used platform into exactly what NewPlatform(spec,
+// profile, seed) builds, whatever machine type and profile it had: the
+// audit pipeline keeps one pool of platforms for every machine type it
+// replays on. Each cache and the TLB keep their slot array when its
+// capacity suffices for the new geometry and allocate only when it
+// does not, so a platform once shaped for the largest machine reshapes
+// to any other without allocating. Every field derived from the spec
+// or the profile is set anew (geometry, memos, clock rate, the
+// mapper's pages and frames, the noise profile); Reset then empties
+// and re-keys the rest. An invalid spec is refused before anything
+// changes.
+func (p *Platform) Reshape(spec MachineSpec, profile NoiseProfile, seed uint64) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	p.Spec, p.Profile = spec, profile
+	p.l1i.reshape(spec.L1I)
+	p.l1d.reshape(spec.L1D)
+	p.l2.reshape(spec.L2)
+	p.l3.reshape(spec.L3)
+	p.tlb.reshape(spec.TLB)
+	p.mapper.reshape(spec, !profile.RandomFrames)
+	p.noise.profile = profile
+	p.psPerCycle = spec.PsPerCycle()
+	p.Reset(seed)
+	return nil
 }
 
 // flush empties the caches and the TLB.

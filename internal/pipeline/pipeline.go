@@ -8,29 +8,19 @@ import (
 	"time"
 )
 
-// chunkJobs is the dispatch unit: a worker takes this many
-// consecutive jobs of one shard from the queue at a time. It stays 8
-// because dispatching single jobs, though faster, costs memory. On
-// bench/'s backlog_drain workload (two shards on two machine types,
-// two workers; 8 alternated runs each on a 2-vCPU host) one job per
-// dispatch drained 55 traces/s against 32 and cut median latency from
-// 246 to 178 ms, but raised peak RSS from 26.0 to 31.6 MB (+22 %),
-// likely one more retained engine kit per machine type once jobs of
-// both shards interleave on every worker.
-const chunkJobs = 8
-
-// queueChunks is the depth of the chunk queue between the scheduler
-// and the workers, per worker: when every worker is busy and the
-// queue is full, the scheduler blocks instead of buffering the whole
-// batch.
-const queueChunks = 2
+// queueJobs is the depth of the job queue between the scheduler and
+// the workers, per worker: when every worker is busy and the queue is
+// full, the scheduler blocks instead of buffering the whole batch. The
+// verdict channels each hold as many verdicts as the queue holds jobs.
+const queueJobs = 16
 
 // runaheadJobs is how far past the first unemitted verdict a run of
-// the given worker count may dispatch: the queue's chunks plus one
-// chunk in every worker's hands.
-func runaheadJobs(workers int) int {
-	return (queueChunks*workers + workers) * chunkJobs
-}
+// the given worker count may dispatch: 24 jobs per worker. It bounds
+// the reorder buffer when one job is slow, while the other workers
+// keep busy. Smaller buffers gain nothing: with the queue cut to 2
+// jobs and the runahead to 3 per worker, bench/'s stat_flood ran slower
+// in 3 of 4 paired runs on a 2-vCPU host (median -3.5 %).
+func runaheadJobs(workers int) int { return 24 * workers }
 
 // Config tunes one pipeline.
 type Config struct {
@@ -101,12 +91,6 @@ type indexedJob struct {
 	job Job
 }
 
-// chunk is the dispatch unit: consecutive same-shard jobs.
-type chunk struct {
-	shard string
-	jobs  []indexedJob
-}
-
 // Stream is a running audit. Verdicts delivers every verdict in
 // submission order as soon as it is available; Wait blocks until the
 // run completes and returns the aggregate results. Wait drains any
@@ -154,7 +138,7 @@ func (p *Pipeline) Run(b *Batch) (*Results, error) {
 // stream. Shard training happens before GoContext returns, so a
 // training error (too few benign traces, a bad binary) fails fast
 // instead of surfacing mid-stream. Cancellation is honored at every
-// layer: the scheduler stops dispatching chunks, each worker abandons
+// layer: the scheduler stops dispatching jobs, each worker abandons
 // its queue (finishing at most the job it is on, so a verdict is never
 // half-built), and the collector closes the stream after emitting the
 // ordered prefix of verdicts that completed. The stream then reports
@@ -169,22 +153,19 @@ func (p *Pipeline) GoContext(ctx context.Context, b *Batch) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	chunks := makeChunks(b, chunkJobs)
 
-	// Bounded chunk queue: the scheduler blocks when workers fall
-	// behind, instead of buffering everything. The verdict channels
-	// each hold as many verdicts as the queue holds jobs.
-	depth := queueChunks * p.cfg.Workers
-	in := make(chan chunk, depth)
-	out := make(chan Verdict, depth*chunkJobs)
+	// Bounded job queue: the scheduler blocks when workers fall behind,
+	// instead of buffering everything.
+	depth := queueJobs * p.cfg.Workers
+	in := make(chan indexedJob, depth)
+	out := make(chan Verdict, depth)
 	// The reorder buffer must stay bounded too: one slow job would
 	// otherwise let every later verdict pile up waiting for it. The
 	// collector reports its emission watermark and the scheduler
-	// refuses to dispatch a chunk that starts more than runahead jobs
-	// past it, so pending verdicts never exceed runahead plus the
-	// in-flight work. Deadlock-free: every chunk below the dispatch
-	// point is already dispatched, so the watermark job is always
-	// either done or on a worker.
+	// refuses to dispatch a job more than runahead jobs past it, so
+	// pending verdicts never exceed runahead. Deadlock-free: every job
+	// below the dispatch point is already dispatched, so the watermark
+	// job is always either done or on a worker.
 	runahead := runaheadJobs(p.cfg.Workers)
 	emitted := make(chan int, len(b.Jobs)+1)
 	go func() {
@@ -192,8 +173,8 @@ func (p *Pipeline) GoContext(ctx context.Context, b *Batch) (*Stream, error) {
 		// feeding and closes, so workers always see end-of-queue.
 		defer close(in)
 		watermark := 0
-		for _, c := range chunks {
-			for c.jobs[0].idx >= watermark+runahead {
+		for i, j := range b.Jobs {
+			for i > watermark+runahead {
 				select {
 				case watermark = <-emitted:
 				case <-ctx.Done():
@@ -201,7 +182,7 @@ func (p *Pipeline) GoContext(ctx context.Context, b *Batch) (*Stream, error) {
 				}
 			}
 			select {
-			case in <- c:
+			case in <- indexedJob{idx: i, job: j}:
 			case <-ctx.Done():
 				return
 			}
@@ -213,20 +194,16 @@ func (p *Pipeline) GoContext(ctx context.Context, b *Batch) (*Stream, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range in {
-				a := auditors[c.shard]
-				for _, ij := range c.jobs {
-					// Checked per job, not per chunk: a canceled run
-					// stops paying for replays as soon as the job in
-					// flight finishes.
-					if ctx.Err() != nil {
-						return
-					}
-					t0 := time.Now()
-					v := a.audit(ctx, ij.job, ij.idx)
-					v.latencyNs = time.Since(t0).Nanoseconds()
-					out <- v
+			for ij := range in {
+				// A canceled run stops paying for replays as soon as
+				// the job in flight finishes.
+				if ctx.Err() != nil {
+					return
 				}
+				t0 := time.Now()
+				v := auditors[ij.job.Shard].audit(ctx, ij.job, ij.idx)
+				v.latencyNs = time.Since(t0).Nanoseconds()
+				out <- v
 			}
 		}()
 	}
@@ -235,7 +212,7 @@ func (p *Pipeline) GoContext(ctx context.Context, b *Batch) (*Stream, error) {
 		close(out)
 	}()
 
-	public := make(chan Verdict, depth*chunkJobs)
+	public := make(chan Verdict, depth)
 	s := &Stream{Verdicts: public, done: make(chan struct{}), results: &Results{}}
 	go func() {
 		// Reorder buffer: workers finish in any interleaving; verdicts
@@ -313,37 +290,4 @@ func (p *Pipeline) train(ctx context.Context, b *Batch) (map[string]*auditor, er
 		out[k] = auditors[i]
 	}
 	return out, nil
-}
-
-// makeChunks groups each shard's jobs (in submission order) into
-// chunks of at most size jobs, then orders chunks by their first
-// job's index so a single worker processes the batch in submission
-// order exactly.
-func makeChunks(b *Batch, size int) []chunk {
-	// Guard the edges: an empty batch yields no chunks (never an empty
-	// chunk — dispatch assumes chunk.jobs is non-empty), and a
-	// non-positive size degrades to one job per chunk instead of
-	// looping forever.
-	if len(b.Jobs) == 0 {
-		return nil
-	}
-	if size <= 0 {
-		size = 1
-	}
-	perShard := make(map[string][]indexedJob)
-	for i, j := range b.Jobs {
-		perShard[j.Shard] = append(perShard[j.Shard], indexedJob{idx: i, job: j})
-	}
-	var chunks []chunk
-	for shard, jobs := range perShard {
-		for start := 0; start < len(jobs); start += size {
-			end := start + size
-			if end > len(jobs) {
-				end = len(jobs)
-			}
-			chunks = append(chunks, chunk{shard: shard, jobs: jobs[start:end]})
-		}
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].jobs[0].idx < chunks[j].jobs[0].idx })
-	return chunks
 }

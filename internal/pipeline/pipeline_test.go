@@ -249,21 +249,20 @@ func TestStreamErrAfterVerdictsClose(t *testing.T) {
 
 // TestRunaheadBound pins the scheduler's reorder bound: while one job's
 // load blocks, the jobs after it keep being dispatched until exactly
-// the runahead past it have started, and no more. The blocked job is
-// the last of its chunk, so nothing else waits behind it on its
-// worker and the bound is reached exactly. Canceling then yields the
-// in-order prefix up to the bound, each verdict what a complete run
-// gives for that job.
+// the runahead past it have started, and no more. Workers take one job
+// at a time, so the blocked job holds up nothing else and the other
+// worker reaches the bound. Canceling then yields the in-order prefix
+// up to the bound, each verdict what a complete run gives for that
+// job.
 func TestRunaheadBound(t *testing.T) {
-	const workers = 2
+	const workers, blocked = 2, 5
 	runahead := pipeline.RunaheadJobs(workers)
-	blocked := pipeline.ChunkJobs - 1
 	src := syntheticBatch()
 	b := &pipeline.Batch{Shards: src.Shards}
 	release := make(chan struct{})
 	bound := make(chan struct{}) // closed when the runahead-th load past it begins
 	var past atomic.Int64        // jobs after the blocked one whose load began
-	for i := 0; i < blocked+1+runahead+4*pipeline.ChunkJobs; i++ {
+	for i := 0; i < blocked+1+runahead+32; i++ {
 		j := src.Jobs[i%len(src.Jobs)]
 		ipds := j.Trace.IPDs
 		load := func() (*pipeline.Trace, error) {
@@ -311,5 +310,72 @@ func TestRunaheadBound(t *testing.T) {
 	full := run(t, b, pipeline.Config{Workers: workers}).Canonical()
 	if !bytes.HasPrefix(full, prefix) {
 		t.Fatalf("canceled prefix differs from the complete run:\n--- prefix\n%s--- complete\n%s", prefix, full)
+	}
+}
+
+// TestRunEmptyBatchNoShards: a completely empty batch (no shards, no
+// jobs) must complete cleanly, not hang or panic.
+func TestRunEmptyBatchNoShards(t *testing.T) {
+	r, err := pipeline.New(pipeline.Config{Workers: 3}).Run(&pipeline.Batch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Verdicts) != 0 || r.Metrics.Traces != 0 {
+		t.Fatalf("phantom verdicts: %+v", r.Metrics)
+	}
+}
+
+// TestRunBatchSizeLargerThanJobs: a batch of fewer jobs than there are
+// workers finishes with every verdict present, in order.
+func TestRunBatchSizeLargerThanJobs(t *testing.T) {
+	b := &pipeline.Batch{}
+	b.AddShard(&pipeline.Shard{Key: "s", Training: [][]int64{{10, 20, 30, 40, 50, 60}, {12, 22, 28, 41, 52, 58}}})
+	for i := 0; i < 3; i++ {
+		b.Append(pipeline.Job{ID: fmt.Sprintf("j%d", i), Shard: "s", Trace: &pipeline.Trace{IPDs: []int64{10, 20, 30, 40, 50, 60}}})
+	}
+	r := run(t, b, pipeline.Config{Workers: 4})
+	if len(r.Verdicts) != 3 {
+		t.Fatalf("%d verdicts, want 3", len(r.Verdicts))
+	}
+	for i, v := range r.Verdicts {
+		if v.Index != i {
+			t.Fatalf("verdict %d has index %d", i, v.Index)
+		}
+	}
+}
+
+// TestDispatchPatterns runs batches whose jobs interleave shards in the
+// ways a dispatcher can get wrong, at one worker and at more workers
+// than jobs: every job yields exactly one verdict, in submission
+// order, scored against its own shard.
+func TestDispatchPatterns(t *testing.T) {
+	for _, tc := range []struct{ name, pattern string }{
+		{"empty batch", ""},
+		{"single job", "a"},
+		{"two shards interleaved", "abab"},
+		{"shard runs preserve order", "aabba"},
+		{"three shards", "abc"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &pipeline.Batch{}
+			for _, k := range []string{"a", "b", "c"} {
+				b.AddShard(&pipeline.Shard{Key: k, Training: [][]int64{{10, 20, 30, 40, 50, 60}, {12, 22, 28, 41, 52, 58}}})
+			}
+			for i, r := range tc.pattern {
+				b.Append(pipeline.Job{ID: fmt.Sprintf("j%d", i), Shard: string(r), Trace: &pipeline.Trace{IPDs: []int64{10, 20, 30, 40, 50, 60}}})
+			}
+			for _, workers := range []int{1, 4} {
+				r := run(t, b, pipeline.Config{Workers: workers})
+				if len(r.Verdicts) != len(tc.pattern) {
+					t.Fatalf("%d workers: %d verdicts for %d jobs", workers, len(r.Verdicts), len(tc.pattern))
+				}
+				for i, v := range r.Verdicts {
+					if v.Index != i || v.JobID != fmt.Sprintf("j%d", i) || v.Shard != string(tc.pattern[i]) {
+						t.Fatalf("%d workers: verdict %d is job %s (index %d) of shard %q, want j%d of %q",
+							workers, i, v.JobID, v.Index, v.Shard, i, tc.pattern[i:i+1])
+					}
+				}
+			}
+		})
 	}
 }

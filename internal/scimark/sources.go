@@ -222,7 +222,7 @@ done:
     gput out
     ret
 .end
-`, lcgSeed, MCPoints, lcgA, lcgC, lcgMask)
+`, lcgSeed, MCPoints, int64(lcgA), lcgC, int64(lcgMask))
 }
 
 // smmSource is the sparse matrix multiply: a fixed-degree sparse

@@ -151,7 +151,7 @@ func (h *Heap) AllocObject(class, nfields int) Ref {
 }
 
 // AllocArray allocates an array of the given element kind and length.
-func (h *Heap) AllocArray(elem int, length int) (Ref, error) {
+func (h *Heap) AllocArray(elem int, length int64) (Ref, error) {
 	if length < 0 {
 		return 0, fmt.Errorf("svm: negative array length %d", length)
 	}
@@ -178,7 +178,7 @@ func (h *Heap) AllocArray(elem int, length int) (Ref, error) {
 	default:
 		return 0, fmt.Errorf("svm: bad array element kind %d", elem)
 	}
-	o.Size = sizeClass(objHeader + int64(length)*elemBytes)
+	o.Size = sizeClass(objHeader + length*elemBytes)
 	o.Addr = h.allocAddr(o.Size)
 	return h.install(o), nil
 }

@@ -159,7 +159,7 @@ func TestQuickGCInvariant(t *testing.T) {
 				ref = h.AllocBytes(make([]byte, r.Int63n(256)))
 			} else {
 				var err error
-				ref, err = h.AllocArray(svm.ElemRef, int(r.Int63n(4)))
+				ref, err = h.AllocArray(svm.ElemRef, r.Int63n(4))
 				if err != nil {
 					return false
 				}

@@ -617,7 +617,7 @@ func (vm *VM) exec(t *Thread) error {
 		if n.K != KInt {
 			return vm.throwTrap(t, "newarr length not int")
 		}
-		r, err := vm.Heap.AllocArray(int(in.A), int(n.I))
+		r, err := vm.Heap.AllocArray(int(in.A), n.I)
 		if err != nil {
 			return vm.throwTrap(t, "%v", err)
 		}
@@ -636,7 +636,7 @@ func (vm *VM) exec(t *Thread) error {
 		if o == nil {
 			return err
 		}
-		if i.K != KInt || i.I < 0 || int(i.I) >= o.Len() {
+		if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
 			return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
 		}
 		if plat != nil {
@@ -651,7 +651,7 @@ func (vm *VM) exec(t *Thread) error {
 		if o == nil {
 			return err
 		}
-		if i.K != KInt || i.I < 0 || int(i.I) >= o.Len() {
+		if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
 			return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
 		}
 		if plat != nil {

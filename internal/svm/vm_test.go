@@ -408,6 +408,15 @@ func TestTrapOversizedArrayLength(t *testing.T) {
 	runErr(t, ".func main 0 1\niconst 65536\niconst 65536\nimul\nnewarr int\npop\nret\n.end", "exceeds the heap's limit")
 }
 
+// TestTrapArrayIndexPastInt32: an index of 1<<32 is out of range on
+// every host, including one whose int is 32 bits wide and would
+// truncate it to element 0.
+func TestTrapArrayIndexPastInt32(t *testing.T) {
+	const big = "iconst 65536\niconst 65536\nimul\n"
+	runErr(t, ".func main 0 1\niconst 4\nnewarr int\n"+big+"aload\npop\nret\n.end", "out of range")
+	runErr(t, ".func main 0 1\niconst 4\nnewarr int\n"+big+"iconst 7\nastore\nret\n.end", "out of range")
+}
+
 func TestTrapTypeConfusion(t *testing.T) {
 	runErr(t, ".func main 0 1\nfconst 1.0\niconst 2\niadd\npop\nret\n.end", "non-int")
 }
