@@ -352,6 +352,7 @@ func TestDispatchPatterns(t *testing.T) {
 	for _, tc := range []struct{ name, pattern string }{
 		{"empty batch", ""},
 		{"single job", "a"},
+		{"batch larger than jobs", "aaa"},
 		{"two shards interleaved", "abab"},
 		{"shard runs preserve order", "aabba"},
 		{"three shards", "abc"},
