@@ -227,8 +227,11 @@ func (r *opReader) addr() int64 {
 var accessSizes = [...]int64{1, 4, 8, 8}
 
 // runOps interprets data as an operation sequence on l and returns
-// the first divergence, or "".
-func runOps(l *lockstep, data []byte) string {
+// the first divergence, or "". With reshapes set, op 14 with bit 16
+// set reshapes the platform to a machine type and profile the data
+// picks; without, it resets it like the rest of op 14, so the platform
+// keeps the machine type and profile it was paired on.
+func runOps(l *lockstep, data []byte, reshapes bool) string {
 	r := &opReader{b: data}
 	for r.more() {
 		var d string
@@ -294,7 +297,7 @@ func runOps(l *lockstep, data []byte) string {
 				"Quiesce(%#x)", seed)
 		case 14:
 			seed := r.u32()
-			if op&16 != 0 {
+			if reshapes && op&16 != 0 {
 				d = l.reshape(int(r.u8()), seed)
 				break
 			}
@@ -397,7 +400,7 @@ func FuzzPlatformLockstep(f *testing.F) {
 		mi, pi := int(m)%len(machines), int(p)%len(profiles)
 		d := l.reshape(mi+len(machines)*pi, seed)
 		if d == "" {
-			d = runOps(l, data)
+			d = runOps(l, data, true)
 		}
 		if d != "" {
 			t.Fatalf("%s/%s seed %#x: %s", machines[mi].Name, profiles[pi].Name, seed, d)
@@ -405,10 +408,11 @@ func FuzzPlatformLockstep(f *testing.F) {
 	})
 }
 
-// churn runs a mixed random workload on both sides of l.
+// churn runs a mixed random workload on both sides of l, keeping the
+// platform's machine type and profile.
 func churn(t *testing.T, l *lockstep, seed uint64, n int) {
 	t.Helper()
-	if d := runOps(l, randomOps(seed, n)); d != "" {
+	if d := runOps(l, randomOps(seed, n), false); d != "" {
 		t.Fatal(d)
 	}
 }
@@ -424,8 +428,10 @@ func TestResetEqualsFresh(t *testing.T) {
 			churn(t, used, 99, 20000)
 			const seed = 0xFEED
 			used.got.Reset(seed)
-			// The churn may have reshaped the platform.
-			l := pairUp(mustNewRefPlatform(used.got.Spec, used.got.Profile, seed), used.got)
+			if used.got.Spec.Name != spec.Name || used.got.Profile.Name != profile.Name {
+				t.Fatalf("%s/%s: churn left the platform on %s/%s", spec.Name, profile.Name, used.got.Spec.Name, used.got.Profile.Name)
+			}
+			l := pairUp(mustNewRefPlatform(spec, profile, seed), used.got)
 			if d := l.deep(); d != "" {
 				t.Fatalf("%s/%s: right after Reset: %s", spec.Name, profile.Name, d)
 			}

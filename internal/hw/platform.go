@@ -45,7 +45,7 @@ func NewPlatform(spec MachineSpec, profile NoiseProfile, seed uint64) (*Platform
 		l2:     new(Cache),
 		l3:     new(Cache),
 		tlb:    new(TLB),
-		mapper: &PageMapper{rng: new(RNG), table: make(map[int64]int64)},
+		mapper: NewPageMapper(MachineSpec{}, false, new(RNG)),
 		noise:  &noiseState{rng: new(RNG)},
 		rng:    new(RNG),
 	}

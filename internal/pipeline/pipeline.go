@@ -17,9 +17,12 @@ const queueJobs = 16
 // runaheadJobs is how far past the first unemitted verdict a run of
 // the given worker count may dispatch: 24 jobs per worker. It bounds
 // the reorder buffer when one job is slow, while the other workers
-// keep busy. Smaller buffers gain nothing: with the queue cut to 2
-// jobs and the runahead to 3 per worker, bench/'s stat_flood ran slower
-// in 3 of 4 paired runs on a 2-vCPU host (median -3.5 %).
+// keep busy. 24 is the bound dispatch in 8-job chunks had, the queue
+// (queueJobs) plus one chunk in each worker's hands, kept so that
+// per-job dispatch runs no less far ahead. Smaller buffers gain
+// nothing: with the queue cut to 2 jobs and the runahead to 3 per
+// worker, bench/'s stat_flood ran slower in 3 of 4 paired runs on a
+// 2-vCPU host (median -3.5 %).
 func runaheadJobs(workers int) int { return 24 * workers }
 
 // Config tunes one pipeline.
