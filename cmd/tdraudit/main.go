@@ -274,7 +274,7 @@ func recordMain(args []string) {
 		}
 	}
 	fmt.Printf("recorded %d traces across %d shards into %s\n",
-		len(st.Entries()), len(st.Shards()), st.Dir())
+		st.Len(), len(st.Shards()), st.Dir())
 }
 
 func serveMain(args []string) {

@@ -6,7 +6,8 @@
 // A Daemon owns a spool directory (a store corpus), embeds an ingest
 // server that fills it over TCP, and watches it: every trace that
 // lands is claimed in the manifest (pending → claimed → audited, so a
-// restarted or second daemon never audits a trace twice), audited
+// restarted daemon never audits a trace twice; one daemon owns a
+// spool at a time), audited
 // through a sanity Auditor plan, and its verdict recorded and served.
 // The HTTP surface exposes the verdict stream (GET /verdicts,
 // NDJSON), corpus status (GET /corpora), and Prometheus-format
@@ -15,7 +16,7 @@
 // Shutdown is ordered: close ingest (no new corpora), cancel the
 // in-flight audit plan (the pipeline yields its ordered verdict
 // prefix and reclaims every goroutine — PR 5's cancellation machinery
-// exercised for real), then drain HTTP and flush the manifest.
+// exercised for real), then drain HTTP and compact the manifest.
 // Traces still claimed when the process dies are demoted back to
 // pending at the next startup and audited then.
 package daemon
@@ -395,7 +396,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 // Stop shuts the daemon down in order: stop ingest (no new corpora
 // land, in-flight uploads are cut), cancel the in-flight audit plan
 // (its ordered verdict prefix is recorded, the pipeline's goroutines
-// are reclaimed), release verdict followers, drain HTTP, and flush
+// are reclaimed), release verdict followers, drain HTTP, and compact
 // the manifest so claimed/audited states persist. Safe to call
 // repeatedly and concurrently; every call returns the same result
 // after shutdown has fully completed.
@@ -441,7 +442,8 @@ func (d *Daemon) Stop() error {
 			}
 			cancel()
 		}
-		if err := d.st.Flush(); err != nil {
+		// Compacting leaves manifest.json naming every trace and state.
+		if err := d.st.Compact(); err != nil {
 			errs = append(errs, err)
 		}
 		d.stopErr = errors.Join(errs...)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -213,8 +214,18 @@ func TestDaemonTimelineAndLogz(t *testing.T) {
 		Verdict *json.RawMessage `json:"verdict"`
 		Spans   []obs.SpanRecord `json:"spans"`
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, client, base+"/traces/"+auditedID+"/timeline")), &tl); err != nil {
-		t.Fatal(err)
+	// The sweep's spans end after its last verdict is recorded: read
+	// the timeline once the sweep frame is in it (or the deadline has
+	// passed, and the checks below say what is missing).
+	for {
+		tl.Spans = nil
+		if err := json.Unmarshal([]byte(httpGet(t, client, base+"/traces/"+auditedID+"/timeline")), &tl); err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(tl.Spans, func(s obs.SpanRecord) bool { return s.Name == obs.StageSweep }) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if tl.Trace != auditedID || tl.State != "audited" || tl.Verdict == nil || tl.Shard == "" {
 		t.Fatalf("audited timeline wrong: trace=%q state=%q verdict=%v shard=%q", tl.Trace, tl.State, tl.Verdict, tl.Shard)

@@ -17,6 +17,19 @@ import (
 	"sanity/internal/store"
 )
 
+// stageCount is the observation count of one stage's latency
+// histogram in a parsed scrape, or -1 when the stage has none.
+func stageCount(fams map[string]*obs.ParsedFamily, stage string) float64 {
+	if f, ok := fams["sanity_stage_seconds"]; ok {
+		for _, s := range f.Samples {
+			if strings.HasSuffix(s.Name, "_count") && s.Labels["stage"] == stage {
+				return s.Value
+			}
+		}
+	}
+	return -1
+}
+
 // TestDaemonObservability is the telemetry spine end to end, daemon
 // edition: a daemon with tracing, explain, and the pprof listener all
 // on audits a spooled corpus, after which
@@ -57,25 +70,32 @@ func TestDaemonObservability(t *testing.T) {
 	t.Cleanup(func() { d.Stop() })
 	base := "http://" + d.HTTPAddr().String()
 
+	// Wait until the corpus is audited and the sweep that audited it
+	// has returned: a sweep's stage histogram is observed when it
+	// ends, after its last verdict is recorded. Every scrape
+	// round-trips through the exposition parser.
 	wantAudited := countTest(st)
+	var body string
+	var fams map[string]*obs.ParsedFamily
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if states := d.Store().AuditStates(); states[store.AuditAudited] == wantAudited {
-			break
+			body = httpGet(t, client, base+"/metrics")
+			if fams, err = obs.ParseExposition(strings.NewReader(body)); err != nil {
+				t.Fatalf("GET /metrics does not parse as text exposition: %v\n%s", err, body)
+			}
+			if stageCount(fams, obs.StageSweep) >= 1 {
+				break
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon never audited the corpus: %v", d.Store().AuditStates())
+			t.Fatalf("daemon never finished auditing the corpus: %v\n%s", d.Store().AuditStates(), body)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// The scrape round-trips through the exposition parser, and every
-	// family the daemon promises is present with its declared type.
-	body := httpGet(t, client, base+"/metrics")
-	fams, err := obs.ParseExposition(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("GET /metrics does not parse as text exposition: %v\n%s", err, body)
-	}
+	// Every family the daemon promises is present with its declared
+	// type.
 	wantFams := map[string]string{
 		"tdrauditd_traces_audited_total":  "counter",
 		"tdrauditd_verdicts_total":        "counter",
@@ -107,21 +127,13 @@ func TestDaemonObservability(t *testing.T) {
 	// the synthetic corpus is IPD-only (statistical detectors, no
 	// engine replay), so sweep/claim/trace/stat/verdict must each have
 	// recorded wantAudited observations (1 per sweep for sweep/claim).
-	stageCount := func(stage string) float64 {
-		for _, s := range fams["sanity_stage_seconds"].Samples {
-			if strings.HasSuffix(s.Name, "_count") && s.Labels["stage"] == stage {
-				return s.Value
-			}
-		}
-		return -1
-	}
 	for _, stage := range []string{obs.StageTrace, obs.StageStat, obs.StageVerdict} {
-		if got := stageCount(stage); got != float64(wantAudited) {
+		if got := stageCount(fams, stage); got != float64(wantAudited) {
 			t.Errorf("sanity_stage_seconds{stage=%q} count = %v, want %d", stage, got, wantAudited)
 		}
 	}
 	for _, stage := range []string{obs.StageSweep, obs.StageClaim} {
-		if got := stageCount(stage); got < 1 {
+		if got := stageCount(fams, stage); got < 1 {
 			t.Errorf("sanity_stage_seconds{stage=%q} count = %v, want >= 1", stage, got)
 		}
 	}

@@ -81,6 +81,21 @@ func waitAudited(t testing.TB, client *http.Client, base string, want int) {
 	}
 }
 
+// waitReady waits until /readyz reports the daemon's first sweep done.
+func waitReady(t testing.TB, client *http.Client, base string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if code, _ := httpStatus(t, client, base+"/readyz"); code == http.StatusOK {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("/readyz never turned 200")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestDaemonPriorityFunnel is the triage funnel end to end: a mixed
 // benign/covert batch lands over ingest in arbitrary (manifest)
 // order, every trace is scored during upload, and the single
@@ -110,6 +125,9 @@ func TestDaemonPriorityFunnel(t *testing.T) {
 	}
 	t.Cleanup(func() { d.Stop() })
 	base := "http://" + d.HTTPAddr().String()
+	// The startup sweep, over the empty spool, must be over before the
+	// upload starts, or it may claim the traces admitted so far.
+	waitReady(t, client, base)
 
 	if _, err := ingest.Push(d.IngestAddr().String(), src); err != nil {
 		t.Fatal(err)

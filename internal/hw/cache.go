@@ -64,13 +64,6 @@ type Cache struct {
 	Misses int64
 }
 
-// NewCache builds an empty cache with the given geometry.
-func NewCache(spec CacheSpec) *Cache {
-	c := new(Cache)
-	c.reshape(spec)
-	return c
-}
-
 // reshape gives c the geometry spec and forgets its memo, keeping the
 // slot array when its capacity suffices. It leaves the content state
 // alone: the caller flushes, which empties every slot however the
@@ -325,13 +318,6 @@ const (
 // address-space regions all start at large powers of two, so the low
 // bits of their page numbers alone would collide.
 func pageHash(vpn int64, bits uint) uint64 { return uint64(vpn) * 0x9e3779b97f4a7c15 >> (64 - bits) }
-
-// NewTLB builds an empty TLB.
-func NewTLB(spec TLBSpec) *TLB {
-	t := new(TLB)
-	t.reshape(spec)
-	return t
-}
 
 // reshape is Cache.reshape for a TLB.
 func (t *TLB) reshape(spec TLBSpec) {

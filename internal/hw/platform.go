@@ -94,21 +94,20 @@ func (p *Platform) Initialize() {
 	p.addRawCycles(500_000) // quiescence period
 }
 
-// Reset returns a used platform to the exact state NewPlatform(Spec,
+// reset returns a used platform to the exact state NewPlatform(Spec,
 // Profile, seed) constructs, without reallocating the cache, TLB, and
 // stamp arrays — several megabytes per platform on a realistic
-// machine model. Reshape does the same for another machine type or
-// profile.
+// machine model. Reshape, which ends in reset, is the way in.
 //
 // Equivalence with a fresh platform is exact: NewPlatform ends in
-// Reset, so the derivation order of the seeded generators (base rng,
-// then the mapper's split, then the noise state's split) is the same;
-// caches and TLB come back empty with zeroed statistics. The only surviving difference is the
-// caches' internal LRU clock, which is compared only relatively and
-// therefore cannot alter any charge; TestResetEqualsFresh runs a reset
-// platform and a fresh one in lockstep. Everything is re-keyed in
-// place: Reset allocates nothing.
-func (p *Platform) Reset(seed uint64) {
+// reset too, so the derivation order of the seeded generators (base
+// rng, then the mapper's split, then the noise state's split) is the
+// same; caches and TLB come back empty with zeroed statistics. The
+// only surviving difference is the caches' internal LRU clock, which
+// is compared only relatively and therefore cannot alter any charge;
+// TestResetEqualsFresh runs a reset platform and a fresh one in
+// lockstep. Everything is re-keyed in place: reset allocates nothing.
+func (p *Platform) reset(seed uint64) {
 	p.rng.SetState(seed)
 	p.cycles = 0
 	p.dmaBoost = 1
@@ -134,7 +133,7 @@ func (p *Platform) Reset(seed uint64) {
 // does not, so a platform once shaped for the largest machine reshapes
 // to any other without allocating. Every field derived from the spec
 // or the profile is set anew (geometry, memos, clock rate, the
-// mapper's pages and frames, the noise profile); Reset then empties
+// mapper's pages and frames, the noise profile); reset then empties
 // and re-keys the rest. An invalid spec is refused before anything
 // changes.
 func (p *Platform) Reshape(spec MachineSpec, profile NoiseProfile, seed uint64) error {
@@ -150,7 +149,7 @@ func (p *Platform) Reshape(spec MachineSpec, profile NoiseProfile, seed uint64) 
 	p.mapper.reshape(spec, !profile.RandomFrames)
 	p.noise.profile = profile
 	p.psPerCycle = spec.PsPerCycle()
-	p.Reset(seed)
+	p.reset(seed)
 	return nil
 }
 

@@ -506,7 +506,7 @@ func (s *Server) handle(raw net.Conn) {
 				fmt.Fprint(conn, errLine(err))
 				return
 			}
-			fmt.Fprintf(conn, "BYE %d\n", len(s.st.Entries()))
+			fmt.Fprintf(conn, "BYE %d\n", s.st.Len())
 			s.opts.Obs.Event("ingest.done")
 			if s.opts.OnDone != nil {
 				s.opts.OnDone()

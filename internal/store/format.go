@@ -3,8 +3,10 @@
 // writes replay material to stable storage; the audit side later reads
 // it back — possibly on a different machine — and replays it. A corpus
 // is a directory of per-trace container files plus JSON sidecars and a
-// directory-level manifest.json naming every trace and the shards
-// (program + machine type + noise profile populations) they belong to.
+// directory-level manifest naming every trace and the shards (program
+// + machine type + noise profile populations) they belong to. The
+// manifest is a checkpoint, manifest.json, plus a journal of the entry
+// changes since, manifest.journal (see JournalName).
 //
 // Container format, version 3 (version 1 is the same layout):
 //

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -48,7 +50,7 @@ const (
 	// (crash, SIGKILL) is demoted back to pending by ReclaimStale.
 	AuditClaimed = "claimed"
 	// AuditAudited marks a trace with a delivered verdict. Terminal:
-	// a restarted or second daemon never re-audits it.
+	// a restarted daemon never re-audits it.
 	AuditAudited = "audited"
 	// AuditFailed marks a trace whose container could not be audited
 	// at all (corrupt on disk, unresolvable shard). Terminal, so a
@@ -91,8 +93,10 @@ type Manifest struct {
 }
 
 // Store is a corpus directory: trace containers, their sidecars, and
-// the manifest. All methods are safe for concurrent use; Flush
-// persists the manifest atomically.
+// the manifest, kept as a checkpoint (manifest.json) plus a journal of
+// the changes since (manifest.journal). All methods are safe for
+// concurrent use; Flush persists the manifest's changes. One process
+// writes a store at a time.
 type Store struct {
 	dir string
 
@@ -107,12 +111,44 @@ type Store struct {
 	// and sidecar. Set with EnableTriage before concurrent use.
 	triage *triage.Options
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// manifest.Traces holds the admitted entries in admission order;
+	// byFile indexes them by container path.
 	manifest Manifest
-	// pending marks reserved entries whose container is still being
-	// written; snapshots (Entries, Flush, TrainingIPDs) exclude them so
-	// a concurrent Flush can never persist an entry without a file.
-	pending map[string]struct{}
+	byFile   map[string]int
+	// pending holds reserved entries whose container is still being
+	// written, by container path. They join manifest.Traces at commit,
+	// so no snapshot or Flush ever holds an entry without a file.
+	pending map[string]Entry
+	// ids holds the identity of every admitted or reserved trace.
+	ids     map[traceID]struct{}
+	journal journal
+}
+
+// traceID is a trace's identity within a store.
+type traceID struct{ shard, role, id string }
+
+func idOf(m Meta) traceID { return traceID{m.Shard, m.Role, m.ID} }
+
+// newStore is an empty store over dir holding the given manifest's
+// version and shards; its entries are admitted by the caller.
+func newStore(dir string, m Manifest) *Store {
+	return &Store{
+		dir:      dir,
+		manifest: Manifest{Version: m.Version, Shards: m.Shards, Traces: make([]Entry, 0, len(m.Traces))},
+		byFile:   make(map[string]int, len(m.Traces)),
+		pending:  make(map[string]Entry),
+		ids:      make(map[traceID]struct{}, len(m.Traces)),
+	}
+}
+
+// admitLocked appends an entry to the manifest and indexes it.
+func (s *Store) admitLocked(e Entry) {
+	i := len(s.manifest.Traces)
+	s.manifest.Traces = append(s.manifest.Traces, e)
+	s.byFile[e.File] = i
+	s.ids[idOf(e.Meta)] = struct{}{}
+	s.journal.marked = append(s.journal.marked, false)
 }
 
 // EnableTriage turns on ingest-time suspicion scoring with the given
@@ -145,22 +181,28 @@ func Create(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, tracesDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
+		return Open(dir)
+	}
+	// A journal without a checkpoint belongs to no corpus this store
+	// can open; the first Flush must not find it.
+	if err := os.Remove(filepath.Join(dir, JournalName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
+	}
 	// A fresh corpus starts at the oldest format and is upgraded by
 	// content: admitting a checkpointed trace bumps the manifest (and
 	// that trace's container) to v3, so corpora that never carry
 	// checkpoints remain readable by auditors that predate them.
-	s := &Store{dir: dir, manifest: Manifest{Version: minVersion}}
-	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		return Open(dir)
-	}
+	s := newStore(dir, Manifest{Version: minVersion})
+	s.journal.stale = true
 	return s, nil
 }
 
-// Open loads an existing store's manifest. Every version this
-// package can read is accepted — v1 corpora (recorded without
-// checkpoints) audit through the full-replay fallback. A v2 corpus
-// holds whole-state checkpoints, which are no longer read, and is
-// refused with a re-record error.
+// Open loads an existing store: the checkpoint, then every whole
+// Flush the journal holds. Every version this package can read is
+// accepted — v1 corpora (recorded without checkpoints) audit through
+// the full-replay fallback. A v2 corpus holds whole-state checkpoints,
+// which are no longer read, and is refused with a re-record error.
 func Open(dir string) (*Store, error) {
 	b, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -173,18 +215,23 @@ func Open(dir string) (*Store, error) {
 	if err := supportedVersion("manifest", m.Version); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, manifest: m}, nil
-}
-
-// noteLog upgrades the manifest version when admitted content needs
-// it (a checkpointed log makes the corpus v3).
-func (s *Store) noteLog(log *replaylog.Summary) {
-	if log == nil || log.Checkpoints == 0 {
-		return
+	s := newStore(dir, m)
+	for _, e := range m.Traces {
+		if _, dup := s.byFile[e.File]; dup {
+			return nil, fmt.Errorf("store: manifest lists container %s twice", e.File)
+		}
+		if _, dup := s.ids[idOf(e.Meta)]; dup {
+			return nil, fmt.Errorf("store: manifest lists trace %s/%s/%s twice", e.Shard, e.Role, e.ID)
+		}
+		s.admitLocked(e)
 	}
-	s.mu.Lock()
-	s.manifest.Version = Version
-	s.mu.Unlock()
+	s.journal.base = len(m.Traces)
+	data, err := readJournal(dir)
+	if err != nil {
+		return nil, err
+	}
+	s.replay(data)
+	return s, nil
 }
 
 // Dir returns the corpus directory.
@@ -207,6 +254,7 @@ func (s *Store) AddShard(m ShardMeta) error {
 		}
 	}
 	s.manifest.Shards = append(s.manifest.Shards, m)
+	s.journal.stale = true
 	return nil
 }
 
@@ -224,18 +272,14 @@ func (s *Store) Shards() []ShardMeta {
 func (s *Store) Entries() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.admittedLocked()
+	return append(make([]Entry, 0, len(s.manifest.Traces)), s.manifest.Traces...)
 }
 
-// admittedLocked snapshots the non-pending entries. Callers hold s.mu.
-func (s *Store) admittedLocked() []Entry {
-	out := make([]Entry, 0, len(s.manifest.Traces))
-	for _, e := range s.manifest.Traces {
-		if _, busy := s.pending[e.File]; !busy {
-			out = append(out, e)
-		}
-	}
-	return out
+// Len returns the number of fully admitted manifest entries.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.manifest.Traces)
 }
 
 // ClaimPending atomically transitions every fully admitted, pending
@@ -266,9 +310,6 @@ func (s *Store) ClaimPendingLimit(limit int, prio func(Entry) float64) []Entry {
 	var keys []float64
 	for i := range s.manifest.Traces {
 		e := &s.manifest.Traces[i]
-		if _, busy := s.pending[e.File]; busy {
-			continue
-		}
 		if e.Role != RoleTest || e.Audit != AuditPending {
 			continue
 		}
@@ -293,6 +334,7 @@ func (s *Store) ClaimPendingLimit(limit int, prio func(Entry) float64) []Entry {
 	for _, o := range order {
 		e := &s.manifest.Traces[idx[o]]
 		e.Audit = AuditClaimed
+		s.journal.touch(idx[o])
 		out = append(out, *e)
 	}
 	return out
@@ -305,7 +347,7 @@ func (s *Store) PendingTest() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []Entry
-	for _, e := range s.admittedLocked() {
+	for _, e := range s.manifest.Traces {
 		if e.Role == RoleTest && e.Audit == AuditPending {
 			out = append(out, e)
 		}
@@ -322,21 +364,30 @@ func (s *Store) SetAuditState(file, state string) error {
 	default:
 		return fmt.Errorf("store: unknown audit state %q", state)
 	}
-	s.mu.Lock()
-	var entry *Entry
-	for i := range s.manifest.Traces {
-		if s.manifest.Traces[i].File == file {
-			s.manifest.Traces[i].Audit = state
-			entry = &s.manifest.Traces[i]
-			break
+	return s.update(file, func(e *Entry) bool {
+		if e.Audit == state {
+			return false
 		}
-	}
+		e.Audit = state
+		return true
+	})
+}
+
+// update applies change to the entry with the given container path,
+// records it for the next Flush when change reports one, and rewrites
+// the sidecar.
+func (s *Store) update(file string, change func(*Entry) bool) error {
+	s.mu.Lock()
+	i, ok := s.byFile[file]
 	var snapshot Entry
-	if entry != nil {
-		snapshot = *entry
+	if ok {
+		if change(&s.manifest.Traces[i]) {
+			s.journal.touch(i)
+		}
+		snapshot = s.manifest.Traces[i]
 	}
 	s.mu.Unlock()
-	if entry == nil {
+	if !ok {
 		return fmt.Errorf("store: no trace with container %q", file)
 	}
 	return s.writeSidecar(snapshot)
@@ -346,22 +397,10 @@ func (s *Store) SetAuditState(file, state string) error {
 // manifest-relative container path and rewrites the sidecar so the
 // on-disk twin agrees — the persistence half of ScorePending.
 func (s *Store) SetTriageScore(file string, sc *triage.Score) error {
-	s.mu.Lock()
-	var snapshot Entry
-	found := false
-	for i := range s.manifest.Traces {
-		if s.manifest.Traces[i].File == file {
-			s.manifest.Traces[i].Triage = sc
-			snapshot = s.manifest.Traces[i]
-			found = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !found {
-		return fmt.Errorf("store: no trace with container %q", file)
-	}
-	return s.writeSidecar(snapshot)
+	return s.update(file, func(e *Entry) bool {
+		e.Triage = sc
+		return true
+	})
 }
 
 // ScorePending runs the triage ensemble over every admitted test
@@ -401,6 +440,7 @@ func (s *Store) ReclaimStale() int {
 	for i := range s.manifest.Traces {
 		if s.manifest.Traces[i].Audit == AuditClaimed {
 			s.manifest.Traces[i].Audit = AuditPending
+			s.journal.touch(i)
 			n++
 		}
 	}
@@ -414,7 +454,7 @@ func (s *Store) AuditStates() map[string]int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[string]int)
-	for _, e := range s.admittedLocked() {
+	for _, e := range s.manifest.Traces {
 		if e.Role == RoleTest {
 			out[e.Audit]++
 		}
@@ -436,6 +476,9 @@ func fileName(m Meta) string {
 	}
 	return sanitize(m.Shard) + "--" + sanitize(m.Role) + "-" + sanitize(m.ID) + ".trace"
 }
+
+// containerPath is a trace's manifest-relative container path.
+func containerPath(m Meta) string { return filepath.Join(tracesDir, fileName(m)) }
 
 // reserve claims the manifest slot AND the container file for a trace
 // under one lock acquisition, before any bytes hit disk. This is what
@@ -467,28 +510,35 @@ func (s *Store) reserve(full Meta, sc *triage.Score) (Entry, error) {
 			return Entry{}, fmt.Errorf("store: trace %q claims %s %q but shard %q is %q", full.ID, c.field, c.got, full.Shard, c.want)
 		}
 	}
-	e := Entry{File: filepath.Join(tracesDir, fileName(full)), Meta: full, Triage: sc}
-	for _, have := range s.manifest.Traces {
-		if have.Shard == full.Shard && have.Role == full.Role && have.ID == full.ID {
-			return Entry{}, fmt.Errorf("store: trace %s/%s/%s already stored", full.Shard, full.Role, full.ID)
-		}
-		if have.File == e.File {
-			return Entry{}, fmt.Errorf("store: trace %q collides with %q on container file %s", full.ID, have.ID, e.File)
-		}
+	e := Entry{File: containerPath(full), Meta: full, Triage: sc}
+	if _, dup := s.ids[idOf(full)]; dup {
+		return Entry{}, fmt.Errorf("store: trace %s/%s/%s already stored", full.Shard, full.Role, full.ID)
 	}
-	s.manifest.Traces = append(s.manifest.Traces, e)
-	if s.pending == nil {
-		s.pending = make(map[string]struct{})
+	have, taken := s.pending[e.File]
+	if i, ok := s.byFile[e.File]; ok {
+		have, taken = s.manifest.Traces[i], true
 	}
-	s.pending[e.File] = struct{}{}
+	if taken {
+		return Entry{}, fmt.Errorf("store: trace %q collides with %q on container file %s", full.ID, have.ID, e.File)
+	}
+	s.ids[idOf(full)] = struct{}{}
+	s.pending[e.File] = e
 	return e, nil
 }
 
-// commit marks a reserved entry's container as durably written.
-func (s *Store) commit(e Entry) {
+// commit admits a reserved entry whose container is written, and
+// upgrades the manifest version when its log needs it (a checkpointed
+// log makes the corpus v3).
+func (s *Store) commit(e Entry, log *replaylog.Summary) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pending, e.File)
+	s.admitLocked(e)
+	s.journal.touch(len(s.manifest.Traces) - 1)
+	if log != nil && log.Checkpoints > 0 && s.manifest.Version != Version {
+		s.manifest.Version = Version
+		s.journal.stale = true
+	}
 }
 
 // unreserve rolls a reservation back after a failed write.
@@ -496,12 +546,7 @@ func (s *Store) unreserve(e Entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.pending, e.File)
-	for i := range s.manifest.Traces {
-		if s.manifest.Traces[i].File == e.File {
-			s.manifest.Traces = append(s.manifest.Traces[:i], s.manifest.Traces[i+1:]...)
-			return
-		}
-	}
+	delete(s.ids, idOf(e.Meta))
 }
 
 // atomicWrite writes a store-relative file via temp-file-then-rename,
@@ -624,8 +669,7 @@ func (s *Store) put(meta Meta, tr *detect.Trace) (Meta, error) {
 		s.unreserve(e)
 		return full, err
 	}
-	s.commit(e)
-	s.noteLog(log)
+	s.commit(e, log)
 	return full, nil
 }
 
@@ -688,8 +732,7 @@ func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
 		s.unreserve(e)
 		return full, nil, err
 	}
-	s.commit(e)
-	s.noteLog(log)
+	s.commit(e, log)
 	return full, sc, nil
 }
 
@@ -744,39 +787,46 @@ func (s *Store) LoadIPDs(rel string) ([]int64, error) {
 // manifest order, reading only the metadata and IPD sections of each
 // container.
 func (s *Store) TrainingIPDs(shardKey string) ([][]int64, error) {
-	var out [][]int64
-	for _, e := range s.Entries() {
-		if e.Shard != shardKey || e.Role != RoleTraining {
-			continue
+	var files, ids []string
+	s.mu.Lock()
+	for _, e := range s.manifest.Traces {
+		if e.Shard == shardKey && e.Role == RoleTraining {
+			files, ids = append(files, e.File), append(ids, e.ID)
 		}
-		f, err := s.OpenTrace(e.File)
+	}
+	s.mu.Unlock()
+	var out [][]int64
+	for i, file := range files {
+		f, err := s.OpenTrace(file)
 		if err != nil {
 			return nil, err
 		}
 		_, ipds, err := ReadIPDs(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("store: training trace %s: %w", e.ID, err)
+			return nil, fmt.Errorf("store: training trace %s: %w", ids[i], err)
 		}
 		out = append(out, ipds)
 	}
 	return out, nil
 }
 
-// Flush persists the manifest atomically. The whole write happens
-// under the store lock: concurrent Flushes must not be able to land an
-// older snapshot over a newer one.
+// Flush persists every manifest change since the last Flush: one
+// journal record per changed entry, or a rewritten checkpoint (see
+// JournalName). The whole write happens under the store lock:
+// concurrent Flushes must not be able to land an older state over a
+// newer one.
 func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snapshot := s.manifest
-	snapshot.Traces = s.admittedLocked()
-	b, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		return err
-	}
-	return s.atomicWrite(ManifestName, func(w io.Writer) error {
-		_, err := w.Write(append(b, '\n'))
-		return err
-	})
+	return s.flushLocked()
+}
+
+// Compact persists the manifest as a fresh checkpoint and removes the
+// journal, so manifest.json alone describes the corpus — a daemon
+// compacts on shutdown.
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
 }

@@ -548,7 +548,7 @@ func TestTraceLengths(t *testing.T) {
 
 // auditStateCorpus builds a small corpus: one training trace plus n
 // IPD-only test traces under one shard.
-func auditStateCorpus(t *testing.T, dir string, n int) *store.Store {
+func auditStateCorpus(t testing.TB, dir string, n int) *store.Store {
 	t.Helper()
 	st, err := store.Create(dir)
 	if err != nil {

@@ -165,7 +165,9 @@ func FuzzRestoreState(f *testing.F) {
 	}
 	want := append([]byte(nil), restoreFuzzFile...)
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		plat.Reset(1)
+		if err := plat.Reshape(plat.Spec, plat.Profile, 1); err != nil {
+			t.Fatal(err)
+		}
 		vm := restoreFuzzVM(t, prog, plat)
 		if err := vm.RestoreState(blob, nil); err != nil {
 			var se *svm.StateError
