@@ -13,13 +13,18 @@ import (
 )
 
 // maxWarmReplayBytes bounds what one warm ReplayTDR of a 120-packet
-// nfsd trace may allocate: its outputs, its events and the guest's own
-// objects. Stable storage, the rings and the platform are reused, and
-// the GC does not take them away between two replays.
-const maxWarmReplayBytes = 350_000
+// nfsd trace may allocate when the replay before it released its
+// execution. The platform, the rings and the arena the guest heap is
+// carved from come with the engine's kit, and outputs, events and
+// payloads with the released execution's buffers, neither of which the
+// GC takes away between two replays. What is left is the engine's and
+// the VM's fixed part (about 6 KB, of the 285 KB a warm replay
+// allocated before: its guest heap about 165 KB, its outputs and
+// events about 120 KB).
+const maxWarmReplayBytes = 32_000
 
-// replayAllocs runs n ReplayTDRs of tr at once and returns the bytes
-// the process allocated meanwhile.
+// replayAllocs runs n ReplayTDRs of tr at once, each releasing its
+// execution, and returns the bytes the process allocated meanwhile.
 func replayAllocs(t *testing.T, n int, tr *detect.Trace) uint64 {
 	t.Helper()
 	prog, cfg := nfs.ServerProgram(), fixtures.ServerConfig(7)
@@ -33,9 +38,11 @@ func replayAllocs(t *testing.T, n int, tr *detect.Trace) uint64 {
 		go func() {
 			defer wg.Done()
 			<-start
-			if _, err := core.ReplayTDR(prog, tr.Log, cfg); err != nil {
+			x, err := core.ReplayTDR(prog, tr.Log, cfg)
+			if err != nil {
 				errs <- err
 			}
+			x.Release()
 		}()
 	}
 	close(start)
@@ -66,12 +73,13 @@ func TestWarmReplayAllocBound(t *testing.T) {
 	}
 }
 
-// TestConcurrentWarmReplaysAllocBound: with a kit idle for each of
-// eight concurrent replays, the round rebuilds no platform and no ring
-// (each is far more than the headroom the budget leaves). The cold
-// round alone does not guarantee eight idle kits: its replays may
-// overlap less than the warm round's do, so the kits are primed eight
-// at once right before the warm round.
+// TestConcurrentWarmReplaysAllocBound: with a warm kit idle for each
+// of eight concurrent replays, the round rebuilds no platform, no ring
+// and no arena (each is far more than the headroom the budget leaves).
+// The cold round alone does not guarantee eight idle kits: its replays
+// may overlap less than the warm round's do, so the kits are primed
+// eight at once right before the warm round, and a replay warms each
+// one's arena and one of eight executions' buffers.
 func TestConcurrentWarmReplaysAllocBound(t *testing.T) {
 	if fixtures.RaceDetector() {
 		t.Skip("allocation budget is held without -race")
@@ -84,7 +92,12 @@ func TestConcurrentWarmReplaysAllocBound(t *testing.T) {
 	cold := replayAllocs(t, n, tr)
 	runtime.GC()
 	runtime.GC()
-	if err := core.PrimeKits(fixtures.ServerConfig(7), n); err != nil {
+	warm := func() error {
+		x, err := core.ReplayTDR(nfs.ServerProgram(), tr.Log, fixtures.ServerConfig(7))
+		x.Release()
+		return err
+	}
+	if err := core.PrimeKits(fixtures.ServerConfig(7), n, warm); err != nil {
 		t.Fatal(err)
 	}
 	got := replayAllocs(t, n, tr)
@@ -118,9 +131,11 @@ func TestAlternatingMachineWarmReplaysAllocBound(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, cfg := range cfgs {
-			if _, err := core.ReplayTDR(prog, tr.Log, cfg); err != nil {
+			x, err := core.ReplayTDR(prog, tr.Log, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			x.Release()
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -128,7 +143,7 @@ func TestAlternatingMachineWarmReplaysAllocBound(t *testing.T) {
 	replays(opt, slow) // warm both paths
 	// The idle kit the replays take is the one PrimeKits released last:
 	// shaped for the larger machine, whatever earlier tests left.
-	if err := core.PrimeKits(opt, 1); err != nil {
+	if err := core.PrimeKits(opt, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

@@ -203,8 +203,8 @@ func ReplayTDRWindowCtx(ctx context.Context, prog *svm.Program, log *replaylog.L
 
 // resumeAt restores the engine's functional state from a window's
 // checkpoint and positions every cursor for the record suffix. The
-// restored VM heap is carved from e.scratch: it stays the VM's until
-// release hands the kit back, and nothing the engine returns
+// restored VM heap is carved from the kit's arena: it stays the VM's
+// until release hands the kit back, and nothing the engine returns
 // (Execution, log) points into it.
 func (e *engine) resumeAt(full *replaylog.Log, win *replaylog.LogWindow) error {
 	c := win.Start
@@ -235,8 +235,15 @@ func (e *engine) resumeAt(full *replaylog.Log, win *replaylog.LogWindow) error {
 	if blob, err = skipRing(blob); err != nil {
 		return err
 	}
-	if err := e.vm.RestoreState(blob, e.scratch); err != nil {
+	if err := e.vm.RestoreState(blob); err != nil {
 		return err
+	}
+	// The state's instruction counter must be the boundary's: the
+	// replay skips idle time up to each record's instruction count, so
+	// a counter far off the log's would have it model idle time (and
+	// fire noise events) for as long as that distance says.
+	if e.vm.InstrCount != c.Instr {
+		return fmt.Errorf("core: checkpoint state is at instruction %d, its checkpoint at %d", e.vm.InstrCount, c.Instr)
 	}
 	valuesBefore := c.Records - win.SkippedPackets
 	e.st.AlignResume(win.SkippedPackets)

@@ -24,7 +24,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"unsafe"
 
+	"sanity/internal/bufpool"
 	"sanity/internal/hw"
 	"sanity/internal/obs"
 	"sanity/internal/replaylog"
@@ -184,6 +187,64 @@ type Execution struct {
 	Instructions int64
 	ExitCode     int64
 	HWReport     hw.NoiseReport
+
+	// pooled, on a replay's execution, is where its Outputs, Events
+	// and output payloads go back to on Release.
+	pooled *execBuffers
+}
+
+// execBuffers is the memory a replay's Execution is built in, kept on
+// a free list between replays: the Outputs and Events slices and the
+// slab the output payloads are copied into. While an execution holds
+// it, outputs and events live in the execution and the slab's length
+// is zero, so two executions compare equal (reflect.DeepEqual) exactly
+// when their observable fields do.
+type execBuffers struct {
+	outputs  []OutputEvent
+	events   []TimedEvent
+	payloads []byte
+}
+
+// execPool keeps the buffers of released replay executions.
+var execPool bufpool.FreeList[execBuffers]
+
+// maxPooledExecBytes caps the buffers Release keeps for the next
+// replay; a replay that outgrew it leaves its buffers to the GC.
+const maxPooledExecBytes = 1 << 20
+
+// payload copies src into the slab, starting a larger slab when the
+// tail is too short; the copy's capacity is clipped to its length.
+func (b *execBuffers) payload(src []byte) []byte {
+	s, n := b.payloads, len(src)
+	if cap(s)-len(s) < n {
+		s = make([]byte, 0, max(n, 2*cap(s), 4096))
+	}
+	b.payloads = s[:len(s)+n]
+	p := s[len(s) : len(s)+n : len(s)+n]
+	copy(p, src)
+	return p
+}
+
+// Release hands a replay execution's Outputs, Events and output
+// payloads back for the next replay to reuse. Only the execution's
+// owner may call it, once, after its last read of them (the caller of
+// ReplayTDR, ReplayTDRWindow or ReplayFunctional; detect.TDR.Detail
+// releases its replay after comparing it); afterwards both slices are
+// nil. It is a no-op on a nil execution and on one not built from
+// pooled buffers (Play's, a merged parallel replay's). Never releasing
+// an execution is correct too: its buffers are then left to the GC.
+func (x *Execution) Release() {
+	if x == nil || x.pooled == nil {
+		return
+	}
+	b := x.pooled
+	clear(x.Outputs) // drop the payload slices
+	b.outputs, b.events = x.Outputs[:0], x.Events[:0]
+	x.Outputs, x.Events, x.pooled = nil, nil, nil
+	held := cap(b.payloads) + cap(b.outputs)*int(unsafe.Sizeof(OutputEvent{})) + cap(b.events)*int(unsafe.Sizeof(TimedEvent{}))
+	if held <= maxPooledExecBytes {
+		execPool.Put(b)
+	}
 }
 
 // OutputIPDs returns the inter-packet delays of the output stream in
@@ -320,19 +381,29 @@ func ReplayFunctional(prog *svm.Program, log *replaylog.Log, cfg Config) (*Execu
 }
 
 // setReplayLog installs the log and splits its record stream into the
-// per-kind cursors, in the kit's slices.
+// per-kind cursors, in the kit's slices, and sizes the execution's
+// Outputs and Events for the records: one output and two events (its
+// input and its output) per packet, one event per logged value.
 func (e *engine) setReplayLog(log *replaylog.Log) {
 	e.log = log
 	e.kit.splitRecords(log.Records)
 	e.logPackets = e.kit.packets
 	e.logValues = e.kit.values
+	e.exec.Outputs = slices.Grow(e.exec.Outputs, len(e.logPackets))
+	e.exec.Events = slices.Grow(e.exec.Events, len(log.Records)+len(e.logPackets))
 }
 
 // release returns the engine's kit to its free list. The engine (and
-// its VM, whose restored heap is the kit's scratch) must not be used
-// afterwards; nothing an engine has returned to its caller references
-// the kit.
+// its VM, whose heap is the kit's arena) must not be used afterwards;
+// nothing an engine has returned to its caller references the kit.
+// Play's execution keeps its buffers for good; a replay's keeps them
+// until Release.
 func (e *engine) release() {
+	if e.mode == ModePlay {
+		e.exec.pooled = nil
+	} else {
+		e.exec.pooled.payloads = e.exec.pooled.payloads[:0]
+	}
 	e.logPackets, e.logValues = nil, nil
 	releaseKit(e.kit)
 	e.kit = nil
@@ -372,11 +443,22 @@ func newEngine(prog *svm.Program, cfg Config, mode Mode) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Play's execution outlives any replay, so it takes no pooled
+	// buffers.
+	var b *execBuffers
+	if mode != ModePlay {
+		b = execPool.Get()
+	}
+	if b == nil {
+		b = &execBuffers{payloads: []byte{}}
+	}
+	exec := &Execution{Mode: mode, Outputs: b.outputs, Events: b.events, pooled: b}
+	b.outputs, b.events = nil, nil
 	e := &engine{
 		cfg:            cfg,
 		mode:           mode,
 		kit:            k,
-		exec:           &Execution{Mode: mode},
+		exec:           exec,
 		rng:            hw.NewRNG(cfg.Seed ^ 0xC0FFEE),
 		pollIterInstr:  cfg.PollIterInstr,
 		pollIterCycles: cfg.PollIterCycles,
@@ -393,23 +475,29 @@ func newEngine(prog *svm.Program, cfg Config, mode Mode) (*engine, error) {
 	default:
 		e.mask = ringbuf.ReplayMask
 	}
-	natives := e.natives()
-	for name, fn := range cfg.ExtraNatives {
-		natives[name] = fn
-	}
-	vm, err := svm.New(prog, natives, svm.Config{
-		Platform:    k.plat,
-		SliceBudget: cfg.SliceBudget,
-		GCThreshold: cfg.GCThreshold,
-		MaxSteps:    cfg.MaxSteps,
-		Prepared:    cfg.Prepared,
-	})
+	vm, err := e.newVM(prog)
 	if err != nil {
 		e.release()
 		return nil, err
 	}
 	e.vm = vm
 	return e, nil
+}
+
+// newVM builds a VM for prog on the engine's platform and arena.
+func (e *engine) newVM(prog *svm.Program) (*svm.VM, error) {
+	natives := e.natives()
+	for name, fn := range e.cfg.ExtraNatives {
+		natives[name] = fn
+	}
+	return svm.New(prog, natives, svm.Config{
+		Platform:    e.plat,
+		SliceBudget: e.cfg.SliceBudget,
+		GCThreshold: e.cfg.GCThreshold,
+		MaxSteps:    e.cfg.MaxSteps,
+		Prepared:    e.cfg.Prepared,
+		Arena:       e.arena,
+	})
 }
 
 // run performs initialization & quiescence, executes the VM to

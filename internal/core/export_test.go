@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sanity/internal/hw"
 	"sanity/internal/replaylog"
@@ -74,12 +75,20 @@ func ReplayCounted(prog *svm.Program, log *replaylog.Log, cfg Config, fromIPD, t
 // profile, then releases them all, so that n engines can next run at
 // once without building a kit: however many ran together before, the
 // free list now holds at least n, each shaped at least as large as
-// cfg's machine.
-func PrimeKits(cfg Config, n int) error {
+// cfg's machine. A non-nil warm runs once on each of the n kits (the
+// free list hands out the kit released last), so that their arenas
+// have grown to what warm's run carves; warm must release the
+// execution it makes, and each run reuses the buffers of n distinct
+// ones, which go back to their free list at the end too.
+func PrimeKits(cfg Config, n int, warm func() error) error {
 	kits := make([]*kit, 0, n)
+	var bufs []*execBuffers
 	defer func() {
 		for _, k := range kits {
 			releaseKit(k)
+		}
+		for _, b := range bufs {
+			execPool.Put(b)
 		}
 	}()
 	for range n {
@@ -89,5 +98,36 @@ func PrimeKits(cfg Config, n int) error {
 		}
 		kits = append(kits, k)
 	}
+	if warm == nil {
+		return nil
+	}
+	for i, k := range kits {
+		releaseKit(k)
+		err := warm()
+		if kits[i], _ = acquireKit(&cfg); kits[i] != k {
+			return fmt.Errorf("core: kit %d went elsewhere while warming", i)
+		}
+		if err != nil {
+			return err
+		}
+		if b := execPool.Get(); b != nil {
+			bufs = append(bufs, b)
+		}
+	}
 	return nil
+}
+
+// IdleArenaBytes returns the most host memory any idle kit's arena
+// holds.
+func IdleArenaBytes() int {
+	var most int
+	var held []*kit
+	for k := kits.Get(); k != nil; k = kits.Get() {
+		most = max(most, k.arena.Held())
+		held = append(held, k)
+	}
+	for _, k := range slices.Backward(held) {
+		kits.Put(k)
+	}
+	return most
 }

@@ -12,17 +12,18 @@ import (
 // the next: the platform (hw.NewPlatform allocates the cache, TLB and
 // stamp arrays, megabytes on a realistic machine model), the two ring
 // buffers with their slot storage, the log's record stream split by
-// kind, and the scratch a checkpoint restore carves the VM heap from.
-// An engine owns its kit from newEngine to release (it embeds it, so
-// e.plat is its kit's platform); nothing an engine returns (Execution,
-// log) points into it.
+// kind, the buffer a poll copies a packet into, and the arena the VM
+// heap is carved from, fresh or restored. An engine owns its kit from
+// newEngine to release (it embeds it, so e.plat is its kit's
+// platform); nothing an engine returns (Execution, log) points into it.
 type kit struct {
 	plat    *hw.Platform
 	st      *ringbuf.ST
 	ts      *ringbuf.TS
 	packets []replaylog.Record
 	values  []replaylog.Record
-	scratch *svm.RestoreScratch
+	polled  []byte
+	arena   *svm.Arena
 }
 
 // kits keeps as many idle kits as engines ran at once, for as long as
@@ -51,10 +52,10 @@ func acquireKit(cfg *Config) (*kit, error) {
 	}
 	access := func(addr int64, write bool) { plat.Access(addr, 8, write) }
 	return &kit{
-		plat:    plat,
-		st:      ringbuf.NewST(stBufferAddr, ringCapacity, access),
-		ts:      ringbuf.NewTS(tsBufferAddr, ringCapacity, access),
-		scratch: new(svm.RestoreScratch),
+		plat:  plat,
+		st:    ringbuf.NewST(stBufferAddr, ringCapacity, access),
+		ts:    ringbuf.NewTS(tsBufferAddr, ringCapacity, access),
+		arena: new(svm.Arena),
 	}, nil
 }
 
@@ -72,11 +73,11 @@ func (k *kit) splitRecords(recs []replaylog.Record) {
 }
 
 // releaseKit returns k to its free list, first dropping every pointer
-// it holds into the run it served (log payloads, the restored heap).
+// it holds into the run it served (log payloads, the VM heap).
 func releaseKit(k *kit) {
 	clear(k.packets)
 	clear(k.values)
 	k.packets, k.values = k.packets[:0], k.values[:0]
-	k.scratch.Reset()
+	k.arena.Reset()
 	kits.Put(k)
 }

@@ -33,7 +33,7 @@ func (e *engine) nativeRecv(ctx *svm.NativeCtx) error {
 		ctx.Result = svm.Null()
 		return nil
 	}
-	ctx.Result = svm.RefV(ctx.VM.Heap.AdoptBytes(payload))
+	ctx.Result = svm.RefV(ctx.VM.Heap.AllocBytes(payload))
 	return nil
 }
 
@@ -59,7 +59,7 @@ func (e *engine) nativeRecvBlock(ctx *svm.NativeCtx) error {
 			return err
 		}
 		if ok {
-			ctx.Result = svm.RefV(ctx.VM.Heap.AdoptBytes(payload))
+			ctx.Result = svm.RefV(ctx.VM.Heap.AllocBytes(payload))
 			return nil
 		}
 		switch e.mode {
@@ -114,18 +114,19 @@ func (e *engine) nativeRecvBlock(ctx *svm.NativeCtx) error {
 }
 
 // pollOnce performs one TC poll of the S-T buffer, with mode-specific
-// delivery and logging around it. The payload it returns is the
-// caller's to keep.
+// delivery and logging around it. The payload it returns is only
+// valid until the next poll: the guest gets a copy on its heap.
 func (e *engine) pollOnce() ([]byte, bool, error) {
 	switch e.mode {
 	case ModePlay:
 		if err := e.deliverDue(); err != nil {
 			return nil, false, err
 		}
-		payload, ts, ok := e.st.TCPoll(e.vm.InstrCount, e.mask)
+		payload, ts, ok := e.st.TCPoll(e.vm.InstrCount, e.mask, e.polled)
 		if !ok {
 			return nil, false, nil
 		}
+		e.polled = payload
 		e.log.AppendPacket(ts, e.plat.TimePs(), payload)
 		e.plat.SetDMAActive(false)
 		e.event("packet.in")
@@ -134,10 +135,11 @@ func (e *engine) pollOnce() ([]byte, bool, error) {
 		if err := e.preloadDue(); err != nil {
 			return nil, false, err
 		}
-		payload, _, ok := e.st.TCPoll(e.vm.InstrCount, e.mask)
+		payload, _, ok := e.st.TCPoll(e.vm.InstrCount, e.mask, e.polled)
 		if !ok {
 			return nil, false, nil
 		}
+		e.polled = payload
 		e.plat.SetDMAActive(false)
 		e.event("packet.in")
 		return payload, true, nil
@@ -149,7 +151,7 @@ func (e *engine) pollOnce() ([]byte, bool, error) {
 		e.nextPacket++
 		e.plat.AddCycles(2000 + int64(len(rec.Payload))*4)
 		e.event("packet.in")
-		return append([]byte(nil), rec.Payload...), true, nil
+		return rec.Payload, true, nil
 	}
 }
 
@@ -178,7 +180,7 @@ func (e *engine) nativeSend(ctx *svm.NativeCtx) error {
 			e.plat.AddCycles(delay)
 		}
 	}
-	payload := append([]byte(nil), o.AB...)
+	payload := e.exec.pooled.payload(o.AB)
 	if err := e.ts.TCSendOutput(payload); err != nil {
 		return err
 	}

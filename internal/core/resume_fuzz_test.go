@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,4 +71,32 @@ func FuzzReplayWindowResume(f *testing.F) {
 		ReplayTDRWindow(echoProg(), &mut, cfg, from, from+2)
 		ReplayTDRParallel(echoProg(), &mut, cfg, from, last+2, 4)
 	})
+}
+
+// TestResumeRefusesStateOffItsCheckpoint is a FuzzReplayWindowResume
+// input that hung both replays: the flipped byte is the top byte of
+// the state's instruction counter, and the resumed VM's first blocking
+// receive modelled idle time up to the next record's instruction
+// count from there, firing noise events for ever. The resume now
+// refuses a state whose counter is not its checkpoint's.
+func TestResumeRefusesStateOffItsCheckpoint(t *testing.T) {
+	logs, err := resumeTraces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := *logs[1]
+	mut.Checkpoints = append([]replaylog.Checkpoint(nil), logs[1].Checkpoints...)
+	resume := &mut.Checkpoints[1]
+	resume.State = bytes.Clone(resume.State)
+	resume.State[65_842%len(resume.State)] ^= 0x92
+	from := int(resume.Outputs)
+	cfg := testConfig(33)
+	cfg.MaxSteps = 20_000_000
+	if _, err := ReplayTDRWindow(echoProg(), &mut, cfg, from, from+2); err == nil || !strings.Contains(err.Error(), "its checkpoint at") {
+		t.Fatalf("ReplayTDRWindow = %v, want the resume refused", err)
+	}
+	last := int(mut.Checkpoints[len(mut.Checkpoints)-1].Outputs)
+	if _, err := ReplayTDRParallel(echoProg(), &mut, cfg, from, last+2, 4); err == nil {
+		t.Fatal("ReplayTDRParallel resumed from the damaged state")
+	}
 }

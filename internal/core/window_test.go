@@ -219,7 +219,7 @@ func TestReplayWindowValidation(t *testing.T) {
 
 // stampSrc answers every packet from one long-lived reply buffer: the
 // byte array it sends was allocated before the first checkpoint, so in
-// a resumed replay it is carved from the restore scratch.
+// a resumed replay it is carved from the arena by the restore.
 const stampSrc = `
 .program stamp
 .func main 0 2
@@ -245,10 +245,10 @@ done:
     ret
 .end`
 
-// replayWindowThrough is ReplayTDRWindow's resumed path with the
-// restore scratch supplied by the test, which keeps owning it: the
-// engine's kit gets its own scratch back before it is released.
-func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program, log *replaylog.Log, cfg Config, from, to int) *Execution {
+// replayWindowThrough is ReplayTDRWindow's resumed path with the VM
+// arena supplied by the test, which keeps owning it: the engine's kit
+// gets its own arena back before it is released.
+func replayWindowThrough(t *testing.T, a *svm.Arena, prog *svm.Program, log *replaylog.Log, cfg Config, from, to int) *Execution {
 	t.Helper()
 	win, err := log.Window(from, to)
 	if err != nil || win.Start == nil {
@@ -259,26 +259,29 @@ func replayWindowThrough(t *testing.T, sc *svm.RestoreScratch, prog *svm.Program
 		t.Fatal(err)
 	}
 	e.stopAfterOutputs = int64(to) + 1
-	own := e.scratch
-	e.scratch = sc
+	own := e.arena
+	e.arena = a
+	if e.vm, err = e.newVM(prog); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.resumeAt(log, win); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.run(); err != nil {
 		t.Fatal(err)
 	}
-	e.scratch = own
+	e.arena = own
 	e.release()
 	return e.exec
 }
 
-// TestRestoreScratchIsNotAliased pins the restore scratch's ownership
-// rule: it is the resumed VM's heap until the engine is released and
-// nothing after. Scribbling it once the engine is gone leaves the
-// returned execution — outputs, payload bytes, timings — untouched,
-// and a second windowed replay carved from the same scribbled slabs is
-// bit-identical to one carved from fresh memory and to the public
-// (pooled-scratch) path.
+// TestRestoreScratchIsNotAliased pins the arena's ownership rule for a
+// restored heap: it is the resumed VM's heap until the engine is
+// released and nothing after. Scribbling it once the engine is gone
+// leaves the returned execution — outputs, payload bytes, timings —
+// untouched, and a second windowed replay carved from the same
+// scribbled slabs is bit-identical to one carved from fresh memory and
+// to the public (kit arena) path.
 func TestRestoreScratchIsNotAliased(t *testing.T) {
 	prog := asm.MustAssemble("stamp", stampSrc)
 	playCfg := testConfig(41)
@@ -294,7 +297,7 @@ func TestRestoreScratchIsNotAliased(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := new(svm.RestoreScratch)
+	sc := new(svm.Arena)
 	// While the slabs are still growing, early carvings sit in outgrown
 	// slabs Scribble cannot reach; two restores settle their size.
 	for i := 0; i < 2; i++ {
@@ -302,19 +305,19 @@ func TestRestoreScratchIsNotAliased(t *testing.T) {
 	}
 	first := replayWindowThrough(t, sc, prog, log, cfg, n-6, n)
 	if !reflect.DeepEqual(first, want) {
-		t.Fatal("replay through a supplied scratch differs from the pooled path")
+		t.Fatal("replay through a supplied arena differs from the kit arena path")
 	}
 	sc.Scribble()
 	if !reflect.DeepEqual(first, want) {
-		t.Fatal("scribbling the released scratch changed a returned execution")
+		t.Fatal("scribbling the released arena changed a returned execution")
 	}
 	// A different window first, so the slabs hold another checkpoint's
 	// heap (and junk) when the original window is restored again.
 	replayWindowThrough(t, sc, prog, log, cfg, n-14, n-9)
 	sc.Scribble()
 	again := replayWindowThrough(t, sc, prog, log, cfg, n-6, n)
-	fresh := replayWindowThrough(t, new(svm.RestoreScratch), prog, log, cfg, n-6, n)
+	fresh := replayWindowThrough(t, new(svm.Arena), prog, log, cfg, n-6, n)
 	if !reflect.DeepEqual(again, fresh) || !reflect.DeepEqual(again, want) {
-		t.Fatal("a replay through reused scratch differs from one through fresh scratch")
+		t.Fatal("a replay through a reused arena differs from one through a fresh arena")
 	}
 }

@@ -375,6 +375,9 @@ func (d *TDR) Detail(ctx context.Context, tr *Trace, from, to int, resume bool) 
 		cmp, err = core.CompareWindow(tr.Play, replay, from, to, d.Calib)
 	}
 	sp.End()
+	// The comparison holds nothing of the replay, whose buffers go to
+	// the next one.
+	replay.Release()
 	if err != nil {
 		return nil, 0, err
 	}

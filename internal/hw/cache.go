@@ -17,24 +17,6 @@ const (
 	slotClockShift        = 1
 )
 
-// A last-hit memo that knows nothing holds slot 0, not a sentinel:
-// slot 0 is way 0 of its set, so whenever it holds the line asked for
-// it is where a scan stops, and remembering it is never wrong.
-const noSlot = 0
-
-// cacheMemoSize is a power of two, sized on the NFS fixture: with 32
-// entries all but 2 % of a replay's L1D hits are found without a scan
-// (8 entries: 10 %), since a frame's locals, the heap object being
-// walked and a packet buffer no longer evict each other. An L1's
-// virtual-line memo trusts a slot only while this memo names it, so
-// its size also bounds how many lines the platform's fast path keeps.
-const cacheMemoSize = 32
-
-// memoIndex spreads line numbers over the memo: neighbouring lines
-// differ in the low bits, lines at the same offset of different
-// frames in the bits above the in-page line number.
-func memoIndex(tag uint64) uint64 { return (tag ^ tag>>6) & (cacheMemoSize - 1) }
-
 // Cache is one level of a physically-indexed, set-associative cache
 // with deterministic LRU replacement. The paper relies on LRU
 // determinism (§3.6): if the instruction stream and the physical
@@ -49,25 +31,19 @@ type Cache struct {
 	slots    []slot // sets*ways entries, one set after another
 	clock    uint64 // monotone access counter, drives LRU
 	flushed  uint64 // every meta at or below this predates the last Flush
-	// memo remembers, per group of line numbers (memoIndex), the slot
-	// of the most recent Lookup hit, or noSlot. While that slot still
-	// holds the same live line it is the way a scan would stop at, so
-	// Lookup probes it first and does to it exactly what the scan's hit
-	// does. Fill drops the entry of the line it inserts: a fill is the
-	// one operation that can put a line in an earlier way of its set
-	// (the platform fills only after a miss, but Initialize's unflushed
-	// prefill does not look first). The same invariant lets an L1's
-	// virtual-line memo trust a slot this memo names.
-	memo [cacheMemoSize]int
+	// evictions counts EvictRandom calls. A victim probe chose stands
+	// only while no eviction ran since: an invalidated slot comes
+	// before it in the order Fill picks victims in.
+	evictions uint64
 
 	Hits   int64
 	Misses int64
 }
 
-// reshape gives c the geometry spec and forgets its memo, keeping the
-// slot array when its capacity suffices. It leaves the content state
-// alone: the caller flushes, which empties every slot however the
-// geometry carves them up, since no slot was stamped after the flush.
+// reshape gives c the geometry spec, keeping the slot array when its
+// capacity suffices. It leaves the content state alone: the caller
+// flushes, which empties every slot however the geometry carves them
+// up, since no slot was stamped after the flush.
 func (c *Cache) reshape(spec CacheSpec) {
 	sets := spec.Sets()
 	c.spec = spec
@@ -75,7 +51,6 @@ func (c *Cache) reshape(spec CacheSpec) {
 	c.setMask = sets - 1
 	c.lineBits = log2(spec.LineBytes)
 	c.slots = resize(c.slots, sets*c.ways)
-	c.memo = [cacheMemoSize]int{}
 }
 
 // resize returns s with length n, reallocated only when its capacity
@@ -119,63 +94,84 @@ func (c *Cache) touch(i int, write bool) {
 // without inserting; callers insert explicitly with Fill so that a
 // multi-level hierarchy can control the fill path.
 func (c *Cache) Lookup(paddr int64, write bool) bool {
-	_, hit := c.lookup(paddr, write)
+	_, hit := c.probe(paddr, write)
 	return hit
 }
 
-// lookup is Lookup that also returns the slot it hit.
-func (c *Cache) lookup(paddr int64, write bool) (int, bool) {
+// probe is Lookup in one scan of the line's set that also returns a
+// slot: on a hit the slot it touched, on a miss the victim Fill would
+// choose now — the set's first empty slot, else its least recently
+// used. fill takes that victim.
+func (c *Cache) probe(paddr int64, write bool) (int, bool) {
 	tag := uint64(paddr >> c.lineBits)
-	if i := c.memo[memoIndex(tag)]; c.slots[i].tag == tag && c.live(&c.slots[i]) {
-		c.touch(i, write)
-		return i, true
-	}
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
+	victim, empty := base, -1
+	var oldest uint64 = ^uint64(0)
 	for i, end := base, base+int(c.ways); i < end; i++ {
-		if s := &c.slots[i]; s.tag == tag && c.live(s) {
+		s := &c.slots[i]
+		if !c.live(s) {
+			if empty < 0 {
+				empty = i
+			}
+			continue
+		}
+		if s.tag == tag {
 			c.touch(i, write)
-			c.memo[memoIndex(tag)] = i
 			return i, true
+		}
+		if s.meta < oldest {
+			oldest, victim = s.meta, i
 		}
 	}
 	c.Misses++
-	return noSlot, false
+	if empty >= 0 {
+		victim = empty
+	}
+	return victim, false
 }
 
 // Fill inserts the line containing paddr, evicting the LRU way if the
 // set is full. It reports whether a dirty line was evicted (the
 // hierarchy charges a write-back for it).
 func (c *Cache) Fill(paddr int64, write bool) (evictedDirty bool) {
-	_, evictedDirty = c.fill(paddr, write)
+	_, evictedDirty = c.fill(c.victim(paddr), c.evictions, paddr, write)
 	return evictedDirty
 }
 
-// fill is Fill that also returns the slot the line went to.
-func (c *Cache) fill(paddr int64, write bool) (slot int, evictedDirty bool) {
-	tag := uint64(paddr >> c.lineBits)
+// victim is the slot Fill evicts for paddr's line: the set's first
+// empty slot, else its least recently used.
+func (c *Cache) victim(paddr int64) int {
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	victim := base
 	var oldest uint64 = ^uint64(0)
 	for i, end := base, base+int(c.ways); i < end; i++ {
 		s := &c.slots[i]
 		if !c.live(s) {
-			victim = i
-			break
+			return i
 		}
 		if s.meta < oldest {
-			oldest = s.meta
-			victim = i
+			oldest, victim = s.meta, i
 		}
+	}
+	return victim
+}
+
+// fill inserts paddr's line at victim, which was chosen for it when
+// the cache had seen evictions EvictRandom calls; if another ran
+// since, the victim is chosen again. It returns the slot the line went
+// to and whether a dirty line was evicted from it.
+func (c *Cache) fill(victim int, evictions uint64, paddr int64, write bool) (slot int, evictedDirty bool) {
+	if evictions != c.evictions {
+		victim = c.victim(paddr)
 	}
 	v := &c.slots[victim]
 	evictedDirty = c.live(v) && v.meta&slotDirty != 0
 	c.clock++
-	v.tag = tag
+	v.tag = uint64(paddr >> c.lineBits)
 	v.meta = c.clock << slotClockShift
 	if write {
 		v.meta |= slotDirty
 	}
-	c.memo[memoIndex(tag)] = noSlot
 	return victim, evictedDirty
 }
 
@@ -201,6 +197,7 @@ func (c *Cache) ResetStats() {
 // handlers displace part of the working set from the cache (§2.4);
 // the interrupt noise source uses this to model that displacement.
 func (c *Cache) EvictRandom(rng *RNG, n int) {
+	c.evictions++
 	total := int64(len(c.slots))
 	for k := 0; k < n; k++ {
 		c.slots[rng.Int63n(total)].meta = 0
@@ -224,18 +221,21 @@ func (c *Cache) Occupancy() int64 {
 // line resident — its physical line number (the tag), the TLB slot
 // that mapped its page and the cache slot that held it. While the TLB
 // slot still maps the page and the cache slot still holds the line,
-// live, and is the slot the cache's own memo names for it, translating
-// the address would hit that TLB slot and Lookup would hit that cache
-// slot, so the platform charges the hit without translating: one
-// probe instead of the mapper's, the TLB's and the cache's.
+// live, translating the address would hit that TLB slot and Lookup
+// would hit that cache slot, so the platform charges the hit without
+// translating: one probe instead of the mapper's, the TLB's and the
+// cache's.
 //
 // An entry is a claim re-checked against the slots, never trusted:
 // TLB misses, Fill, EvictRandom and flushes change them behind its
-// back, and a Fill of a line already present (Initialize's unflushed
-// prefill can put one in an earlier way) resets the cache memo's entry
-// for it, which fails the last check. What the slots cannot show is a
-// page moving to another frame; that happens only when the mapper is
-// emptied, and the platform forgets every entry then.
+// back. A live slot holding the line is the one Lookup stops at,
+// because the platform fills a line only after a probe of its set
+// missed, so a set never holds two live copies of it. Initialize's
+// unflushed prefill is the exception (it fills without looking, and
+// can put a second copy in an earlier way), and it forgets the L1D
+// memo. What the slots cannot show either is a page moving to another
+// frame; that happens only when the mapper is emptied, and the
+// platform forgets every entry then.
 type l1Cache struct {
 	Cache
 	lines [lineMemoSize]vline
@@ -278,11 +278,11 @@ func (c *l1Cache) entry(vaddr int64) *vline {
 	return nil
 }
 
-// holds reports whether e's slot still holds e's line, live, and is
-// the slot the cache memo names for it: the slot Lookup would hit.
+// holds reports whether e's slot still holds e's line, live: the slot
+// Lookup would hit.
 func (c *l1Cache) holds(e *vline) bool {
 	s := &c.slots[e.slot]
-	return s.tag == e.tag && c.live(s) && c.memo[memoIndex(e.tag)] == int(e.slot)
+	return s.tag == e.tag && c.live(s)
 }
 
 // forget empties the memo.

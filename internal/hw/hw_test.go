@@ -611,7 +611,8 @@ func TestHotChargesDoNotAllocate(t *testing.T) {
 
 // BenchmarkPlatformAccessStreaming misses every level on every access
 // (a 64 MB stride-64 sweep against an 8 MB L3), the pattern of a
-// replay's data misses: the cost is the victim scans in Fill.
+// replay's data misses: the cost is one scan of each level's set,
+// which finds no hit and picks the victim the fill takes.
 func BenchmarkPlatformAccessStreaming(b *testing.B) {
 	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
 	p.Initialize()

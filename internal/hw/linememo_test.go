@@ -6,8 +6,9 @@ import (
 )
 
 // The tests below build, one at a time, each way an L1's virtual-line
-// memo can go stale — a TLB slot, an L1 slot or a cache-memo entry
-// changed behind it, or its page moved to another frame — and then
+// memo can go stale — a TLB slot or an L1 slot changed behind it, a
+// second copy of its line put before it, or its page moved to another
+// frame — and then
 // charge the stale line beside the reference model in ref_test.go,
 // comparing the full state afterwards. Each first checks that the
 // situation really arose (the memo still holds the line's entry, and
@@ -228,9 +229,8 @@ func TestLineMemoRemapped(t *testing.T) {
 // random physical lines without looking first, so it can put a second
 // copy of a resident line in an earlier way of its set — where a scan
 // now stops. The remembered slot still holds the line, live, and its
-// page is still in the TLB; only the cache's own memo, which Fill
-// resets for the line, tells the probe that Lookup would hit the other
-// copy.
+// page is still in the TLB, so the memo's own checks would take the
+// later copy: the prefill must forget the L1D memo.
 //
 // On the preset machines the prefill's 2 000 fills pass through every
 // L1D set about 31 times, so no line from before it survives beside a
@@ -288,20 +288,20 @@ func duplicateFromPrefill(t *testing.T, spec MachineSpec, seed uint64) bool {
 	if !probe(l.got, c, v) {
 		t.Fatal("an accessed line is not on the fast path")
 	}
+	e := *c.entry(v)
 	l.check(t, "Initialize", false, func(p *refPlatform) { p.Initialize() }, func(p *Platform) { p.Initialize() })
-	e := c.entry(v)
 	first, ok := c.lookupSlot(target)
-	if e == nil || !ok || first >= int(e.slot) {
+	if !ok || first >= int(e.slot) {
 		return false // the prefill evicted the line, or put no copy before it
 	}
 	if s := c.slots[e.slot]; s.tag != e.tag || !c.live(&s) {
 		return false
 	}
-	if s := l.got.tlb.slots[e.tlb]; s.tag != uint64(l.got.mapper.VPN(v)) || !l.got.tlb.live(&s) {
+	if !l.got.tlb.maps(&e) || !c.holds(&e) {
 		return false
 	}
-	if probe(l.got, c, v) {
-		t.Fatalf("seed %d: the probe would take slot %d while a scan stops at slot %d", seed, e.slot, first)
+	if c.entry(v) != nil {
+		t.Fatalf("seed %d: the memo still names slot %d after the prefill, while a scan stops at slot %d", seed, e.slot, first)
 	}
 	l.check(t, fmt.Sprintf("Access(%#x, 8, true)", v), true,
 		func(p *refPlatform) { p.Access(v, 8, true) }, func(p *Platform) { p.Access(v, 8, true) })

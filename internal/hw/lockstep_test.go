@@ -598,3 +598,27 @@ func TestCacheLockstepWithDuplicates(t *testing.T) {
 		}
 	}
 }
+
+// TestVictimChosenAgainAfterEviction: a miss's probe picks the victim
+// its level's fill takes, but an L2 or L3 hit's charge can fire an
+// interrupt whose evictions empty slots of that very set in between,
+// and a victim scan at fill time would take the first empty one. Data
+// accesses over a region larger than the L1D and within the L2, under
+// frequent evicting interrupts, charge beside the reference model.
+func TestVictimChosenAgainAfterEviction(t *testing.T) {
+	profile := NoiseProfile{
+		Name: "evicting", FlushAtStart: true,
+		InterruptsEnabled: true, InterruptRate: 5000, InterruptCycles: 40, InterruptEvicts: 512,
+	}
+	l := newLockstep(Optiplex9020(), profile, 3)
+	rng := NewRNG(9)
+	for i := 0; i < 20_000; i++ {
+		l.access(t, 0x2000_0000+rng.Int63n(128<<10)&^7, i%3 == 0)
+	}
+	if d := l.deep(); d != "" {
+		t.Fatal(d)
+	}
+	if l.got.Report().Interrupts < 1000 {
+		t.Fatalf("only %d interrupts fired", l.got.Report().Interrupts)
+	}
+}

@@ -90,6 +90,9 @@ func (p *Platform) Initialize() {
 		for i := 0; i < 48; i++ {
 			p.tlb.Lookup(r.Int63n(1 << 18))
 		}
+		// The prefill fills without looking first, so a line the L1D
+		// memo remembers may now have a copy in an earlier way.
+		p.l1d.forget()
 	}
 	p.addRawCycles(500_000) // quiescence period
 }
@@ -373,7 +376,9 @@ func (p *Platform) chargeHit(l1 *l1Cache, e *vline, write bool, n int64) {
 
 // memAccess walks the hierarchy starting at the given L1, charges the
 // appropriate latency step by step, and records in the L1's
-// virtual-line memo where it left the line.
+// virtual-line memo where it left the line. Each level's set is
+// scanned once: a miss's probe already chose the victim the level's
+// fill takes (again, if an interrupt evicted lines in between).
 func (p *Platform) memAccess(l1 *l1Cache, vaddr int64, write bool) {
 	// Translation first.
 	vpn := p.mapper.VPN(vaddr)
@@ -383,32 +388,37 @@ func (p *Platform) memAccess(l1 *l1Cache, vaddr int64, write bool) {
 	}
 	paddr := p.mapper.Translate(vaddr)
 
-	line, hit := l1.lookup(paddr, write)
-	switch {
-	case hit:
+	line, hit := l1.probe(paddr, write)
+	if hit {
 		p.AddCycles(l1.spec.HitCycles)
-	case p.l2.Lookup(paddr, write):
-		p.AddCycles(p.Spec.L2.HitCycles)
-		line, _ = l1.fill(paddr, write)
-	case p.l3.Lookup(paddr, write):
-		p.AddCycles(p.Spec.L3.HitCycles)
-		p.l2.Fill(paddr, write)
-		line, _ = l1.fill(paddr, write)
-	default:
-		// DRAM access; this is where memory-bus contention with the
-		// SC's DMA traffic can strike (§3.3, §6.9).
-		cost := p.Spec.L3.HitCycles + p.Spec.DRAMCycles
-		prob := p.Profile.BusResidual * float64(p.dmaBoost)
-		if prob > 0 && p.rng.Float64() < prob {
-			cost += p.Profile.BusExtraCycles
-		}
-		if p.l3.Fill(paddr, write) {
-			cost += p.Spec.DRAMCycles / 2 // write-back of a dirty victim
-		}
-		p.l2.Fill(paddr, write)
-		line, _ = l1.fill(paddr, write)
-		p.AddCycles(cost)
+		l1.remember(vaddr, paddr, vpn, entry, line)
+		return
 	}
+	l1ev := l1.evictions
+	var cost int64 // charged after the fills, on the DRAM path
+	if l2line, hit := p.l2.probe(paddr, write); hit {
+		p.AddCycles(p.Spec.L2.HitCycles)
+	} else {
+		l2ev := p.l2.evictions
+		if l3line, hit := p.l3.probe(paddr, write); hit {
+			p.AddCycles(p.Spec.L3.HitCycles)
+		} else {
+			// DRAM access; this is where memory-bus contention with the
+			// SC's DMA traffic can strike (§3.3, §6.9).
+			cost = p.Spec.L3.HitCycles + p.Spec.DRAMCycles
+			prob := p.Profile.BusResidual * float64(p.dmaBoost)
+			if prob > 0 && p.rng.Float64() < prob {
+				cost += p.Profile.BusExtraCycles
+			}
+			// Nothing ran since the probe: its victim stands.
+			if _, dirty := p.l3.fill(l3line, p.l3.evictions, paddr, write); dirty {
+				cost += p.Spec.DRAMCycles / 2 // write-back of a dirty victim
+			}
+		}
+		p.l2.fill(l2line, l2ev, paddr, write)
+	}
+	line, _ = l1.fill(line, l1ev, paddr, write)
+	p.AddCycles(cost)
 	l1.remember(vaddr, paddr, vpn, entry, line)
 }
 

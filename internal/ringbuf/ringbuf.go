@@ -175,8 +175,10 @@ func (s *ST) SCPush(payload []byte, ts int64) error {
 // now is the TC's instruction counter; mask is PlayMask or
 // ReplayMask. It returns the payload and the timestamp word's final
 // value (the logged delivery point), or ok == false when no entry is
-// due. The payload is a fresh slice, the caller's to keep.
-func (s *ST) TCPoll(now int64, mask int64) (payload []byte, ts int64, ok bool) {
+// due. The payload is copied into buf when it is large enough (a
+// caller that polls in a loop reuses one buffer), else into a fresh
+// slice.
+func (s *ST) TCPoll(now int64, mask int64, buf []byte) (payload []byte, ts int64, ok bool) {
 	r := s.r
 	slot := r.slots[r.head]
 	r.access(r.addr(r.head, 0), false) // read timestamp
@@ -192,7 +194,11 @@ func (s *ST) TCPoll(now int64, mask int64) (payload []byte, ts int64, ok bool) {
 	r.access(r.addr(r.head, 0), true) // timestamp write-back
 	n := slot[1]
 	r.access(r.addr(r.head, 1), false)
-	payload = make([]byte, n)
+	if int64(cap(buf)) >= n {
+		payload = buf[:n]
+	} else {
+		payload = make([]byte, n)
+	}
 	unpackBytes(payload, slot[2:])
 	for w := 0; w < int(n+7)/8; w++ {
 		r.access(r.addr(r.head, 2+w), false)

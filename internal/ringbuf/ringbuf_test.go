@@ -40,7 +40,7 @@ func TestAccessWordProperty(t *testing.T) {
 
 func TestSTEmptyPollMisses(t *testing.T) {
 	st := NewST(0x9000_0000, 16, nil)
-	if _, _, ok := st.TCPoll(1_000_000, PlayMask); ok {
+	if _, _, ok := st.TCPoll(1_000_000, PlayMask, nil); ok {
 		t.Fatal("poll on empty buffer returned an entry")
 	}
 }
@@ -50,7 +50,7 @@ func TestSTPlayDelivery(t *testing.T) {
 	if err := st.SCPush([]byte("hello"), FreshTimestamp); err != nil {
 		t.Fatal(err)
 	}
-	payload, ts, ok := st.TCPoll(12345, PlayMask)
+	payload, ts, ok := st.TCPoll(12345, PlayMask, nil)
 	if !ok {
 		t.Fatal("entry not delivered")
 	}
@@ -61,7 +61,7 @@ func TestSTPlayDelivery(t *testing.T) {
 		t.Fatalf("play timestamp = %d, want the poll instruction count", ts)
 	}
 	// Buffer is empty again (only the sentinel remains).
-	if _, _, ok := st.TCPoll(99999, PlayMask); ok {
+	if _, _, ok := st.TCPoll(99999, PlayMask, nil); ok {
 		t.Fatal("second poll should miss")
 	}
 }
@@ -73,10 +73,10 @@ func TestSTReplayGating(t *testing.T) {
 	if err := st.SCPush([]byte("pkt"), 500); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := st.TCPoll(499, ReplayMask); ok {
+	if _, _, ok := st.TCPoll(499, ReplayMask, nil); ok {
 		t.Fatal("entry delivered before its logged instruction count")
 	}
-	payload, ts, ok := st.TCPoll(500, ReplayMask)
+	payload, ts, ok := st.TCPoll(500, ReplayMask, nil)
 	if !ok {
 		t.Fatal("entry not delivered at its logged point")
 	}
@@ -96,7 +96,7 @@ func TestSTOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		p, _, ok := st.TCPoll(int64(1000+i), PlayMask)
+		p, _, ok := st.TCPoll(int64(1000+i), PlayMask, nil)
 		if !ok || p[0] != byte('a'+i) {
 			t.Fatalf("entry %d out of order: %q ok=%v", i, p, ok)
 		}
@@ -136,7 +136,7 @@ func TestSTChargesSameAccessesOnHitVsPlayReplay(t *testing.T) {
 		if err := st.SCPush([]byte("abcdefgh"), ts); err != nil {
 			t.Fatal(err)
 		}
-		st.TCPoll(10_000, mask)
+		st.TCPoll(10_000, mask, nil)
 		return addrs
 	}
 	play := trace(PlayMask, FreshTimestamp)
@@ -243,17 +243,19 @@ func TestPackUnpackBytes(t *testing.T) {
 }
 
 // TestRingsReuseStorage: once a ring has held its entries, cycling
-// more through it allocates nothing but the payloads TCPoll hands out.
+// more through it allocates nothing, when TCPoll copies each payload
+// into the caller's buffer.
 func TestRingsReuseStorage(t *testing.T) {
 	st := NewST(0x9000_0000, 16, nil)
 	ts := NewTS(0xA000_0000, 16, nil)
 	payload := []byte("a request of a few words")
+	buf := make([]byte, 64)
 	cycle := func() {
 		if err := st.SCPush(payload, FreshTimestamp); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := st.TCPoll(1, PlayMask); !ok {
-			t.Fatal("entry not delivered")
+		if got, _, ok := st.TCPoll(1, PlayMask, buf); !ok || string(got) != string(payload) {
+			t.Fatalf("entry not delivered (got %q)", got)
 		}
 		if err := ts.TCSendOutput(payload); err != nil {
 			t.Fatal(err)
@@ -269,8 +271,8 @@ func TestRingsReuseStorage(t *testing.T) {
 		ts.SCDiscard()
 	}
 	cycle()
-	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
-		t.Fatalf("a push/poll/send/event cycle allocates %v times, want 1 (the polled payload)", allocs)
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a push/poll/send/event cycle allocates %v times", allocs)
 	}
 }
 
@@ -283,7 +285,7 @@ func TestAlignResumeZeroIsNew(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			st.TCPoll(int64(i), PlayMask)
+			st.TCPoll(int64(i), PlayMask, nil)
 		}
 		if err := ts.TCSendOutput([]byte{byte(i)}); err != nil {
 			t.Fatal(err)

@@ -169,7 +169,7 @@ func FuzzRestoreState(f *testing.F) {
 			t.Fatal(err)
 		}
 		vm := restoreFuzzVM(t, prog, plat)
-		if err := vm.RestoreState(blob, nil); err != nil {
+		if err := vm.RestoreState(blob); err != nil {
 			var se *svm.StateError
 			if !errors.As(err, &se) {
 				t.Fatalf("RestoreState returned %T, not a *svm.StateError: %v", err, err)
@@ -185,7 +185,7 @@ func FuzzRestoreState(f *testing.F) {
 
 func TestRestoreStateRefusesFramelessThread(t *testing.T) {
 	prog := asm.MustAssemble("restorefuzz", restoreFuzzSrc)
-	err := restoreFuzzVM(t, prog, nil).RestoreState(framelessState(t, prog), nil)
+	err := restoreFuzzVM(t, prog, nil).RestoreState(framelessState(t, prog))
 	var se *svm.StateError
 	if !errors.As(err, &se) || !strings.Contains(err.Error(), "live thread 1 has no frames") {
 		t.Fatalf("RestoreState = %v, want a *StateError for the frameless thread", err)
@@ -216,7 +216,7 @@ func TestRestoreStateAcceptsRunningMachine(t *testing.T) {
 			}
 		}
 		resumed := restoreFuzzVM(t, prog, nil)
-		if err := resumed.RestoreState(encodeState(t, vm), nil); err != nil {
+		if err := resumed.RestoreState(encodeState(t, vm)); err != nil {
 			t.Fatalf("snapshot at instr %d refused: %v", vm.InstrCount, err)
 		}
 		if err := resumed.Run(); err != nil {

@@ -68,8 +68,9 @@ const (
 // free lists, so allocation order — and therefore the address of
 // every object — is a pure function of the program's execution.
 type Heap struct {
-	objs []*Object // index = Ref-1; nil entries are free slots
-	free []Ref     // freed handles, reused LIFO (deterministic)
+	arena *Arena    // where objects and payloads are carved
+	objs  []*Object // index = Ref-1; nil entries are free slots
+	free  []Ref     // freed handles, reused LIFO (deterministic)
 
 	nextAddr  int64
 	freeAddrs map[int64][]int64 // size class -> freed base addresses (LIFO)
@@ -89,13 +90,17 @@ type Heap struct {
 	SweptLast   int64
 }
 
-// NewHeap returns an empty heap with the given GC threshold in bytes.
+// NewHeap returns an empty heap with the given GC threshold in bytes,
+// on an arena of its own.
 func NewHeap(gcThreshold int64) *Heap {
-	return &Heap{
-		nextAddr:    heapBase,
-		freeAddrs:   make(map[int64][]int64),
-		GCThreshold: gcThreshold,
-	}
+	return new(Arena).newHeap(gcThreshold)
+}
+
+// newObject carves a zeroed Object from the heap's arena.
+func (h *Heap) newObject(kind ObjKind) *Object {
+	o := &carve(h.arena, &h.arena.objs, 1)[0]
+	o.Kind = kind
+	return o
 }
 
 // sizeClass rounds a byte size up to the allocator's granularity.
@@ -144,9 +149,11 @@ func (h *Heap) NeedsGC() bool {
 
 // AllocObject allocates a class instance with nfields zeroed slots.
 func (h *Heap) AllocObject(class, nfields int) Ref {
-	size := sizeClass(objHeader + int64(nfields)*8)
-	o := &Object{Kind: ObjClass, Class: class, Fields: make([]Value, nfields), Size: size}
-	o.Addr = h.allocAddr(size)
+	o := h.newObject(ObjClass)
+	o.Class = class
+	o.Fields = carve(h.arena, &h.arena.values, nfields)
+	o.Size = sizeClass(objHeader + int64(nfields)*8)
+	o.Addr = h.allocAddr(o.Size)
 	return h.install(o)
 }
 
@@ -161,20 +168,22 @@ func (h *Heap) AllocArray(elem int, length int64) (Ref, error) {
 		return 0, fmt.Errorf("svm: array length %d exceeds the heap's limit", length)
 	}
 	var o *Object
-	var elemBytes int64
+	elemBytes := int64(8)
+	a, n := h.arena, int(length)
 	switch elem {
 	case ElemInt:
-		o = &Object{Kind: ObjArrI, AI: make([]int64, length)}
-		elemBytes = 8
+		o = h.newObject(ObjArrI)
+		o.AI = carve(a, &a.i64s, n)
 	case ElemFloat:
-		o = &Object{Kind: ObjArrF, AF: make([]float64, length)}
-		elemBytes = 8
+		o = h.newObject(ObjArrF)
+		o.AF = carve(a, &a.f64s, n)
 	case ElemByte:
-		o = &Object{Kind: ObjArrB, AB: make([]byte, length)}
+		o = h.newObject(ObjArrB)
+		o.AB = carve(a, &a.bytes, n)
 		elemBytes = 1
 	case ElemRef:
-		o = &Object{Kind: ObjArrR, AR: make([]Ref, length)}
-		elemBytes = 8
+		o = h.newObject(ObjArrR)
+		o.AR = carve(a, &a.refs, n)
 	default:
 		return 0, fmt.Errorf("svm: bad array element kind %d", elem)
 	}
@@ -184,14 +193,14 @@ func (h *Heap) AllocArray(elem int, length int64) (Ref, error) {
 }
 
 // AllocBytes allocates a byte array initialized with a copy of b.
-func (h *Heap) AllocBytes(b []byte) Ref {
-	return h.AdoptBytes(append([]byte(nil), b...))
-}
+func (h *Heap) AllocBytes(b []byte) Ref { return allocBytes(h, b) }
 
-// AdoptBytes allocates a byte array whose content is b itself: the
-// heap takes ownership, and the caller must not use b afterwards.
-func (h *Heap) AdoptBytes(b []byte) Ref {
-	return h.installBytes(&Object{Kind: ObjArrB, AB: b})
+// allocBytes is AllocBytes for a string's bytes too.
+func allocBytes[S ~string | ~[]byte](h *Heap, b S) Ref {
+	o := h.newObject(ObjArrB)
+	o.AB = carve(h.arena, &h.arena.bytes, len(b))
+	copy(o.AB, b)
+	return h.installBytes(o)
 }
 
 // AllocSharedBytes allocates a byte array that aliases b, which must
@@ -199,7 +208,17 @@ func (h *Heap) AdoptBytes(b []byte) Ref {
 // copies the content the first time the guest stores into the array,
 // so b is only ever read.
 func (h *Heap) AllocSharedBytes(b []byte) Ref {
-	return h.installBytes(&Object{Kind: ObjArrB, AB: b, shared: true})
+	o := h.newObject(ObjArrB)
+	o.AB, o.shared = b, true
+	return h.installBytes(o)
+}
+
+// unshare gives a shared byte array a private copy of its content,
+// before the guest's first store into it.
+func (h *Heap) unshare(o *Object) {
+	ab := carve(h.arena, &h.arena.bytes, len(o.AB))
+	copy(ab, o.AB)
+	o.AB, o.shared = ab, false
 }
 
 func (h *Heap) installBytes(o *Object) Ref {
@@ -280,6 +299,10 @@ func (h *Heap) Collect(roots []Ref) (marked, swept int64) {
 		h.BytesLive -= o.Size
 		h.BytesTotal -= o.Size
 		h.freeAddrs[o.Size] = append(h.freeAddrs[o.Size], o.Addr)
+		// The Object stays in the arena's slab until the arena is reset:
+		// dropping its content lets the GC take a payload allocated on
+		// its own.
+		*o = Object{}
 		h.objs[i] = nil
 		h.free = append(h.free, Ref(i+1))
 	}

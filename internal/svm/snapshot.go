@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -81,7 +82,7 @@ func (s *snapWriter) values(vs []Value) {
 // sticks; every read after it returns zero.
 type snapReader struct {
 	b   []byte
-	sc  *RestoreScratch
+	a   *Arena
 	err error
 }
 
@@ -170,7 +171,7 @@ func (s *snapReader) value() Value {
 }
 
 func (s *snapReader) valueSlice(what string) []Value {
-	out := carve(&s.sc.values, s.count(what, 9))
+	out := carve(s.a, &s.a.values, s.count(what, 9))
 	for i := range out {
 		out[i] = s.value()
 	}
@@ -341,16 +342,13 @@ func (h *Heap) encode(s *snapWriter) {
 // execution, when it runs.
 //
 // The blob is parsed in place and only read: everything the VM will
-// mutate is copied out of it, into memory carved from sc (reset
-// first; nil means a private one). The restored heap lives in sc, so
-// sc must not reach another restore while this VM can still run —
-// see RestoreScratch.
-func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
-	if sc == nil {
-		sc = new(RestoreScratch)
-	}
-	sc.Reset()
-	s := &snapReader{b: blob, sc: sc}
+// mutate is copied out of it, into memory carved from the VM's arena,
+// which the restore resets first (see Arena). A VM whose restore
+// failed must not run: its old heap went with the reset.
+func (vm *VM) RestoreState(blob []byte) error {
+	a, gcThreshold := vm.Heap.arena, vm.Heap.GCThreshold
+	a.Reset()
+	s := &snapReader{b: blob, a: a}
 	if v := s.b8(); s.err == nil && v != snapshotVersion {
 		return badState("unsupported version %d", v)
 	}
@@ -368,7 +366,7 @@ func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
 		s.fail("%d string refs, program has %d", nStr, len(vm.strRefs))
 	}
 	strRefs := s.refSlice(nStr)
-	heap := decodeHeap(s, vm.Heap.GCThreshold)
+	heap := decodeHeap(s, gcThreshold)
 	nThreads := s.count("threads", 1)
 	threads := make([]*Thread, 0, nThreads)
 	for ti := 0; ti < nThreads && s.err == nil; ti++ {
@@ -446,15 +444,16 @@ func (vm *VM) RestoreState(blob []byte, sc *RestoreScratch) error {
 }
 
 func (s *snapReader) refSlice(n int) []Ref {
-	out := carve(&s.sc.refs, n)
+	out := carve(s.a, &s.a.refs, n)
 	for i := range out {
 		out[i] = Ref(s.i64())
 	}
 	return out
 }
 
+// decodeHeap decodes the heap into the arena's, reset in place.
 func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
-	h := NewHeap(gcThreshold)
+	h := s.a.newHeap(gcThreshold)
 	h.nextAddr = s.i64()
 	h.BytesLive = s.i64()
 	h.BytesTotal = s.i64()
@@ -463,24 +462,24 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 	h.MarkedLast = s.i64()
 	h.SweptLast = s.i64()
 	nObjs := s.count("heap objects", 1)
-	h.objs = carve(&s.sc.ptrs, nObjs)
+	h.objs = slices.Grow(h.objs, nObjs)[:nObjs]
+	clear(h.objs)
 	for i := 0; i < nObjs && s.err == nil; i++ {
 		if s.b8() == 0 {
-			h.objs[i] = nil
 			continue
 		}
-		o := &carve(&s.sc.objs, 1)[0]
-		*o = Object{Kind: ObjKind(s.b8()), Class: int(s.i64()), Addr: s.i64(), Size: s.i64()}
+		o := h.newObject(ObjKind(s.b8()))
+		o.Class, o.Addr, o.Size = int(s.i64()), s.i64(), s.i64()
 		switch o.Kind {
 		case ObjClass:
 			o.Fields = s.valueSlice("object fields")
 		case ObjArrI:
-			o.AI = carve(&s.sc.i64s, s.count("int array", 8))
+			o.AI = carve(s.a, &s.a.i64s, s.count("int array", 8))
 			for j := range o.AI {
 				o.AI[j] = s.i64()
 			}
 		case ObjArrF:
-			o.AF = carve(&s.sc.f64s, s.count("float array", 8))
+			o.AF = carve(s.a, &s.a.f64s, s.count("float array", 8))
 			for j := range o.AF {
 				o.AF[j] = s.f64()
 			}
@@ -491,7 +490,7 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 				break
 			}
 			if p := s.take(int(n)); s.err == nil {
-				o.AB = carve(&s.sc.bytes, int(n))
+				o.AB = carve(s.a, &s.a.bytes, int(n))
 				copy(o.AB, p)
 			}
 		case ObjArrR:
@@ -501,11 +500,15 @@ func decodeHeap(s *snapReader, gcThreshold int64) *Heap {
 		}
 		h.objs[i] = o
 	}
-	h.free = s.refSlice(s.count("free list", 8))
+	nFree := s.count("free list", 8)
+	h.free = slices.Grow(h.free, nFree)[:nFree]
+	for i := range h.free {
+		h.free[i] = Ref(s.i64())
+	}
 	nClasses := s.count("free size classes", 16)
 	for i := 0; i < nClasses && s.err == nil; i++ {
 		class := s.i64()
-		lst := carve(&s.sc.i64s, s.count("free addresses", 8))
+		lst := carve(s.a, &s.a.i64s, s.count("free addresses", 8))
 		for j := range lst {
 			lst[j] = s.i64()
 		}

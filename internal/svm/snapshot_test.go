@@ -86,7 +86,7 @@ func TestSnapshotResumeMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.RestoreState(buf.Bytes(), nil); err != nil {
+	if err := resumed.RestoreState(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.InstrCount != vm.InstrCount {
@@ -134,17 +134,17 @@ func TestSnapshotRestoreRejectsDamage(t *testing.T) {
 		}
 		return v
 	}
-	if err := fresh().RestoreState(nil, nil); err == nil {
+	if err := fresh().RestoreState(nil); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
 	for _, cut := range []int{1, len(valid) / 3, len(valid) - 1} {
-		if err := fresh().RestoreState(valid[:cut], nil); err == nil {
+		if err := fresh().RestoreState(valid[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	bad := append([]byte(nil), valid...)
 	bad[0] = 99 // version
-	if err := fresh().RestoreState(bad, nil); err == nil {
+	if err := fresh().RestoreState(bad); err == nil {
 		t.Fatal("future snapshot version accepted")
 	}
 	// A snapshot from a different program shape (wrong global count).
@@ -156,7 +156,7 @@ func TestSnapshotRestoreRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ovm.RestoreState(valid, nil); err == nil {
+	if err := ovm.RestoreState(valid); err == nil {
 		t.Fatal("snapshot restored into a mismatched program")
 	}
 }
@@ -212,7 +212,7 @@ func TestRestoreStateChecks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = fresh.RestoreState(buf.Bytes(), nil)
+			err = fresh.RestoreState(buf.Bytes())
 			var se *StateError
 			if !errors.As(err, &se) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("RestoreState = %v, want a *StateError containing %q", err, c.want)
@@ -228,14 +228,14 @@ func TestSharedBytesCopyOnWrite(t *testing.T) {
 	src := []byte("stable")
 	h := NewHeap(0)
 	o := h.Get(h.AllocSharedBytes(src))
-	if err := arraySet(o, 0, IntV('S')); err != nil {
+	if err := h.arraySet(o, 0, IntV('S')); err != nil {
 		t.Fatal(err)
 	}
 	if string(src) != "stable" || string(o.AB) != "Stable" || o.shared {
 		t.Fatalf("after a store: source %q, array %q, shared %v", src, o.AB, o.shared)
 	}
 	owned := &o.AB[0]
-	if err := arraySet(o, 1, IntV('T')); err != nil || &o.AB[0] != owned {
+	if err := h.arraySet(o, 1, IntV('T')); err != nil || &o.AB[0] != owned {
 		t.Fatalf("second store copied again (err %v)", err)
 	}
 
@@ -253,7 +253,7 @@ func TestSharedBytesCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.RestoreState(buf.Bytes(), nil); err != nil {
+	if err := fresh.RestoreState(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	restored := fresh.Heap.Get(r)

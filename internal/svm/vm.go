@@ -62,6 +62,9 @@ type Config struct {
 	// the per-program immutable setup an audit pipeline pays once per
 	// shard instead of once per replay.
 	Prepared *Prepared
+	// Arena, when non-nil, is the host memory the VM's heap is carved
+	// from (see Arena); New resets it. Nil gives the VM one of its own.
+	Arena *Arena
 }
 
 // Prepared is the immutable per-program state New derives before any
@@ -166,10 +169,16 @@ func New(prog *Program, natives map[string]NativeFunc, cfg Config) (*VM, error) 
 	if gct <= 0 {
 		gct = DefaultGCThreshold
 	}
+	arena := cfg.Arena
+	if arena == nil {
+		arena = new(Arena)
+	}
+	arena.Reset()
+	heap := arena.newHeap(gct)
 	vm := &VM{
 		Prog:        prog,
-		Heap:        NewHeap(gct),
-		Globals:     make([]Value, len(prog.Globals)),
+		Heap:        heap,
+		Globals:     carve(arena, &arena.values, len(prog.Globals)),
 		Platform:    cfg.Platform,
 		monitors:    make(map[Ref]*monitor),
 		SliceBudget: slice,
@@ -185,9 +194,9 @@ func New(prog *Program, natives map[string]NativeFunc, cfg Config) (*VM, error) 
 	vm.depths = prepared.depths
 	// Intern string constants as byte arrays; this happens before
 	// execution, so addresses are deterministic.
-	vm.strRefs = make([]Ref, len(prog.StrPool))
+	vm.strRefs = carve(arena, &arena.refs, len(prog.StrPool))
 	for i, s := range prog.StrPool {
-		vm.strRefs[i] = vm.Heap.AdoptBytes([]byte(s))
+		vm.strRefs[i] = allocBytes(heap, s)
 	}
 	// Resolve natives strictly: a missing native is a load error, not
 	// a runtime surprise.
@@ -343,7 +352,8 @@ func (vm *VM) RunBudget(n int64) (bool, error) {
 // runUntil steps the VM until it halts or the instruction counter
 // reaches limit. The current thread is looked up once per slice, not
 // once per instruction: it stays current until its slice runs out, it
-// blocks or finishes, or the VM halts, and only Step reschedules.
+// blocks or finishes, or the VM halts, and only Step reschedules. In
+// between, exec runs one frame's instructions at a time.
 func (vm *VM) runUntil(limit int64) error {
 	for !vm.halted && vm.InstrCount < limit {
 		if err := vm.Step(); err != nil {
@@ -351,7 +361,7 @@ func (vm *VM) runUntil(limit int64) error {
 		}
 		t := vm.threads[vm.cur]
 		for t.State == ThreadRunnable && vm.sliceLeft > 0 && !vm.halted && vm.InstrCount < limit {
-			if err := vm.exec(t); err != nil {
+			if err := vm.exec(t, limit); err != nil {
 				return err
 			}
 		}
@@ -391,7 +401,7 @@ func (vm *VM) Step() error {
 		}
 		t = vm.threads[vm.cur]
 	}
-	return vm.exec(t)
+	return vm.exec(t, vm.InstrCount+1)
 }
 
 func (vm *VM) allDone() bool {
@@ -403,20 +413,24 @@ func (vm *VM) allDone() bool {
 	return true
 }
 
-// exec interprets one instruction of thread t.
-func (vm *VM) exec(t *Thread) error {
+// opCosts is Opcode.BaseCost as a table the interpreter indexes.
+var opCosts = func() (c [256]int64) {
+	for op := range c {
+		c[op] = Opcode(op).BaseCost()
+	}
+	return c
+}()
+
+// exec interprets thread t's current frame until its slice ends, the
+// instruction counter reaches limit, or an instruction leaves the
+// frame (call, return, a throw or trap), blocks, yields or halts the
+// VM; the code, its virtual base address and the frame stay in locals
+// meanwhile. Step runs it for one instruction.
+func (vm *VM) exec(t *Thread, limit int64) error {
 	f := t.top()
-	if f.pc < 0 || f.pc >= len(f.fn.Code) {
-		return vm.trap(t, "pc out of range")
-	}
-	in := f.fn.Code[f.pc]
+	code := f.fn.Code
+	codeBase := vm.codeBases[f.fnIdx]
 	plat := vm.Platform
-	if plat != nil {
-		plat.Instr(vm.codeBases[f.fnIdx]+int64(f.pc)*InstrBytes, in.Op.BaseCost())
-	}
-	vm.InstrCount++
-	vm.sliceLeft--
-	nextPC := f.pc + 1
 
 	push := func(v Value) { f.stack = append(f.stack, v) }
 	pop := func() Value {
@@ -425,409 +439,426 @@ func (vm *VM) exec(t *Thread) error {
 		return v
 	}
 
-	switch in.Op {
-	case OpNop:
-	case OpHalt:
-		vm.halted = true
-		vm.ExitCode = int64(in.A)
-		return nil
-
-	case OpIConst:
-		push(IntV(int64(in.A)))
-	case OpLConst:
-		push(IntV(vm.Prog.IntPool[in.A]))
-	case OpFConst:
-		push(FloatV(vm.Prog.FloatPool[in.A]))
-	case OpSConst:
-		push(RefV(vm.strRefs[in.A]))
-	case OpNullC:
-		push(Null())
-
-	case OpPop:
-		pop()
-	case OpDup:
-		v := f.stack[len(f.stack)-1]
-		push(v)
-	case OpSwap:
-		n := len(f.stack)
-		f.stack[n-1], f.stack[n-2] = f.stack[n-2], f.stack[n-1]
-
-	case OpLoad:
+	for vm.sliceLeft > 0 && vm.InstrCount < limit {
+		if f.pc < 0 || f.pc >= len(code) {
+			return vm.trap(t, "pc out of range")
+		}
+		in := code[f.pc]
 		if plat != nil {
-			plat.Access(f.localsAddr+int64(in.A)*8, 8, false)
+			plat.Instr(codeBase+int64(f.pc)*InstrBytes, opCosts[in.Op])
 		}
-		push(f.locals[in.A])
-	case OpStore:
-		if plat != nil {
-			plat.Access(f.localsAddr+int64(in.A)*8, 8, true)
-		}
-		f.locals[in.A] = pop()
-	case OpIInc:
-		if plat != nil {
-			plat.Access(f.localsAddr+int64(in.A)*8, 8, true)
-		}
-		if f.locals[in.A].K != KInt {
-			return vm.throwTrap(t, "iinc on non-int local")
-		}
-		f.locals[in.A].I += int64(in.B)
+		vm.InstrCount++
+		vm.sliceLeft--
+		nextPC := f.pc + 1
 
-	case OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem, OpIShl, OpIShr, OpIUshr, OpIAnd, OpIOr, OpIXor:
-		b := pop()
-		a := pop()
-		if a.K != KInt || b.K != KInt {
-			return vm.throwTrap(t, "integer op on non-int operands")
-		}
-		var r int64
 		switch in.Op {
-		case OpIAdd:
-			r = a.I + b.I
-		case OpISub:
-			r = a.I - b.I
-		case OpIMul:
-			r = a.I * b.I
-		case OpIDiv:
-			if b.I == 0 {
-				return vm.throwTrap(t, "division by zero")
+		case OpNop:
+		case OpHalt:
+			vm.halted = true
+			vm.ExitCode = int64(in.A)
+			return nil
+
+		case OpIConst:
+			push(IntV(int64(in.A)))
+		case OpLConst:
+			push(IntV(vm.Prog.IntPool[in.A]))
+		case OpFConst:
+			push(FloatV(vm.Prog.FloatPool[in.A]))
+		case OpSConst:
+			push(RefV(vm.strRefs[in.A]))
+		case OpNullC:
+			push(Null())
+
+		case OpPop:
+			pop()
+		case OpDup:
+			v := f.stack[len(f.stack)-1]
+			push(v)
+		case OpSwap:
+			n := len(f.stack)
+			f.stack[n-1], f.stack[n-2] = f.stack[n-2], f.stack[n-1]
+
+		case OpLoad:
+			if plat != nil {
+				plat.Access(f.localsAddr+int64(in.A)*8, 8, false)
 			}
-			r = a.I / b.I
-		case OpIRem:
-			if b.I == 0 {
-				return vm.throwTrap(t, "division by zero")
+			push(f.locals[in.A])
+		case OpStore:
+			if plat != nil {
+				plat.Access(f.localsAddr+int64(in.A)*8, 8, true)
 			}
-			r = a.I % b.I
-		case OpIShl:
-			r = a.I << (uint64(b.I) & 63)
-		case OpIShr:
-			r = a.I >> (uint64(b.I) & 63)
-		case OpIUshr:
-			r = int64(uint64(a.I) >> (uint64(b.I) & 63))
-		case OpIAnd:
-			r = a.I & b.I
-		case OpIOr:
-			r = a.I | b.I
-		case OpIXor:
-			r = a.I ^ b.I
-		}
-		push(IntV(r))
-	case OpINeg:
-		a := pop()
-		if a.K != KInt {
-			return vm.throwTrap(t, "ineg on non-int")
-		}
-		push(IntV(-a.I))
+			f.locals[in.A] = pop()
+		case OpIInc:
+			if plat != nil {
+				plat.Access(f.localsAddr+int64(in.A)*8, 8, true)
+			}
+			if f.locals[in.A].K != KInt {
+				return vm.throwTrap(t, "iinc on non-int local")
+			}
+			f.locals[in.A].I += int64(in.B)
 
-	case OpFAdd, OpFSub, OpFMul, OpFDiv:
-		b := pop()
-		a := pop()
-		if a.K != KFloat || b.K != KFloat {
-			return vm.throwTrap(t, "float op on non-float operands")
-		}
-		var r float64
-		switch in.Op {
-		case OpFAdd:
-			r = a.F + b.F
-		case OpFSub:
-			r = a.F - b.F
-		case OpFMul:
-			r = a.F * b.F
-		case OpFDiv:
-			r = a.F / b.F
-		}
-		push(FloatV(r))
-	case OpFNeg:
-		a := pop()
-		if a.K != KFloat {
-			return vm.throwTrap(t, "fneg on non-float")
-		}
-		push(FloatV(-a.F))
+		case OpIAdd, OpISub, OpIMul, OpIDiv, OpIRem, OpIShl, OpIShr, OpIUshr, OpIAnd, OpIOr, OpIXor:
+			b := pop()
+			a := pop()
+			if a.K != KInt || b.K != KInt {
+				return vm.throwTrap(t, "integer op on non-int operands")
+			}
+			var r int64
+			switch in.Op {
+			case OpIAdd:
+				r = a.I + b.I
+			case OpISub:
+				r = a.I - b.I
+			case OpIMul:
+				r = a.I * b.I
+			case OpIDiv:
+				if b.I == 0 {
+					return vm.throwTrap(t, "division by zero")
+				}
+				r = a.I / b.I
+			case OpIRem:
+				if b.I == 0 {
+					return vm.throwTrap(t, "division by zero")
+				}
+				r = a.I % b.I
+			case OpIShl:
+				r = a.I << (uint64(b.I) & 63)
+			case OpIShr:
+				r = a.I >> (uint64(b.I) & 63)
+			case OpIUshr:
+				r = int64(uint64(a.I) >> (uint64(b.I) & 63))
+			case OpIAnd:
+				r = a.I & b.I
+			case OpIOr:
+				r = a.I | b.I
+			case OpIXor:
+				r = a.I ^ b.I
+			}
+			push(IntV(r))
+		case OpINeg:
+			a := pop()
+			if a.K != KInt {
+				return vm.throwTrap(t, "ineg on non-int")
+			}
+			push(IntV(-a.I))
 
-	case OpI2F:
-		a := pop()
-		if a.K != KInt {
-			return vm.throwTrap(t, "i2f on non-int")
-		}
-		push(FloatV(float64(a.I)))
-	case OpF2I:
-		a := pop()
-		if a.K != KFloat {
-			return vm.throwTrap(t, "f2i on non-float")
-		}
-		push(IntV(int64(a.F)))
+		case OpFAdd, OpFSub, OpFMul, OpFDiv:
+			b := pop()
+			a := pop()
+			if a.K != KFloat || b.K != KFloat {
+				return vm.throwTrap(t, "float op on non-float operands")
+			}
+			var r float64
+			switch in.Op {
+			case OpFAdd:
+				r = a.F + b.F
+			case OpFSub:
+				r = a.F - b.F
+			case OpFMul:
+				r = a.F * b.F
+			case OpFDiv:
+				r = a.F / b.F
+			}
+			push(FloatV(r))
+		case OpFNeg:
+			a := pop()
+			if a.K != KFloat {
+				return vm.throwTrap(t, "fneg on non-float")
+			}
+			push(FloatV(-a.F))
 
-	case OpICmp:
-		b := pop()
-		a := pop()
-		if a.K != KInt || b.K != KInt {
-			return vm.throwTrap(t, "icmp on non-int")
-		}
-		push(IntV(cmp64(a.I, b.I)))
-	case OpFCmp:
-		b := pop()
-		a := pop()
-		if a.K != KFloat || b.K != KFloat {
-			return vm.throwTrap(t, "fcmp on non-float")
-		}
-		switch {
-		case a.F < b.F:
-			push(IntV(-1))
-		case a.F > b.F:
-			push(IntV(1))
-		default:
-			push(IntV(0))
-		}
+		case OpI2F:
+			a := pop()
+			if a.K != KInt {
+				return vm.throwTrap(t, "i2f on non-int")
+			}
+			push(FloatV(float64(a.I)))
+		case OpF2I:
+			a := pop()
+			if a.K != KFloat {
+				return vm.throwTrap(t, "f2i on non-float")
+			}
+			push(IntV(int64(a.F)))
 
-	case OpGoto:
-		nextPC = int(in.A)
-	case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe:
-		a := pop()
-		if a.K != KInt {
-			return vm.throwTrap(t, "branch on non-int")
-		}
-		if intBranch(in.Op, a.I, 0) {
+		case OpICmp:
+			b := pop()
+			a := pop()
+			if a.K != KInt || b.K != KInt {
+				return vm.throwTrap(t, "icmp on non-int")
+			}
+			push(IntV(cmp64(a.I, b.I)))
+		case OpFCmp:
+			b := pop()
+			a := pop()
+			if a.K != KFloat || b.K != KFloat {
+				return vm.throwTrap(t, "fcmp on non-float")
+			}
+			switch {
+			case a.F < b.F:
+				push(IntV(-1))
+			case a.F > b.F:
+				push(IntV(1))
+			default:
+				push(IntV(0))
+			}
+
+		case OpGoto:
 			nextPC = int(in.A)
-		}
-	case OpIfICmpEq, OpIfICmpNe, OpIfICmpLt, OpIfICmpGe, OpIfICmpGt, OpIfICmpLe:
-		b := pop()
-		a := pop()
-		if a.K != KInt || b.K != KInt {
-			return vm.throwTrap(t, "compare-branch on non-int")
-		}
-		if intBranch(in.Op, a.I, b.I) {
-			nextPC = int(in.A)
-		}
-	case OpIfNull:
-		a := pop()
-		if a.K != KRef {
-			return vm.throwTrap(t, "ifnull on non-ref")
-		}
-		if a.I == 0 {
-			nextPC = int(in.A)
-		}
-	case OpIfNonNull:
-		a := pop()
-		if a.K != KRef {
-			return vm.throwTrap(t, "ifnonnull on non-ref")
-		}
-		if a.I != 0 {
-			nextPC = int(in.A)
-		}
+		case OpIfEq, OpIfNe, OpIfLt, OpIfGe, OpIfGt, OpIfLe:
+			a := pop()
+			if a.K != KInt {
+				return vm.throwTrap(t, "branch on non-int")
+			}
+			if intBranch(in.Op, a.I, 0) {
+				nextPC = int(in.A)
+			}
+		case OpIfICmpEq, OpIfICmpNe, OpIfICmpLt, OpIfICmpGe, OpIfICmpGt, OpIfICmpLe:
+			b := pop()
+			a := pop()
+			if a.K != KInt || b.K != KInt {
+				return vm.throwTrap(t, "compare-branch on non-int")
+			}
+			if intBranch(in.Op, a.I, b.I) {
+				nextPC = int(in.A)
+			}
+		case OpIfNull:
+			a := pop()
+			if a.K != KRef {
+				return vm.throwTrap(t, "ifnull on non-ref")
+			}
+			if a.I == 0 {
+				nextPC = int(in.A)
+			}
+		case OpIfNonNull:
+			a := pop()
+			if a.K != KRef {
+				return vm.throwTrap(t, "ifnonnull on non-ref")
+			}
+			if a.I != 0 {
+				nextPC = int(in.A)
+			}
 
-	case OpNewArr:
-		n := pop()
-		if n.K != KInt {
-			return vm.throwTrap(t, "newarr length not int")
-		}
-		r, err := vm.Heap.AllocArray(int(in.A), n.I)
-		if err != nil {
-			return vm.throwTrap(t, "%v", err)
-		}
-		o := vm.Heap.Get(r)
-		if plat != nil {
-			// Zero-fill touches the whole allocation once.
-			plat.Access(o.Addr, 8, true)
-			plat.AddCycles(o.Size / 16)
-		}
-		push(RefV(r))
-		vm.maybeGC()
-	case OpALoad:
-		i := pop()
-		a := pop()
-		o, err := vm.array(t, a)
-		if o == nil {
-			return err
-		}
-		if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
-			return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
-		}
-		if plat != nil {
-			plat.Access(o.Addr+objHeader+i.I*elemBytes(o.Kind), elemBytes(o.Kind), false)
-		}
-		push(arrayGet(o, int(i.I)))
-	case OpAStore:
-		v := pop()
-		i := pop()
-		a := pop()
-		o, err := vm.array(t, a)
-		if o == nil {
-			return err
-		}
-		if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
-			return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
-		}
-		if plat != nil {
-			plat.Access(o.Addr+objHeader+i.I*elemBytes(o.Kind), elemBytes(o.Kind), true)
-		}
-		if err := arraySet(o, int(i.I), v); err != nil {
-			return vm.throwTrap(t, "%v", err)
-		}
-	case OpALen:
-		a := pop()
-		o, err := vm.array(t, a)
-		if o == nil {
-			return err
-		}
-		if plat != nil {
-			plat.Access(o.Addr, 8, false)
-		}
-		push(IntV(int64(o.Len())))
+		case OpNewArr:
+			n := pop()
+			if n.K != KInt {
+				return vm.throwTrap(t, "newarr length not int")
+			}
+			r, err := vm.Heap.AllocArray(int(in.A), n.I)
+			if err != nil {
+				return vm.throwTrap(t, "%v", err)
+			}
+			o := vm.Heap.Get(r)
+			if plat != nil {
+				// Zero-fill touches the whole allocation once.
+				plat.Access(o.Addr, 8, true)
+				plat.AddCycles(o.Size / 16)
+			}
+			push(RefV(r))
+			vm.maybeGC()
+		case OpALoad:
+			i := pop()
+			a := pop()
+			o, err := vm.array(t, a)
+			if o == nil {
+				return err
+			}
+			if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
+				return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
+			}
+			if plat != nil {
+				plat.Access(o.Addr+objHeader+i.I*elemBytes(o.Kind), elemBytes(o.Kind), false)
+			}
+			push(arrayGet(o, int(i.I)))
+		case OpAStore:
+			v := pop()
+			i := pop()
+			a := pop()
+			o, err := vm.array(t, a)
+			if o == nil {
+				return err
+			}
+			if i.K != KInt || i.I < 0 || i.I >= int64(o.Len()) {
+				return vm.throwTrap(t, "array index %v out of range [0,%d)", i.I, o.Len())
+			}
+			if plat != nil {
+				plat.Access(o.Addr+objHeader+i.I*elemBytes(o.Kind), elemBytes(o.Kind), true)
+			}
+			if err := vm.Heap.arraySet(o, int(i.I), v); err != nil {
+				return vm.throwTrap(t, "%v", err)
+			}
+		case OpALen:
+			a := pop()
+			o, err := vm.array(t, a)
+			if o == nil {
+				return err
+			}
+			if plat != nil {
+				plat.Access(o.Addr, 8, false)
+			}
+			push(IntV(int64(o.Len())))
 
-	case OpNew:
-		cls := vm.Prog.Classes[in.A]
-		r := vm.Heap.AllocObject(int(in.A), len(cls.Fields))
-		if plat != nil {
-			plat.Access(vm.Heap.Get(r).Addr, 8, true)
-		}
-		push(RefV(r))
-		vm.maybeGC()
-	case OpGetF:
-		a := pop()
-		o := vm.object(a)
-		if o == nil {
-			return vm.throwTrap(t, "null dereference in getf")
-		}
-		if int(in.A) >= len(o.Fields) {
-			return vm.throwTrap(t, "field offset %d out of range", in.A)
-		}
-		if plat != nil {
-			plat.Access(o.Addr+objHeader+int64(in.A)*8, 8, false)
-		}
-		push(o.Fields[in.A])
-	case OpPutF:
-		v := pop()
-		a := pop()
-		o := vm.object(a)
-		if o == nil {
-			return vm.throwTrap(t, "null dereference in putf")
-		}
-		if int(in.A) >= len(o.Fields) {
-			return vm.throwTrap(t, "field offset %d out of range", in.A)
-		}
-		if plat != nil {
-			plat.Access(o.Addr+objHeader+int64(in.A)*8, 8, true)
-		}
-		o.Fields[in.A] = v
+		case OpNew:
+			cls := vm.Prog.Classes[in.A]
+			r := vm.Heap.AllocObject(int(in.A), len(cls.Fields))
+			if plat != nil {
+				plat.Access(vm.Heap.Get(r).Addr, 8, true)
+			}
+			push(RefV(r))
+			vm.maybeGC()
+		case OpGetF:
+			a := pop()
+			o := vm.object(a)
+			if o == nil {
+				return vm.throwTrap(t, "null dereference in getf")
+			}
+			if int(in.A) >= len(o.Fields) {
+				return vm.throwTrap(t, "field offset %d out of range", in.A)
+			}
+			if plat != nil {
+				plat.Access(o.Addr+objHeader+int64(in.A)*8, 8, false)
+			}
+			push(o.Fields[in.A])
+		case OpPutF:
+			v := pop()
+			a := pop()
+			o := vm.object(a)
+			if o == nil {
+				return vm.throwTrap(t, "null dereference in putf")
+			}
+			if int(in.A) >= len(o.Fields) {
+				return vm.throwTrap(t, "field offset %d out of range", in.A)
+			}
+			if plat != nil {
+				plat.Access(o.Addr+objHeader+int64(in.A)*8, 8, true)
+			}
+			o.Fields[in.A] = v
 
-	case OpGGet:
-		if plat != nil {
-			plat.Access(globalSpaceBase+int64(in.A)*8, 8, false)
-		}
-		push(vm.Globals[in.A])
-	case OpGPut:
-		if plat != nil {
-			plat.Access(globalSpaceBase+int64(in.A)*8, 8, true)
-		}
-		vm.Globals[in.A] = pop()
+		case OpGGet:
+			if plat != nil {
+				plat.Access(globalSpaceBase+int64(in.A)*8, 8, false)
+			}
+			push(vm.Globals[in.A])
+		case OpGPut:
+			if plat != nil {
+				plat.Access(globalSpaceBase+int64(in.A)*8, 8, true)
+			}
+			vm.Globals[in.A] = pop()
 
-	case OpCall:
-		callee := vm.Prog.Funcs[in.A]
-		// The arguments are the top of the stack, in order; pushFrame
-		// copies them into the callee's locals.
-		n := len(f.stack) - callee.NumParams
-		args := f.stack[n:]
-		f.stack = f.stack[:n]
-		f.pc = nextPC // return address
-		t.pushFrame(callee, int(in.A), args)
-		if plat != nil {
-			// Frame setup writes the locals area once.
-			plat.Access(t.top().localsAddr, 8, true)
-		}
-		return nil
-	case OpNCall:
-		// The arguments stay where they are, above the popped top of
-		// the stack, until the result is pushed over them.
-		n := len(f.stack) - int(in.B)
-		ctx := &vm.nctx
-		*ctx = NativeCtx{VM: vm, Thread: t, Args: f.stack[n:len(f.stack):len(f.stack)], Result: IntV(0)}
-		f.stack = f.stack[:n]
-		if err := vm.natives[in.A](ctx); err != nil {
-			return vm.throwTrap(t, "native %s: %v", vm.Prog.Natives[in.A], err)
-		}
-		push(ctx.Result)
-	case OpRet, OpRetV:
-		var rv Value
-		if in.Op == OpRetV {
-			rv = pop()
-		}
-		t.popFrame()
-		if len(t.frames) == 0 {
-			t.State = ThreadDone
-			t.Result = rv
-			vm.releaseThreadMonitors(t)
-			if vm.allDone() {
-				vm.halted = true
+		case OpCall:
+			callee := vm.Prog.Funcs[in.A]
+			// The arguments are the top of the stack, in order; pushFrame
+			// copies them into the callee's locals.
+			n := len(f.stack) - callee.NumParams
+			args := f.stack[n:]
+			f.stack = f.stack[:n]
+			f.pc = nextPC // return address
+			t.pushFrame(callee, int(in.A), args)
+			if plat != nil {
+				// Frame setup writes the locals area once.
+				plat.Access(t.top().localsAddr, 8, true)
 			}
 			return nil
-		}
-		if in.Op == OpRetV {
-			caller := t.top()
-			caller.stack = append(caller.stack, rv)
-		}
-		return nil
+		case OpNCall:
+			// The arguments stay where they are, above the popped top of
+			// the stack, until the result is pushed over them.
+			n := len(f.stack) - int(in.B)
+			ctx := &vm.nctx
+			*ctx = NativeCtx{VM: vm, Thread: t, Args: f.stack[n:len(f.stack):len(f.stack)], Result: IntV(0)}
+			f.stack = f.stack[:n]
+			if err := vm.natives[in.A](ctx); err != nil {
+				return vm.throwTrap(t, "native %s: %v", vm.Prog.Natives[in.A], err)
+			}
+			push(ctx.Result)
+			if vm.halted {
+				f.pc = nextPC
+				return nil
+			}
+		case OpRet, OpRetV:
+			var rv Value
+			if in.Op == OpRetV {
+				rv = pop()
+			}
+			t.popFrame()
+			if len(t.frames) == 0 {
+				t.State = ThreadDone
+				t.Result = rv
+				vm.releaseThreadMonitors(t)
+				if vm.allDone() {
+					vm.halted = true
+				}
+				return nil
+			}
+			if in.Op == OpRetV {
+				caller := t.top()
+				caller.stack = append(caller.stack, rv)
+			}
+			return nil
 
-	case OpThrow:
-		exc := pop()
-		if exc.K != KRef || exc.I == 0 {
-			return vm.throwTrap(t, "throw of non-reference")
-		}
-		return vm.unwind(t, exc.Ref())
+		case OpThrow:
+			exc := pop()
+			if exc.K != KRef || exc.I == 0 {
+				return vm.throwTrap(t, "throw of non-reference")
+			}
+			return vm.unwind(t, exc.Ref())
 
-	case OpSpawn:
-		callee := vm.Prog.Funcs[in.A]
-		n := int(in.B)
-		if n != callee.NumParams {
-			return vm.throwTrap(t, "spawn arg count %d != %d params", n, callee.NumParams)
-		}
-		args := make([]Value, n)
-		for i := n - 1; i >= 0; i-- {
-			args[i] = pop()
-		}
-		nt := vm.spawn(int(in.A), args)
-		push(IntV(int64(nt.ID)))
-	case OpYield:
-		vm.sliceLeft = 0
-	case OpMonEnter:
-		a := pop()
-		if a.K != KRef || a.I == 0 {
-			return vm.throwTrap(t, "monenter on null")
-		}
-		m := vm.monitors[a.Ref()]
-		if m == nil {
-			m = &monitor{owner: -1}
-			vm.monitors[a.Ref()] = m
-		}
-		switch {
-		case m.owner == -1:
-			m.owner = t.ID
-			m.depth = 1
-		case m.owner == t.ID:
-			m.depth++
-		default:
-			m.queue = append(m.queue, t.ID)
-			t.State = ThreadBlocked
-			t.waitingOn = a.Ref()
-			f.pc = nextPC
+		case OpSpawn:
+			callee := vm.Prog.Funcs[in.A]
+			n := int(in.B)
+			if n != callee.NumParams {
+				return vm.throwTrap(t, "spawn arg count %d != %d params", n, callee.NumParams)
+			}
+			args := make([]Value, n)
+			for i := n - 1; i >= 0; i-- {
+				args[i] = pop()
+			}
+			nt := vm.spawn(int(in.A), args)
+			push(IntV(int64(nt.ID)))
+		case OpYield:
 			vm.sliceLeft = 0
-			return nil
-		}
-	case OpMonExit:
-		a := pop()
-		if a.K != KRef || a.I == 0 {
-			return vm.throwTrap(t, "monexit on null")
-		}
-		m := vm.monitors[a.Ref()]
-		if m == nil || m.owner != t.ID {
-			return vm.throwTrap(t, "monexit without ownership")
-		}
-		m.depth--
-		if m.depth == 0 {
-			vm.releaseMonitor(a.Ref(), m)
+		case OpMonEnter:
+			a := pop()
+			if a.K != KRef || a.I == 0 {
+				return vm.throwTrap(t, "monenter on null")
+			}
+			m := vm.monitors[a.Ref()]
+			if m == nil {
+				m = &monitor{owner: -1}
+				vm.monitors[a.Ref()] = m
+			}
+			switch {
+			case m.owner == -1:
+				m.owner = t.ID
+				m.depth = 1
+			case m.owner == t.ID:
+				m.depth++
+			default:
+				m.queue = append(m.queue, t.ID)
+				t.State = ThreadBlocked
+				t.waitingOn = a.Ref()
+				f.pc = nextPC
+				vm.sliceLeft = 0
+				return nil
+			}
+		case OpMonExit:
+			a := pop()
+			if a.K != KRef || a.I == 0 {
+				return vm.throwTrap(t, "monexit on null")
+			}
+			m := vm.monitors[a.Ref()]
+			if m == nil || m.owner != t.ID {
+				return vm.throwTrap(t, "monexit without ownership")
+			}
+			m.depth--
+			if m.depth == 0 {
+				vm.releaseMonitor(a.Ref(), m)
+			}
+
+		default:
+			return vm.trap(t, "illegal opcode %d", in.Op)
 		}
 
-	default:
-		return vm.trap(t, "illegal opcode %d", in.Op)
+		f.pc = nextPC
 	}
-
-	f.pc = nextPC
 	return nil
 }
 
@@ -863,7 +894,7 @@ func (vm *VM) releaseThreadMonitors(t *Thread) {
 // it; otherwise the trap escapes as a Go error.
 func (vm *VM) throwTrap(t *Thread, format string, args ...any) error {
 	msg := fmt.Sprintf(format, args...)
-	r := vm.Heap.AdoptBytes([]byte(msg))
+	r := allocBytes(vm.Heap, msg)
 	return vm.unwindWithTrap(t, r, msg)
 }
 
@@ -940,7 +971,7 @@ func arrayGet(o *Object, i int) Value {
 	}
 }
 
-func arraySet(o *Object, i int, v Value) error {
+func (h *Heap) arraySet(o *Object, i int, v Value) error {
 	switch o.Kind {
 	case ObjArrI:
 		if v.K != KInt {
@@ -957,7 +988,7 @@ func arraySet(o *Object, i int, v Value) error {
 			return fmt.Errorf("storing %v into byte array", v)
 		}
 		if o.shared {
-			o.AB, o.shared = append([]byte(nil), o.AB...), false
+			h.unshare(o)
 		}
 		o.AB[i] = byte(v.I)
 	case ObjArrR:
