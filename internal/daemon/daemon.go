@@ -520,10 +520,11 @@ func (d *Daemon) watch(ctx context.Context) {
 }
 
 // sweep claims every pending test trace and audits the claimed set as
-// one plan. Traces whose containers cannot even be opened are marked
-// failed (logged, skipped — a corrupt upload must never crash or
-// wedge the service); the rest stream through the auditor, each
-// verdict recorded in the log, the metrics, and the manifest.
+// one plan, each verdict recorded in the log, the metrics, and the
+// manifest. A trace whose container cannot be loaded comes back as a
+// verdict marked with a LoadErr: it is marked failed (logged, skipped
+// — a corrupt upload must never crash or wedge the service) and
+// leaves no verdict line.
 func (d *Daemon) sweep(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
@@ -555,31 +556,16 @@ func (d *Daemon) sweep(ctx context.Context) {
 		d.log.ErrorContext(ctx, "persisting claims failed", "err", err)
 	}
 
-	// Quarantine containers that cannot be read at all, so one corrupt
-	// landing cannot poison the whole sweep's plan.
-	good := claimed[:0]
+	d.log.InfoContext(ctx, "auditing claimed traces", "count", len(claimed))
+
+	// Verdicts name (shard, job ID); map them back to manifest entries
+	// for the audit state.
+	entries := make(map[string]store.Entry, len(claimed))
 	for _, e := range claimed {
-		if _, err := d.st.LoadIPDs(e.File); err != nil {
-			d.log.WarnContext(ctx, "skipping corrupt container", "file", e.File, "shard", e.Shard, "id", e.ID, "err", err)
-			d.failTrace(e)
-			continue
-		}
-		good = append(good, e)
-	}
-	if len(good) == 0 {
-		d.flushQuietly()
-		return
-	}
-	d.log.InfoContext(ctx, "auditing claimed traces", "count", len(good))
-
-	// Verdicts name (shard, job ID); map them back to container files
-	// for the manifest's audit state.
-	files := make(map[string]string, len(good))
-	for _, e := range good {
-		files[e.Shard+"\x00"+e.ID] = e.File
+		entries[e.Shard+"\x00"+e.ID] = e
 	}
 
-	plan, err := d.auditor.Plan(ctx, claimedSource{st: d.st, entries: good})
+	plan, err := d.auditor.Plan(ctx, claimedSource{st: d.st, entries: claimed})
 	if err != nil {
 		if errors.Is(err, audit.ErrCanceled) || ctx.Err() != nil {
 			return // claims stay; the next startup reclaims them
@@ -587,9 +573,9 @@ func (d *Daemon) sweep(ctx context.Context) {
 		// A plan that cannot resolve (unknown program, uncalibrated
 		// machine pair, unreadable training material) fails every
 		// trace it covered: terminal, logged, never retried in a loop.
-		d.log.ErrorContext(ctx, "planning failed, marking traces failed", "count", len(good), "err", err)
+		d.log.ErrorContext(ctx, "planning failed, marking traces failed", "count", len(claimed), "err", err)
 		d.met.planFailure()
-		for _, e := range good {
+		for _, e := range claimed {
 			d.failTrace(e)
 		}
 		d.flushQuietly()
@@ -606,10 +592,21 @@ func (d *Daemon) sweep(ctx context.Context) {
 			}
 			break
 		}
+		e, ok := entries[v.Shard+"\x00"+v.JobID]
+		if v.LoadErr != nil {
+			// The container is read once, by the job that audits it: one
+			// that cannot be read is quarantined here, so a corrupt
+			// landing costs a failed state and no verdict line.
+			d.log.WarnContext(ctx, "skipping corrupt container", "file", e.File, "shard", v.Shard, "id", v.JobID, "err", v.LoadErr.Err)
+			if ok {
+				d.failTrace(e)
+			}
+			continue
+		}
 		d.vlog.append(v)
 		d.met.observe(v, time.Since(claimedAt))
-		if file, ok := files[v.Shard+"\x00"+v.JobID]; ok {
-			if err := d.st.SetAuditState(file, store.AuditAudited); err != nil {
+		if ok {
+			if err := d.st.SetAuditState(e.File, store.AuditAudited); err != nil {
 				d.log.ErrorContext(ctx, "recording verdict failed", "id", v.JobID, "err", err)
 			}
 		}

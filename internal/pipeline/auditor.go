@@ -136,7 +136,8 @@ func (a *auditor) audit(ctx context.Context, job Job, index int) Verdict {
 			err = fmt.Errorf("loader returned no trace")
 		}
 		if err != nil {
-			v.Err = fmt.Sprintf("load: %v", err)
+			v.LoadErr = &LoadError{Err: err}
+			v.Err = v.LoadErr.Error()
 			return v
 		}
 		tr = loaded

@@ -55,3 +55,18 @@ func (e *CanceledError) Error() string {
 
 // Unwrap makes errors.Is match ErrCanceled and the context cause.
 func (e *CanceledError) Unwrap() []error { return []error{ErrCanceled, e.Cause} }
+
+// LoadError marks a verdict whose job's trace could not be loaded —
+// a container that is corrupt or gone. The verdict carries it in
+// Verdict.LoadErr beside the "load: ..." text in Err; a consumer that
+// audits stored traces (the audit daemon) tells such a job from an
+// audited one by it. It unwraps to the loader's error.
+type LoadError struct {
+	Err error
+}
+
+// Error implements error.
+func (e *LoadError) Error() string { return "load: " + e.Err.Error() }
+
+// Unwrap returns the loader's error.
+func (e *LoadError) Unwrap() error { return e.Err }

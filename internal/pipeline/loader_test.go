@@ -2,6 +2,8 @@ package pipeline_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -62,8 +64,42 @@ func TestLoaderFailure(t *testing.T) {
 		t.Fatal("loader failure not counted")
 	}
 	for i, v := range r.Verdicts {
-		if i != 2 && v.Err != "" {
+		if i != 2 && (v.Err != "" || v.LoadErr != nil) {
 			t.Fatalf("healthy job %d contaminated: %q", i, v.Err)
+		}
+	}
+}
+
+// TestLoaderFailureMarked: a failed load marks its verdict with a
+// typed LoadError wrapping the loader's error, and the marker stays
+// out of the canonical and JSON renderings, which read as they did
+// before it existed.
+func TestLoaderFailureMarked(t *testing.T) {
+	vanished := errors.New("container vanished")
+	lazy := lazyCopy(syntheticBatch())
+	lazy.Jobs[1].Load = func() (*pipeline.Trace, error) { return nil, vanished }
+	r := run(t, lazy, pipeline.Config{Workers: 2})
+	v := r.Verdicts[1]
+	if v.LoadErr == nil || !errors.Is(v.LoadErr, vanished) || v.Err != "load: container vanished" {
+		t.Fatalf("failed load marked %v, err %q", v.LoadErr, v.Err)
+	}
+	line := strings.Split(string(r.Canonical()), "\n")[1]
+	if want := fmt.Sprintf("1 %s shard=%s label=%s suspicious=false tdr=false err=%q", v.JobID, v.Shard, v.Label, v.Err); line != want {
+		t.Fatalf("canonical line %q, want %q", line, want)
+	}
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(js, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		switch k {
+		case "index", "id", "shard", "label", "scores", "tdrAudited", "tdrScore", "suspicious", "err":
+		default:
+			t.Fatalf("verdict JSON carries %q: %s", k, js)
 		}
 	}
 }

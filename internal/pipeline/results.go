@@ -42,6 +42,10 @@ type Verdict struct {
 	Suspicious bool
 	// Err collects per-detector failures ("" when all ran clean).
 	Err string
+	// LoadErr is set when the job's trace could not be loaded at all:
+	// no detector ran, and Err holds its text. Like Explain it is
+	// excluded from Canonical() and from the JSON rendering.
+	LoadErr *LoadError
 	// Explain is the optional evidence trail (Config.Explain): why
 	// this window, what the selector scanned, where the timing
 	// deviated. Nil when explain mode is off; excluded from

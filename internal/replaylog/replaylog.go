@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -33,6 +34,21 @@ const (
 	// decisions").
 	KindRandom Kind = 'R'
 )
+
+// MaxInstr bounds the instruction count a record or checkpoint may
+// carry: 2^50, about 1.1·10^15. A replay models the time a server
+// blocks for its next packet as idle polling up to the instruction
+// count the log names for that packet, firing every noise event on the
+// way, so a count is also a claim on the auditor's time, and this
+// bound caps the total idle a log can ask for. It sits far above any
+// honest recording: a day of play at 4 GHz and one instruction a cycle
+// is 3.5·10^14 instructions.
+const MaxInstr = 1 << 50
+
+// ErrInstrRange is matched by errors.Is when a log carries an
+// instruction count outside [0, MaxInstr]: Validate, Decode and
+// DecodeWindow refuse it, so admission does too.
+var ErrInstrRange = errors.New("replaylog: instruction count out of range")
 
 // Record is one nondeterministic event.
 type Record struct {
@@ -550,6 +566,9 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 				return s, err
 			}
 		}
+		if rec.Instr < 0 || rec.Instr > MaxInstr {
+			return s, fmt.Errorf("%w: record %d at instruction %d", ErrInstrRange, i, rec.Instr)
+		}
 		if rec.Kind == KindPacket {
 			n := uint64(rec.Value)
 			rec.Value = 0
@@ -628,6 +647,9 @@ func (w *walker) checkpoints(s *Summary) error {
 		}
 		if c.Instr < 0 || c.Outputs < 0 || c.PlayCycles < 0 {
 			return fmt.Errorf("replaylog: checkpoint %d has negative index", i)
+		}
+		if c.Instr > MaxInstr {
+			return fmt.Errorf("%w: checkpoint %d at instruction %d", ErrInstrRange, i, c.Instr)
 		}
 		if c.Records < 0 || c.Records > int64(s.Records) {
 			return fmt.Errorf("replaylog: checkpoint %d record cursor %d outside the %d-record stream", i, c.Records, s.Records)

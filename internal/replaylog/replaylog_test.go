@@ -2,8 +2,10 @@ package replaylog
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func sample() *Log {
@@ -120,8 +122,11 @@ func TestPacketsAndValuesSplit(t *testing.T) {
 	}
 }
 
+// TestRoundTripProperty: a log whose instruction counts lie in
+// [0, MaxInstr] decodes to what was encoded; one with any count
+// outside that range is refused with ErrInstrRange.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(instrs []int64, payload []byte, value int64) bool {
+	build := func(instrs []int64, payload []byte, value int64) (*Log, []byte) {
 		l := New("p", "m", "prof")
 		for _, i := range instrs {
 			l.AppendPacket(i, i*2, payload)
@@ -129,9 +134,24 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		if err := l.Encode(&buf); err != nil {
-			return false
+			t.Fatal(err)
 		}
-		got, err := Decode(&buf)
+		return l, buf.Bytes()
+	}
+	f := func(raw []int64, payload []byte, value int64) bool {
+		inRange := true
+		instrs := make([]int64, len(raw))
+		for n, i := range raw {
+			inRange = inRange && i >= 0 && i <= MaxInstr
+			instrs[n] = i & (MaxInstr - 1)
+		}
+		if _, enc := build(raw, payload, value); !inRange {
+			if _, err := Decode(bytes.NewReader(enc)); !errors.Is(err, ErrInstrRange) {
+				return false
+			}
+		}
+		l, enc := build(instrs, payload, value)
+		got, err := Decode(bytes.NewReader(enc))
 		if err != nil {
 			return false
 		}
@@ -150,6 +170,40 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleClaimRefused is the reproducer for an unbounded idle skip: a
+// log whose packet records jump by 2^60 instructions would have a
+// blocked replay model idle polling, and fire every noise event, for
+// 2^60 instructions. Every decoder refuses it, fast.
+func TestIdleClaimRefused(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l := New("nfsd", "optiplex9020", "sanity")
+		for i := int64(0); i < 4; i++ {
+			l.AppendPacket(i<<60, i*1000, []byte{byte(i)})
+		}
+		var buf bytes.Buffer
+		if err := l.Encode(&buf); err != nil {
+			t.Error(err)
+			return
+		}
+		for name, dec := range map[string]func() error{
+			"Validate":     func() error { _, err := Validate(bytes.NewReader(buf.Bytes())); return err },
+			"Decode":       func() error { _, err := Decode(bytes.NewReader(buf.Bytes())); return err },
+			"DecodeWindow": func() error { _, err := DecodeWindow(bytes.NewReader(buf.Bytes()), 1); return err },
+		} {
+			if err := dec(); !errors.Is(err, ErrInstrRange) {
+				t.Errorf("%s: got %v, want ErrInstrRange", name, err)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("decoding the reproducer took over 10 s")
 	}
 }
 

@@ -1,5 +1,7 @@
 package store
 
+import "io"
+
 // ContainerPath is the manifest-relative container path a trace's
 // identity maps to.
 var ContainerPath = containerPath
@@ -11,4 +13,9 @@ func WithoutJournalRemoval(f func()) {
 	defer func(old func(string) error) { removeJournal = old }(removeJournal)
 	removeJournal = func(string) error { return nil }
 	f()
+}
+
+// AtomicWrite exposes the temp-file-then-rename writer.
+func (s *Store) AtomicWrite(dest string, write func(io.Writer) error) error {
+	return s.atomicWrite(dest, write)
 }

@@ -35,6 +35,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -227,22 +228,55 @@ type Reader struct {
 	// sectionReader.Read hands bytes out by copy, so reusing one
 	// buffer is safe and removes the per-frame make([]byte, n) that
 	// used to dominate the load stage (every skipped section still
-	// paid it in full). It comes from frameScratch on the first frame
+	// paid it in full). It comes from readerScratch on the first frame
 	// and goes back on release.
-	scratch *bufpool.Scratch
+	scratch *readScratch
 	fixed   [9]byte // frame header (5) then checksum (4)
 }
 
-// frameScratch keeps the frame buffers of released Readers, grown to
-// the frames they read, for the next Readers.
-var frameScratch bufpool.FreeList[bufpool.Scratch]
+// readScratch is what a Reader reuses from container to container:
+// the frame buffer, and the one bufio.Reader its callers parse
+// sections through (at most one section is read at a time).
+type readScratch struct {
+	frame bufpool.Scratch
+	br    *bufio.Reader
+}
 
-// release hands the Reader's frame buffer to the next Reader. Nothing
-// the Reader yielded aliases it; the Reader must not be used again. A
-// Reader that is never released only leaves its buffer to the GC.
+// readerScratch keeps the buffers of released Readers, grown to the
+// frames they read, for the next Readers.
+var readerScratch bufpool.FreeList[readScratch]
+
+// getScratch returns the Reader's scratch, taking one on first use.
+func (r *Reader) getScratch() *readScratch {
+	if r.scratch == nil {
+		if r.scratch = readerScratch.Get(); r.scratch == nil {
+			r.scratch = new(readScratch)
+		}
+	}
+	return r.scratch
+}
+
+// buffered returns the Reader's section reader reset onto sec. It is
+// valid until the next call, which reuses it for the next section.
+func (r *Reader) buffered(sec io.Reader) *bufio.Reader {
+	s := r.getScratch()
+	if s.br == nil {
+		s.br = bufio.NewReader(sec)
+	} else {
+		s.br.Reset(sec)
+	}
+	return s.br
+}
+
+// release hands the Reader's buffers to the next Reader. Nothing the
+// Reader yielded aliases them; the Reader must not be used again. A
+// Reader that is never released only leaves its buffers to the GC.
 func (r *Reader) release() {
-	if r.scratch != nil {
-		frameScratch.Put(r.scratch)
+	if s := r.scratch; s != nil {
+		if s.br != nil {
+			s.br.Reset(nil) // drop the section, and with it this Reader
+		}
+		readerScratch.Put(s)
 		r.scratch = nil
 	}
 }
@@ -285,12 +319,7 @@ func (r *Reader) readFrame() (frame, error) {
 	if n > MaxFrame {
 		return frame{}, fmt.Errorf("store: frame of %d bytes exceeds the %d limit", n, MaxFrame)
 	}
-	if r.scratch == nil {
-		if r.scratch = frameScratch.Get(); r.scratch == nil {
-			r.scratch = new(bufpool.Scratch)
-		}
-	}
-	payload := r.scratch.Grow(int(n))
+	payload := r.getScratch().frame.Grow(int(n))
 	if _, err := io.ReadFull(r.r, payload); err != nil {
 		return frame{}, fmt.Errorf("store: reading %q frame payload: %w", byte(t), err)
 	}

@@ -54,10 +54,9 @@ type journal struct {
 	// stale asks the next Flush to rewrite the checkpoint: the store
 	// has none yet, or its shards or version changed since.
 	stale bool
-	// base is the number of entries in the checkpoint, records and
-	// size the records and bytes of the journal's valid prefix.
-	base, records int
-	size          int64
+	// checkpoint is the size of manifest.json, size that of the
+	// journal's valid prefix, in bytes.
+	checkpoint, size int64
 	// torn is set when the file may hold bytes past size.
 	torn bool
 	buf  bytes.Buffer
@@ -78,15 +77,24 @@ func (j *journal) touch(i int) {
 }
 
 // flushLocked persists every change since the last Flush: as journal
-// records, or as a new checkpoint when the store has none, its shards
-// or version changed, or the journal would outgrow the checkpoint
-// (which keeps the rewrite's cost amortised O(1) per record).
+// records, or as a new checkpoint when the store has none or its shards
+// or version changed. A journal that has grown past the checkpoint's
+// size is compacted into a new checkpoint: each rewrite is paid for by
+// at least as many journal bytes, which keeps its cost amortised O(1)
+// per byte written, and Open never replays more journal than it reads
+// checkpoint.
 func (s *Store) flushLocked() error {
 	j := &s.journal
-	if j.stale || j.records+len(j.dirty) > j.base {
+	if j.stale {
 		return s.compactLocked()
 	}
-	return s.appendLocked()
+	if err := s.appendLocked(); err != nil {
+		return err
+	}
+	if j.size > j.checkpoint {
+		return s.compactLocked()
+	}
+	return nil
 }
 
 // compactLocked rewrites the checkpoint from memory and removes the
@@ -115,7 +123,7 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("store: removing journal: %w", err)
 	}
 	j.clearDirty()
-	j.stale, j.base, j.records, j.size, j.torn = false, len(s.manifest.Traces), 0, 0, false
+	j.stale, j.checkpoint, j.size, j.torn = false, int64(len(b)+1), 0, false
 	return nil
 }
 
@@ -160,7 +168,6 @@ func (s *Store) appendLocked() error {
 	}
 	j.torn = false
 	j.size += int64(j.buf.Len())
-	j.records += len(j.dirty)
 	j.clearDirty()
 	return nil
 }
@@ -198,7 +205,7 @@ func (j *journal) encode(t byte, e *Entry) error {
 func (s *Store) replay(data []byte) {
 	j := &s.journal
 	var batch []Entry
-	off, records := 0, 0
+	off := 0
 	for rest := data; len(rest) >= 9; {
 		t, n := rest[0], binary.LittleEndian.Uint32(rest[1:5])
 		if t != recordUpsert && t != recordCommit || n > maxRecord || int(n) > len(rest)-9 {
@@ -223,11 +230,10 @@ func (s *Store) replay(data []byte) {
 		for _, e := range batch {
 			s.upsertLocked(e)
 		}
-		records += len(batch)
 		off = len(data) - len(rest)
 		batch = batch[:0]
 	}
-	j.records, j.size, j.torn = records, int64(off), off < len(data)
+	j.size, j.torn = int64(off), off < len(data)
 }
 
 // applies reports whether a Flush's records fit the manifest: each
@@ -261,6 +267,7 @@ func (s *Store) applies(batch []Entry) bool {
 func (s *Store) upsertLocked(e Entry) {
 	if i, ok := s.byFile[e.File]; ok {
 		s.manifest.Traces[i] = e
+		s.indexLocked(i)
 		return
 	}
 	s.admitLocked(e)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,10 +9,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"sanity/internal/bufpool"
 	"sanity/internal/detect"
 	"sanity/internal/obs"
 	"sanity/internal/replaylog"
@@ -121,8 +124,12 @@ type Store struct {
 	// so no snapshot or Flush ever holds an entry without a file.
 	pending map[string]Entry
 	// ids holds the identity of every admitted or reserved trace.
-	ids     map[traceID]struct{}
-	journal journal
+	ids map[traceID]struct{}
+	// pendingTest indexes the admitted test entries awaiting a claim by
+	// their manifest.Traces index, ascending: a claim or a backlog
+	// census reads what is pending, not the whole manifest.
+	pendingTest []int
+	journal     journal
 }
 
 // traceID is a trace's identity within a store.
@@ -149,6 +156,21 @@ func (s *Store) admitLocked(e Entry) {
 	s.byFile[e.File] = i
 	s.ids[idOf(e.Meta)] = struct{}{}
 	s.journal.marked = append(s.journal.marked, false)
+	s.indexLocked(i)
+}
+
+// indexLocked files entry i into the pending-test index, or out of it,
+// by its current role and audit state.
+func (s *Store) indexLocked(i int) {
+	e := &s.manifest.Traces[i]
+	want := e.Role == RoleTest && e.Audit == AuditPending
+	at, have := slices.BinarySearch(s.pendingTest, i)
+	switch {
+	case want && !have:
+		s.pendingTest = slices.Insert(s.pendingTest, at, i)
+	case !want && have:
+		s.pendingTest = slices.Delete(s.pendingTest, at, at+1)
+	}
 }
 
 // EnableTriage turns on ingest-time suspicion scoring with the given
@@ -225,7 +247,7 @@ func Open(dir string) (*Store, error) {
 		}
 		s.admitLocked(e)
 	}
-	s.journal.base = len(m.Traces)
+	s.journal.checkpoint = int64(len(b))
 	data, err := readJournal(dir)
 	if err != nil {
 		return nil, err
@@ -306,22 +328,17 @@ func (s *Store) ClaimPending() []Entry { return s.ClaimPendingLimit(0, nil) }
 func (s *Store) ClaimPendingLimit(limit int, prio func(Entry) float64) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var idx []int
-	var keys []float64
-	for i := range s.manifest.Traces {
+	idx := s.pendingTest
+	keys := make([]float64, len(idx))
+	for n, i := range idx {
 		e := &s.manifest.Traces[i]
-		if e.Role != RoleTest || e.Audit != AuditPending {
-			continue
-		}
-		k := e.Suspicion()
+		keys[n] = e.Suspicion()
 		if prio != nil {
-			k = prio(*e)
+			keys[n] = prio(*e)
 		}
-		idx = append(idx, i)
-		keys = append(keys, k)
 	}
-	// idx starts in manifest order; a stable sort on strictly-greater
-	// keys preserves it across ties.
+	// idx is in manifest order; a stable sort on strictly-greater keys
+	// preserves it across ties.
 	order := make([]int, len(idx))
 	for i := range order {
 		order[i] = i
@@ -337,6 +354,13 @@ func (s *Store) ClaimPendingLimit(limit int, prio func(Entry) float64) []Entry {
 		s.journal.touch(idx[o])
 		out = append(out, *e)
 	}
+	kept := idx[:0]
+	for _, i := range idx {
+		if s.manifest.Traces[i].Audit == AuditPending {
+			kept = append(kept, i)
+		}
+	}
+	s.pendingTest = kept
 	return out
 }
 
@@ -346,44 +370,48 @@ func (s *Store) ClaimPendingLimit(limit int, prio func(Entry) float64) []Entry {
 func (s *Store) PendingTest() []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Entry
-	for _, e := range s.manifest.Traces {
-		if e.Role == RoleTest && e.Audit == AuditPending {
-			out = append(out, e)
-		}
+	out := make([]Entry, 0, len(s.pendingTest))
+	for _, i := range s.pendingTest {
+		out = append(out, s.manifest.Traces[i])
 	}
 	return out
 }
 
 // SetAuditState records a trace's audit state by its manifest-relative
-// container path and rewrites the sidecar so the on-disk twin agrees.
-// The state must be one of the Audit* constants; the entry must exist.
+// container path, for the next Flush to persist. Audit state lives in
+// the manifest alone: the sidecar, written at admission, is not
+// touched. The state must be one of the Audit* constants; the entry
+// must exist.
 func (s *Store) SetAuditState(file, state string) error {
 	switch state {
 	case AuditPending, AuditClaimed, AuditAudited, AuditFailed:
 	default:
 		return fmt.Errorf("store: unknown audit state %q", state)
 	}
-	return s.update(file, func(e *Entry) bool {
-		if e.Audit == state {
-			return false
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.byFile[file]
+	if !ok {
+		return fmt.Errorf("store: no trace with container %q", file)
+	}
+	if e := &s.manifest.Traces[i]; e.Audit != state {
 		e.Audit = state
-		return true
-	})
+		s.journal.touch(i)
+		s.indexLocked(i)
+	}
+	return nil
 }
 
-// update applies change to the entry with the given container path,
-// records it for the next Flush when change reports one, and rewrites
-// the sidecar.
-func (s *Store) update(file string, change func(*Entry) bool) error {
+// SetTriageScore records a trace's triage score by its
+// manifest-relative container path and rewrites the sidecar so the
+// on-disk twin agrees — the persistence half of ScorePending.
+func (s *Store) SetTriageScore(file string, sc *triage.Score) error {
 	s.mu.Lock()
 	i, ok := s.byFile[file]
 	var snapshot Entry
 	if ok {
-		if change(&s.manifest.Traces[i]) {
-			s.journal.touch(i)
-		}
+		s.manifest.Traces[i].Triage = sc
+		s.journal.touch(i)
 		snapshot = s.manifest.Traces[i]
 	}
 	s.mu.Unlock()
@@ -391,16 +419,6 @@ func (s *Store) update(file string, change func(*Entry) bool) error {
 		return fmt.Errorf("store: no trace with container %q", file)
 	}
 	return s.writeSidecar(snapshot)
-}
-
-// SetTriageScore records a trace's triage score by its
-// manifest-relative container path and rewrites the sidecar so the
-// on-disk twin agrees — the persistence half of ScorePending.
-func (s *Store) SetTriageScore(file string, sc *triage.Score) error {
-	return s.update(file, func(e *Entry) bool {
-		e.Triage = sc
-		return true
-	})
 }
 
 // ScorePending runs the triage ensemble over every admitted test
@@ -441,6 +459,7 @@ func (s *Store) ReclaimStale() int {
 		if s.manifest.Traces[i].Audit == AuditClaimed {
 			s.manifest.Traces[i].Audit = AuditPending
 			s.journal.touch(i)
+			s.indexLocked(i)
 			n++
 		}
 	}
@@ -552,13 +571,19 @@ func (s *Store) unreserve(e Entry) {
 // atomicWrite writes a store-relative file via temp-file-then-rename,
 // so readers never observe a partial file. Like the rest of the store
 // it does not fsync: atomicity against concurrent readers is ours,
-// durability across power loss is the filesystem's.
-func (s *Store) atomicWrite(dest string, write func(io.Writer) error) error {
+// durability across power loss is the filesystem's. The temp file is
+// removed only when the write fails: after the rename there is
+// nothing left to remove.
+func (s *Store) atomicWrite(dest string, write func(io.Writer) error) (err error) {
 	f, err := os.CreateTemp(s.dir, ".spool-*")
 	if err != nil {
 		return fmt.Errorf("store: writing %s: %w", dest, err)
 	}
-	defer os.Remove(f.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(f.Name())
+		}
+	}()
 	if err := write(f); err != nil {
 		f.Close()
 		return err
@@ -572,23 +597,22 @@ func (s *Store) atomicWrite(dest string, write func(io.Writer) error) error {
 	return nil
 }
 
-// sidecarDoc is the sidecar's JSON shape: the trace metadata plus the
-// entry's audit state and triage score (each omitted when absent, so
-// sidecars written before either existed are byte-identical to
-// today's).
+// sidecarDoc is the sidecar's JSON shape: the trace metadata plus its
+// triage score (omitted when absent, so sidecars written before triage
+// existed are byte-identical to today's). Audit state is not in it:
+// that lives in the manifest and its journal.
 type sidecarDoc struct {
 	Meta
-	Audit  string        `json:"audit,omitempty"`
 	Triage *triage.Score `json:"triage,omitempty"`
 }
 
-// writeSidecar writes an entry's human-readable JSON twin. It goes
-// through atomicWrite — the sidecar is rewritten on every audit-state
-// change, and the daemon's watcher (or any operator tooling) may be
-// reading it at that moment; a direct os.WriteFile would let such a
-// reader observe a truncated document.
+// writeSidecar writes an entry's human-readable JSON twin: once at
+// admission, and again only when a backfill scores the trace. It goes
+// through atomicWrite, since operator tooling may be reading it at
+// that moment; a direct os.WriteFile would let such a reader observe
+// a truncated document.
 func (s *Store) writeSidecar(e Entry) error {
-	side, err := json.MarshalIndent(sidecarDoc{Meta: e.Meta, Audit: e.Audit, Triage: e.Triage}, "", "  ")
+	side, err := json.MarshalIndent(sidecarDoc{Meta: e.Meta, Triage: e.Triage}, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -599,15 +623,6 @@ func (s *Store) writeSidecar(e Entry) error {
 		return fmt.Errorf("store: writing sidecar: %w", err)
 	}
 	return nil
-}
-
-// admitSpooled renames a spooled temp file onto a reserved entry's
-// container path and writes the sidecar.
-func (s *Store) admitSpooled(tmpName string, e Entry) error {
-	if err := os.Rename(tmpName, filepath.Join(s.dir, e.File)); err != nil {
-		return fmt.Errorf("store: admitting container: %w", err)
-	}
-	return s.writeSidecar(e)
 }
 
 // writeContainer encodes a reserved entry's container plus sidecar
@@ -701,39 +716,95 @@ func (s *Store) PutContainer(r io.Reader) (Meta, error) {
 // score alongside the metadata — nil when scoring is disabled, the
 // trace is training material, or it was too short to assess (the
 // Neutral case still returns a score so the caller can report it).
-// The detector ensemble runs between the validate and admit steps —
-// over the IPDs, the one thing the validating walk retains — so a
-// rejected upload is never scored and an admitted one always carries
-// its score in the manifest and sidecar from the first write.
+// It is SpoolContainer then AdmitSpooled: the detector ensemble runs
+// between the validate and admit steps — over the IPDs, the one thing
+// the validating walk retains — so an upload that fails validation is
+// never scored and an admitted one always carries its score in the
+// manifest and sidecar from the first write.
 func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
+	sp, err := s.SpoolContainer(r)
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return s.AdmitSpooled(sp)
+}
+
+// Spooled is an upload SpoolContainer validated, scored and wrote to a
+// temp file in the store directory, awaiting AdmitSpooled.
+type Spooled struct {
+	tmp  string
+	meta Meta
+	log  *replaylog.Summary
+	sc   *triage.Score
+}
+
+// SpoolContainer is admission's first stage: it validates a container
+// streamed from r (see PutContainer) while teeing its bytes to a temp
+// file, then runs the triage ensemble over the validated IPDs. A nil
+// error means r was read to its end and the upload awaits
+// AdmitSpooled; on error nothing is left on disk and nothing is
+// reserved. Many uploads may spool at once — the store lock is not
+// taken. Scoring here rather than at admission splits an ingest
+// session's work about evenly between its two stages: the ensemble is
+// the larger part of admitting a trace.
+func (s *Store) SpoolContainer(r io.Reader) (*Spooled, error) {
 	f, err := os.CreateTemp(s.dir, ".spool-*")
 	if err != nil {
-		return Meta{}, nil, fmt.Errorf("store: spooling: %w", err)
+		return nil, fmt.Errorf("store: spooling: %w", err)
 	}
-	tmp := f.Name()
-	defer os.Remove(tmp)
-	meta, tr, log, err := walkContainer(io.TeeReader(r, f), false, nil)
+	// The walk reads a frame's header, payload and checksum apiece:
+	// buffered, the tee writes the file in a few large writes, not
+	// three small ones a frame.
+	bw := spoolWriters.Get()
+	if bw == nil {
+		bw = bufio.NewWriterSize(f, 32<<10)
+	} else {
+		bw.Reset(f)
+	}
+	meta, tr, log, err := walkContainer(io.TeeReader(r, bw), false, nil)
+	if ferr := bw.Flush(); err == nil && ferr != nil {
+		err = fmt.Errorf("store: spooling: %w", ferr)
+	}
+	bw.Reset(nil)
+	spoolWriters.Put(bw)
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("store: spooling: %w", cerr)
 	}
-	if err != nil {
-		return meta, nil, err
+	if err == nil {
+		meta, err = checkedMeta(meta, len(tr.IPDs), log)
 	}
-	full, err := checkedMeta(meta, len(tr.IPDs), log)
 	if err != nil {
-		return full, nil, err
+		os.Remove(f.Name())
+		return nil, err
 	}
-	sc := s.triageFor(full, tr.IPDs)
-	e, err := s.reserve(full, sc)
+	return &Spooled{tmp: f.Name(), meta: meta, log: log, sc: s.triageFor(meta, tr.IPDs)}, nil
+}
+
+// spoolWriters keeps the spool files' write buffers between uploads.
+var spoolWriters bufpool.FreeList[bufio.Writer]
+
+// AdmitSpooled is admission's second stage: it reserves the spooled
+// trace's slot, renames the temp file onto the container path, writes
+// the sidecar and commits the entry. It consumes sp whatever the
+// outcome: a refused upload's temp file is removed.
+func (s *Store) AdmitSpooled(sp *Spooled) (Meta, *triage.Score, error) {
+	sc := sp.sc
+	e, err := s.reserve(sp.meta, sc)
 	if err != nil {
-		return full, nil, err
+		os.Remove(sp.tmp)
+		return sp.meta, nil, err
 	}
-	if err := s.admitSpooled(tmp, e); err != nil {
+	if err := os.Rename(sp.tmp, filepath.Join(s.dir, e.File)); err != nil {
+		os.Remove(sp.tmp)
 		s.unreserve(e)
-		return full, nil, err
+		return sp.meta, nil, fmt.Errorf("store: admitting container: %w", err)
 	}
-	s.commit(e, log)
-	return full, sc, nil
+	if err := s.writeSidecar(e); err != nil {
+		s.unreserve(e)
+		return sp.meta, nil, err
+	}
+	s.commit(e, sp.log)
+	return sp.meta, sc, nil
 }
 
 // OpenTrace opens a container by its manifest-relative path.
@@ -768,9 +839,8 @@ func (s *Store) LoadTraceWindow(rel string, resume func(ipds int) int) (Meta, *d
 
 // LoadIPDs decodes only a trace's inter-packet delays by its
 // manifest-relative path, skipping the log and execution sections:
-// the fast path for statistical passes (triage backfill, the daemon's
-// pre-plan readability check) that need a trace's delays but never
-// its log.
+// the fast path for statistical passes (triage backfill) that need a
+// trace's delays but never its log.
 func (s *Store) LoadIPDs(rel string) ([]int64, error) {
 	t := s.obs.Stage(obs.StageStoreDecode)
 	defer t.End()

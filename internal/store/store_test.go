@@ -624,21 +624,47 @@ func TestAuditStateLifecycle(t *testing.T) {
 	if len(reclaimed) != 1 || reclaimed[0].File != claimed[2].File {
 		t.Fatalf("reclaim got %+v, want the crashed trace only", reclaimed)
 	}
-	// The audited trace's sidecar records its state.
+	// Audit state lives in the manifest: the compacted checkpoint
+	// names the audited trace's state, and its sidecar, written once
+	// at admission, does not.
+	if err := re.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(re.Dir(), store.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m store.Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range m.Traces {
+		if e.File == claimed[0].File {
+			found = true
+			if e.Audit != store.AuditAudited {
+				t.Fatalf("manifest records %s as %q, want %q", e.File, e.Audit, store.AuditAudited)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("manifest lacks %s", claimed[0].File)
+	}
 	side, err := os.ReadFile(filepath.Join(re.Dir(), claimed[0].File+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(side), `"audit": "audited"`) {
-		t.Fatalf("sidecar does not record audit state: %s", side)
+	if strings.Contains(string(side), `"audit"`) {
+		t.Fatalf("sidecar carries audit state: %s", side)
 	}
 }
 
-// TestSidecarAtomicUnderConcurrentReads hammers audit-state changes
-// (each of which rewrites the sidecar) against a reader re-reading
-// the same sidecar: every read must observe a complete, parseable
-// JSON document. Before sidecars went through atomicWrite, a direct
-// os.WriteFile here let the reader catch truncated documents.
+// TestSidecarAtomicUnderConcurrentReads hammers triage-score
+// rewrites (each of which rewrites the sidecar; audit-state changes no
+// longer touch it) against a reader re-reading the same sidecar: every
+// read must observe a complete, parseable JSON document. Before
+// sidecars went through atomicWrite, a direct os.WriteFile here let
+// the reader catch truncated documents.
 func TestSidecarAtomicUnderConcurrentReads(t *testing.T) {
 	st := auditStateCorpus(t, t.TempDir(), 1)
 	claimed := st.ClaimPending()
@@ -666,9 +692,13 @@ func TestSidecarAtomicUnderConcurrentReads(t *testing.T) {
 		}
 	}()
 
-	states := []string{store.AuditAudited, store.AuditClaimed, store.AuditFailed, store.AuditClaimed}
+	before, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 400; i++ {
-		if err := st.SetAuditState(claimed[0].File, states[i%len(states)]); err != nil {
+		sc := &triage.Score{Schema: triage.SchemaVersion, Suspicion: float64(i%7) / 7}
+		if err := st.SetTriageScore(claimed[0].File, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -676,6 +706,13 @@ func TestSidecarAtomicUnderConcurrentReads(t *testing.T) {
 	<-done
 	if readerErr != nil {
 		t.Fatal(readerErr)
+	}
+	after, err := os.ReadFile(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(before, after) {
+		t.Fatal("SetTriageScore did not rewrite the sidecar: the reader saw only one document")
 	}
 }
 

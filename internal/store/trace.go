@@ -218,12 +218,11 @@ func encodeExec(w io.Writer, e *core.Execution) error {
 	return bw.Flush()
 }
 
-// decodeExec reads the execution section back. Output payloads are
-// carved from arena; the caller ties the arena's release to the
-// execution's lifetime. A nil arena is admission's walk: the same
-// checks, payloads discarded, no execution returned.
-func decodeExec(r io.Reader, arena *bufpool.Arena) (*core.Execution, error) {
-	br := bufio.NewReader(r)
+// decodeExec reads the execution section back through br. Output
+// payloads are carved from arena; the caller ties the arena's release
+// to the execution's lifetime. A nil arena is admission's walk: the
+// same checks, payloads discarded, no execution returned.
+func decodeExec(br *bufio.Reader, arena *bufpool.Arena) (*core.Execution, error) {
 	var buf [8]byte
 	get := func() (int64, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -316,9 +315,9 @@ func readMetaSection(fr *Reader) (Meta, error) {
 	return meta, nil
 }
 
-// readIPDSection decodes an 'I' section of the given expected length.
-func readIPDSection(sec io.Reader, want int) ([]int64, error) {
-	br := bufio.NewReader(sec)
+// readIPDSection decodes an 'I' section, read through br, of the
+// given expected length.
+func readIPDSection(br *bufio.Reader, want int) ([]int64, error) {
 	var buf [8]byte
 	capHint := want + 1
 	if capHint > 4096 {
@@ -395,7 +394,7 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 		prev = t
 		switch t {
 		case FrameIPD:
-			if tr.IPDs, err = readIPDSection(sec, meta.IPDs); err != nil {
+			if tr.IPDs, err = readIPDSection(fr.buffered(sec), meta.IPDs); err != nil {
 				return fail(err)
 			}
 		case FrameLog:
@@ -423,7 +422,7 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 				execArena = &bufpool.Arena{}
 				tr.OnRelease(execArena.Release)
 			}
-			if tr.Play, err = decodeExec(sec, execArena); err != nil {
+			if tr.Play, err = decodeExec(fr.buffered(sec), execArena); err != nil {
 				return fail(err)
 			}
 		}
@@ -475,7 +474,7 @@ func ReadIPDs(r io.Reader) (Meta, []int64, error) {
 		if t != FrameIPD {
 			continue
 		}
-		ipds, err := readIPDSection(sec, meta.IPDs)
+		ipds, err := readIPDSection(fr.buffered(sec), meta.IPDs)
 		if err != nil {
 			return meta, nil, err
 		}
