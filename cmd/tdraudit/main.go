@@ -687,7 +687,7 @@ func obsMain(args []string) {
 // obsReportMain is the offline funnel analyzer: it reads persisted
 // span records (one spans.ndjson, or a trace dir with its rotated
 // generations) and renders the audit funnel per stage — counts,
-// p50/p99 wall, alloc, critical-path share.
+// p50/p99 wall, critical-path share.
 //
 //	tdraudit obs report -spans spool-traces/
 //	tdraudit obs report -spans spool-traces/spans.ndjson -json

@@ -1,9 +1,12 @@
 // Package bufpool provides size-classed pooled byte buffers for the
-// decode hot paths (replaylog records, store exec payloads), and
-// FreeList, a list of larger reusable state that the GC does not
-// empty (engine kits, frame scratch, checkpoint assembly). The load stage used to allocate a
-// fresh make([]byte, n) per record — ~35MB of churn per audited trace
-// at bench scale — almost all of which dies as soon as the trace is
+// decode hot paths (replaylog record payloads, store exec payloads),
+// and FreeList, a list of larger reusable state that the GC does not
+// empty: engine kits, frame scratch, checkpoint assembly, and the
+// slices a loaded trace is decoded into (a log's records, a trace's
+// IPDs and play outputs, a replay's outputs and events, the
+// detectors' float scratch). The load stage used to allocate a fresh
+// make([]byte, n) per record — ~35MB of churn per audited trace at
+// bench scale — almost all of which dies as soon as the trace is
 // audited. An Arena turns that churn into pool round-trips.
 //
 // Ownership contract (documented in README "Performance"): buffers
@@ -11,10 +14,12 @@
 // called. Release returns every outstanding buffer to the shared
 // pools at once, so the caller must not retain any slice obtained
 // from the Arena (or any sub-slice of one) past Release. Types that
-// embed an Arena (replaylog.Log, detect.Trace) re-export this as
-// their own Release method; callers that never call Release just fall
-// back to ordinary GC behavior — pooling is an optimization, never a
-// correctness requirement.
+// hold an Arena or FreeList values (replaylog.Log, detect.Trace,
+// core.Execution) re-export this as their own Release method, which
+// also caps what goes back on a FreeList (1 MB per value), so one
+// outsized trace does not pin its memory; callers that never call
+// Release just fall back to ordinary GC behavior — pooling is an
+// optimization, never a correctness requirement.
 package bufpool
 
 import (

@@ -117,20 +117,25 @@ func CompareCalibrated(play, replay *Execution, cal Calibration) (*TimingCompari
 			}
 		}
 	}
-	pIPD := play.OutputIPDs()
-	rIPD := replay.OutputIPDs()
+	// IPD i spans outputs i and i+1 of both executions; the pairs are
+	// built in one exact-size slice, straight from the outputs.
+	rescale := cal.enabled() && cal.Scale > 0 && cal.Scale != 1
 	replayTotal := replay.TotalPs
-	if cal.enabled() && cal.Scale > 0 && cal.Scale != 1 {
-		for i := range rIPD {
-			rIPD[i] = rescalePs(rIPD[i], cal.Scale)
-		}
+	if rescale {
 		replayTotal = rescalePs(replayTotal, cal.Scale)
 	}
-	n := min(len(pIPD), len(rIPD))
+	n := min(len(play.Outputs), len(replay.Outputs)) - 1
+	if n > 0 {
+		c.IPDs = make([]IPDPair, n)
+	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		pair := IPDPair{PlayPs: pIPD[i], ReplayPs: rIPD[i]}
-		c.IPDs = append(c.IPDs, pair)
+		p, r := play.Outputs[i:i+2], replay.Outputs[i:i+2]
+		pair := IPDPair{PlayPs: p[1].TimePs - p[0].TimePs, ReplayPs: r[1].TimePs - r[0].TimePs}
+		if rescale {
+			pair.ReplayPs = rescalePs(pair.ReplayPs, cal.Scale)
+		}
+		c.IPDs[i] = pair
 		d := pair.RelDevSlack(cal.AbsSlackPs)
 		sum += d
 		if d > c.MaxRelIPDDev {
@@ -244,11 +249,4 @@ func rescalePs(ps int64, scale float64) int64 {
 		return int64(s - 0.5)
 	}
 	return int64(s + 0.5)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

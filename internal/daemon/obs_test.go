@@ -35,7 +35,7 @@ func stageCount(fams map[string]*obs.ParsedFamily, stage string) float64 {
 // on audits a spooled corpus, after which
 //
 //   - /metrics parses as Prometheus text exposition and carries the
-//     daemon families AND the per-stage latency/alloc histograms,
+//     daemon families AND the per-stage latency histograms,
 //   - /verdicts strips explain by default and carries it with
 //     ?explain=1,
 //   - the trace dir holds a valid Chrome trace_event file plus an
@@ -105,7 +105,6 @@ func TestDaemonObservability(t *testing.T) {
 		"tdrauditd_queue_depth":           "gauge",
 		"tdrauditd_store_traces":          "gauge",
 		"sanity_stage_seconds":            "histogram",
-		"sanity_stage_alloc_bytes":        "histogram",
 	}
 	for name, typ := range wantFams {
 		f, ok := fams[name]

@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sync"
 
+	"sanity/internal/bufpool"
 	"sanity/internal/core"
 	"sanity/internal/obs"
 	"sanity/internal/replaylog"
@@ -108,10 +109,11 @@ func (s *Shape) Name() string { return "shape" }
 // Score implements Detector: the sum of z-scores of the trace's mean
 // and standard deviation.
 func (s *Shape) Score(tr *Trace) (float64, error) {
-	xs := stats.Int64sToFloats(tr.IPDs)
-	zm := abs(stats.Mean(xs)-s.meanMu) / s.meanSd
-	zs := abs(stats.StdDev(xs)-s.sdMu) / s.sdSd
-	return zm + zs, nil
+	return scoreFloats(tr.IPDs, func(xs []float64) float64 {
+		zm := abs(stats.Mean(xs)-s.meanMu) / s.meanSd
+		zs := abs(stats.StdDev(xs)-s.sdMu) / s.sdSd
+		return zm + zs
+	}), nil
 }
 
 // KS is the Kolmogorov-Smirnov test (Peng et al.): the distance
@@ -138,21 +140,40 @@ func NewKS(training [][]int64) (*KS, error) {
 // Name implements Detector.
 func (k *KS) Name() string { return "ks" }
 
-// ksScratch holds the sorted copies of traces' IPDs that KS.Score
-// builds, so that concurrent workers score without allocating.
-var ksScratch = sync.Pool{New: func() any { return new([]float64) }}
+// floatScratch holds the float64 copies of traces' IPDs that Shape,
+// KS and Regularity score from, so that concurrent workers score
+// without allocating.
+var floatScratch bufpool.FreeList[[]float64]
+
+// maxPooledFloatBytes caps the scratch floatScratch keeps; a longer
+// trace's copy is left to the GC.
+const maxPooledFloatBytes = 1 << 20
+
+// scoreFloats returns score(xs), xs being ipds as float64s in a
+// scratch that score may reorder and must not keep.
+func scoreFloats(ipds []int64, score func(xs []float64) float64) float64 {
+	buf := floatScratch.Get()
+	if buf == nil {
+		buf = new([]float64)
+	}
+	xs := (*buf)[:0]
+	for _, d := range ipds {
+		xs = append(xs, float64(d))
+	}
+	*buf = xs
+	v := score(xs)
+	if cap(xs)*8 <= maxPooledFloatBytes {
+		floatScratch.Put(buf)
+	}
+	return v
+}
 
 // Score implements Detector.
 func (k *KS) Score(tr *Trace) (float64, error) {
-	buf := ksScratch.Get().(*[]float64)
-	defer ksScratch.Put(buf)
-	xs := (*buf)[:0]
-	for _, d := range tr.IPDs {
-		xs = append(xs, float64(d))
-	}
-	slices.Sort(xs)
-	*buf = xs
-	return stats.KSSorted(xs, k.pooled), nil
+	return scoreFloats(tr.IPDs, func(xs []float64) float64 {
+		slices.Sort(xs)
+		return stats.KSSorted(xs, k.pooled)
+	}), nil
 }
 
 // Regularity is the regularity test of Cabuk et al.: group the trace
@@ -178,23 +199,27 @@ func (r *Regularity) Name() string { return "regularity" }
 
 // Score implements Detector.
 func (r *Regularity) Score(tr *Trace) (float64, error) {
-	xs := stats.Int64sToFloats(tr.IPDs)
-	var sigmas []float64
-	for start := 0; start+r.Window <= len(xs); start += r.Window {
-		sigmas = append(sigmas, stats.StdDev(xs[start:start+r.Window]))
-	}
-	if len(sigmas) < 2 {
-		return 0, fmt.Errorf("detect: regularity test needs >= 2 windows of %d packets, have %d IPDs", r.Window, len(xs))
-	}
-	var diffs []float64
-	for i := 0; i < len(sigmas); i++ {
-		for j := i + 1; j < len(sigmas); j++ {
-			if sigmas[j] > 0 {
-				diffs = append(diffs, abs(sigmas[i]-sigmas[j])/sigmas[j])
+	var err error
+	v := scoreFloats(tr.IPDs, func(xs []float64) float64 {
+		var sigmas []float64
+		for start := 0; start+r.Window <= len(xs); start += r.Window {
+			sigmas = append(sigmas, stats.StdDev(xs[start:start+r.Window]))
+		}
+		if len(sigmas) < 2 {
+			err = fmt.Errorf("detect: regularity test needs >= 2 windows of %d packets, have %d IPDs", r.Window, len(xs))
+			return 0
+		}
+		var diffs []float64
+		for i := 0; i < len(sigmas); i++ {
+			for j := i + 1; j < len(sigmas); j++ {
+				if sigmas[j] > 0 {
+					diffs = append(diffs, abs(sigmas[i]-sigmas[j])/sigmas[j])
+				}
 			}
 		}
-	}
-	return -stats.StdDev(diffs), nil
+		return -stats.StdDev(diffs)
+	})
+	return v, err
 }
 
 // CCE is the corrected-conditional-entropy test (Gianvecchio & Wang):

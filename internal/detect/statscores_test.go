@@ -35,15 +35,19 @@ func TestKSScoreIsKSStatistic(t *testing.T) {
 	}
 }
 
-// TestStatScoresDoNotAllocate: once warm, the KS and CCE detectors
-// score a trace, and triage's CCE detector takes a window step,
-// without allocating. KS sorts only the trace into pooled scratch;
-// both CCE paths reuse one kernel's scratch.
+// TestStatScoresDoNotAllocate: once warm, the shape, KS and CCE
+// detectors score a trace, and triage's CCE detector takes a window
+// step, without allocating. Shape and KS score from pooled float
+// scratch; both CCE paths reuse one kernel's scratch.
 func TestStatScoresDoNotAllocate(t *testing.T) {
 	if fixtures.RaceDetector() {
 		t.Skip("sync.Pool drops scratch at random under -race")
 	}
 	set := corpus()
+	shape, err := detect.NewShape(set.Training)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ks, err := detect.NewKS(set.Training)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +57,7 @@ func TestStatScoresDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := set.Traces[0].Trace
-	for _, d := range []detect.Detector{ks, cce} {
+	for _, d := range []detect.Detector{shape, ks, cce} {
 		if _, err := d.Score(tr); err != nil { // warm the pooled scratch
 			t.Fatal(err)
 		}
@@ -87,6 +91,10 @@ func TestStatScoresDoNotAllocate(t *testing.T) {
 // every goroutine the sequential scores, bit for bit.
 func TestStatScoresConcurrent(t *testing.T) {
 	set := corpus()
+	shape, err := detect.NewShape(set.Training)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ks, err := detect.NewKS(set.Training)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +103,7 @@ func TestStatScoresConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []detect.Detector{ks, cce} {
+	for _, d := range []detect.Detector{shape, ks, cce} {
 		want := make([]float64, len(set.Traces))
 		for i, lt := range set.Traces {
 			if want[i], err = d.Score(lt.Trace); err != nil {

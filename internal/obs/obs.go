@@ -13,7 +13,7 @@
 // receiver.
 //
 // Usage: build an Observer from a Tracer (span records) and/or
-// StageMetrics (latency + allocated-bytes histograms over a Registry),
+// StageMetrics (latency histograms over a Registry),
 // attach it to a context with Observer.Context, and thread that
 // context through the funnel. Instrumented code calls
 //
@@ -25,7 +25,6 @@ package obs
 
 import (
 	"context"
-	runtimemetrics "runtime/metrics"
 	"sync/atomic"
 	"time"
 )
@@ -181,7 +180,6 @@ func (o *Observer) newSpan(name string, p *Span) *Span {
 		s.root = s.id
 		s.sampled = o.sampleRoot()
 	}
-	s.allocStart = heapAllocBytes()
 	s.start = time.Now()
 	return s
 }
@@ -200,15 +198,14 @@ func (o *Observer) sampleRoot() bool {
 // no-ops on a nil receiver, so instrumented code never branches on
 // whether observability is enabled.
 type Span struct {
-	o          *Observer
-	id         uint64
-	parent     uint64
-	root       uint64
-	sampled    bool
-	name       string
-	start      time.Time
-	allocStart uint64
-	attrs      []Attr
+	o       *Observer
+	id      uint64
+	parent  uint64
+	root    uint64
+	sampled bool
+	name    string
+	start   time.Time
+	attrs   []Attr
 }
 
 // Attr annotates the span with a key/value pair. Nil-safe.
@@ -246,20 +243,15 @@ func (s *Span) Stage() string {
 	return s.name
 }
 
-// End closes the span: wall time and the heap-allocation delta since
-// StartSpan are recorded into the tracer and the stage histograms.
-// The allocation delta is process-wide (runtime/metrics
-// /gc/heap/allocs:bytes), so it is exact for single-worker runs and
-// an upper bound when other goroutines allocate concurrently.
-// Nil-safe.
+// End closes the span: its wall time since StartSpan is recorded into
+// the tracer and the stage histograms. Nil-safe.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	dur := time.Since(s.start)
-	alloc := int64(heapAllocBytes() - s.allocStart)
 	if s.o.stages != nil {
-		s.o.stages.Observe(s.name, dur, alloc)
+		s.o.stages.Observe(s.name, dur)
 	}
 	if s.o.tracer == nil && s.o.timeline == nil {
 		return
@@ -271,7 +263,6 @@ func (s *Span) End() {
 		Name:   s.name,
 		Start:  s.start,
 		Dur:    dur,
-		Alloc:  alloc,
 		Attrs:  s.attrs,
 	}
 	if s.o.tracer != nil && s.sampled {
@@ -290,7 +281,6 @@ type StageTimer struct {
 	stages *StageMetrics
 	name   string
 	start  time.Time
-	alloc  uint64
 }
 
 // Stage starts a metrics-only stage timer. Nil-safe: with no observer
@@ -299,22 +289,13 @@ func (o *Observer) Stage(name string) StageTimer {
 	if o == nil || o.stages == nil {
 		return StageTimer{}
 	}
-	return StageTimer{stages: o.stages, name: name, start: time.Now(), alloc: heapAllocBytes()}
+	return StageTimer{stages: o.stages, name: name, start: time.Now()}
 }
 
-// End records the stage's wall time and allocation delta.
+// End records the stage's wall time.
 func (t StageTimer) End() {
 	if t.stages == nil {
 		return
 	}
-	t.stages.Observe(t.name, time.Since(t.start), int64(heapAllocBytes()-t.alloc))
-}
-
-// heapAllocBytes reads the cumulative heap allocation counter — the
-// cheap (no stop-the-world) runtime/metrics sample behind per-span
-// alloc attribution.
-func heapAllocBytes() uint64 {
-	sample := []runtimemetrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	runtimemetrics.Read(sample)
-	return sample[0].Value.Uint64()
+	t.stages.Observe(t.name, time.Since(t.start))
 }

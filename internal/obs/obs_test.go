@@ -93,10 +93,9 @@ func TestSpanTree(t *testing.T) {
 		t.Error("event not marked instant")
 	}
 
-	snap := sm.Snapshot()
 	for _, stage := range []string{StageTrace, StageTDR, StageReplay} {
-		if snap[stage].Count != 1 {
-			t.Errorf("stage %s count = %d, want 1", stage, snap[stage].Count)
+		if n := sm.seconds.With(stage).Count(); n != 1 {
+			t.Errorf("stage %s count = %d, want 1", stage, n)
 		}
 	}
 }

@@ -14,12 +14,11 @@ import (
 
 // FunnelStage is one stage's aggregate in a FunnelReport.
 type FunnelStage struct {
-	Stage           string  `json:"stage"`
-	Count           int     `json:"count"`
-	TotalSeconds    float64 `json:"totalSeconds"`
-	P50Seconds      float64 `json:"p50Seconds"`
-	P99Seconds      float64 `json:"p99Seconds"`
-	TotalAllocBytes int64   `json:"totalAllocBytes"`
+	Stage        string  `json:"stage"`
+	Count        int     `json:"count"`
+	TotalSeconds float64 `json:"totalSeconds"`
+	P50Seconds   float64 `json:"p50Seconds"`
+	P99Seconds   float64 `json:"p99Seconds"`
 	// CriticalShare is the stage's total wall time as a fraction of
 	// the summed root-span wall time (the funnel's critical path).
 	CriticalShare float64 `json:"criticalShare"`
@@ -36,13 +35,12 @@ type FunnelReport struct {
 }
 
 // BuildFunnelReport aggregates span records per stage: counts,
-// p50/p99 wall time, alloc totals, and each stage's share of the
+// p50/p99 wall time, and each stage's share of the
 // summed root-span wall time. Instant events are excluded. Stage rows
 // come out in canonical Stages order, unknown names after.
 func BuildFunnelReport(spans []SpanRecord) *FunnelReport {
 	rep := &FunnelReport{Spans: len(spans)}
 	durs := make(map[string][]float64)
-	allocs := make(map[string]int64)
 	for _, s := range spans {
 		if s.Instant {
 			continue
@@ -55,7 +53,6 @@ func BuildFunnelReport(spans []SpanRecord) *FunnelReport {
 			rep.RootSeconds += s.Dur.Seconds()
 		}
 		durs[s.Name] = append(durs[s.Name], s.Dur.Seconds())
-		allocs[s.Name] += s.Alloc
 	}
 	for _, name := range stageOrder(durs) {
 		ds := durs[name]
@@ -65,12 +62,11 @@ func BuildFunnelReport(spans []SpanRecord) *FunnelReport {
 			total += d
 		}
 		fs := FunnelStage{
-			Stage:           name,
-			Count:           len(ds),
-			TotalSeconds:    total,
-			P50Seconds:      percentile(ds, 0.50),
-			P99Seconds:      percentile(ds, 0.99),
-			TotalAllocBytes: allocs[name],
+			Stage:        name,
+			Count:        len(ds),
+			TotalSeconds: total,
+			P50Seconds:   percentile(ds, 0.50),
+			P99Seconds:   percentile(ds, 0.99),
 		}
 		if rep.RootSeconds > 0 {
 			fs.CriticalShare = total / rep.RootSeconds
@@ -121,34 +117,19 @@ func (r *FunnelReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "funnel: %d spans, %d traces, %d roots, %.3fs critical path\n",
 		r.Spans, r.Traces, r.Roots, r.RootSeconds)
-	fmt.Fprintf(&b, "%-14s %8s %12s %12s %12s %12s %9s\n",
-		"stage", "count", "p50", "p99", "total", "alloc/span", "critical")
+	fmt.Fprintf(&b, "%-14s %8s %12s %12s %12s %9s\n",
+		"stage", "count", "p50", "p99", "total", "critical")
 	for _, s := range r.Stages {
-		allocPer := int64(0)
-		if s.Count > 0 {
-			allocPer = s.TotalAllocBytes / int64(s.Count)
-		}
-		fmt.Fprintf(&b, "%-14s %8d %12s %12s %12s %12s %8.1f%%\n",
+		fmt.Fprintf(&b, "%-14s %8d %12s %12s %12s %8.1f%%\n",
 			s.Stage, s.Count,
 			fmtSeconds(s.P50Seconds), fmtSeconds(s.P99Seconds), fmtSeconds(s.TotalSeconds),
-			fmtBytes(allocPer), s.CriticalShare*100)
+			s.CriticalShare*100)
 	}
 	return b.String()
 }
 
 func fmtSeconds(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-func fmtBytes(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }
 
 // ReadSpansNDJSON decodes one SpanRecord per line. A torn final line

@@ -17,14 +17,14 @@ func funnelFixture() []SpanRecord {
 		root := next()
 		spans = append(spans, SpanRecord{
 			ID: root, Root: root, Name: StageTrace, Start: base,
-			Dur: 100 * time.Millisecond, Alloc: 1 << 20,
+			Dur:   100 * time.Millisecond,
 			Attrs: []Attr{{Key: "job", Value: "t"}},
 		})
 		for _, child := range []string{StageStat, StageReplay, StageVerdict} {
 			cid := next()
 			spans = append(spans, SpanRecord{
 				ID: cid, Parent: root, Root: root, Name: child, Start: base,
-				Dur: 20 * time.Millisecond, Alloc: 1 << 16,
+				Dur: 20 * time.Millisecond,
 			})
 		}
 	}

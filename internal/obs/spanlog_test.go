@@ -19,7 +19,7 @@ func makeSpans(n int, start uint64) []SpanRecord {
 		id := start + uint64(i)
 		out[i] = SpanRecord{
 			ID: id, Root: id, Name: StageReplay,
-			Start: time.Unix(0, int64(id)), Dur: time.Millisecond, Alloc: 4096,
+			Start: time.Unix(0, int64(id)), Dur: time.Millisecond,
 			Attrs: []Attr{{Key: "job", Value: fmt.Sprintf("t%d", id)}},
 		}
 	}

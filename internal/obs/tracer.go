@@ -16,8 +16,8 @@ type Attr struct {
 
 // SpanRecord is a finished span (or instant event) as the tracer
 // stores it: IDs link the tree (Parent is 0 for roots, Root names the
-// tree so concurrent traces untangle), Start/Dur give the interval,
-// and Alloc is the heap-allocation delta attributed to the span.
+// tree so concurrent traces untangle), and Start/Dur give the
+// interval.
 type SpanRecord struct {
 	ID      uint64        `json:"id"`
 	Parent  uint64        `json:"parent,omitempty"`
@@ -25,7 +25,6 @@ type SpanRecord struct {
 	Name    string        `json:"name"`
 	Start   time.Time     `json:"start"`
 	Dur     time.Duration `json:"durNs"`
-	Alloc   int64         `json:"allocBytes"`
 	Instant bool          `json:"instant,omitempty"`
 	Attrs   []Attr        `json:"attrs,omitempty"`
 }
@@ -67,7 +66,7 @@ func (t *Tracer) Drain() []SpanRecord {
 }
 
 // WriteNDJSON writes one SpanRecord JSON object per line — the raw,
-// lossless export (attrs, absolute timestamps, alloc deltas).
+// lossless export (attrs, absolute timestamps).
 func WriteNDJSON(w io.Writer, spans []SpanRecord) error {
 	enc := json.NewEncoder(w)
 	for _, s := range spans {
@@ -117,7 +116,6 @@ func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 		} else {
 			ev.Ph = "X"
 			ev.Dur = float64(s.Dur.Nanoseconds()) / 1e3
-			ev.Args = map[string]any{"allocBytes": s.Alloc}
 		}
 		for _, a := range s.Attrs {
 			if ev.Args == nil {

@@ -16,6 +16,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"sanity/internal/bufpool"
 )
@@ -104,12 +105,14 @@ type Log struct {
 	// in which case only full replay is possible.
 	Checkpoints []Checkpoint
 
-	// arena backs the Payload slices of a Decode-produced log and asm
-	// its States; Release returns them to the shared pools. Nil for
-	// logs built by AppendPacket/AppendValue, whose Release is a
-	// no-op.
+	// arena backs the Payload slices of a Decode-produced log, asm its
+	// States and recs its Records; Release returns them to their
+	// pools. Nil for logs built by AppendPacket/AppendValue and for a
+	// Window's Suffix, which aliases its parent's records: their
+	// Release is a no-op.
 	arena *bufpool.Arena
 	asm   *assembly
+	recs  *[]Record
 	// held, for a DecodeWindow-produced log, indexes the one checkpoint
 	// whose State was retained (-1: the window opens before the first
 	// checkpoint, so none was). Only meaningful when windowed is set.
@@ -123,9 +126,10 @@ func New(program, machine, profile string) *Log {
 }
 
 // Release returns the pooled buffers backing a Decode-produced log's
-// packet payloads and checkpoint states to the shared pools. After
-// Release the log's Payload/State slices — and any LogWindow.Suffix
-// derived from it, which aliases the same records — are invalid. The
+// records, packet payloads and checkpoint states to their pools. After
+// Release the log's Records are nil, its State slices are invalid, and
+// so is any LogWindow.Suffix derived from it, which aliases the same
+// records. The
 // owner who obtained the log from Decode (directly or via
 // store.LoadTrace) calls Release exactly once, after the last read;
 // everyone else must treat the log as borrowed. Safe on a nil log or
@@ -134,9 +138,12 @@ func (l *Log) Release() {
 	if l == nil || l.arena == nil {
 		return
 	}
-	for i := range l.Records {
-		l.Records[i].Payload = nil
+	clear(l.Records) // drop the payload slices
+	if l.recs != nil && cap(l.Records)*int(unsafe.Sizeof(Record{})) <= maxPooledRecordBytes {
+		*l.recs = l.Records[:0]
+		recordLists.Put(l.recs)
 	}
+	l.Records, l.recs = nil, nil
 	for i := range l.Checkpoints {
 		l.Checkpoints[i].State = nil
 	}
@@ -149,6 +156,14 @@ func (l *Log) Release() {
 		l.asm = nil
 	}
 }
+
+// recordLists keeps the Records slices of released logs for the next
+// decodes.
+var recordLists bufpool.FreeList[[]Record]
+
+// maxPooledRecordBytes caps the Records slice Release keeps for the
+// next decode; a log that outgrew it leaves its slice to the GC.
+const maxPooledRecordBytes = 1 << 20
 
 // Equal reports whether two logs carry the same identity and the same
 // record sequence. Nil and empty packet payloads compare equal, since
@@ -544,11 +559,16 @@ func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
 	}
 	if l != nil {
 		l.Program, l.Machine, l.Profile = s.Program, s.Machine, s.Profile
-		// Cap the preallocation independently of the declared count: a
-		// corrupted or hostile header must not be able to demand
-		// gigabytes before a single record has parsed. The slice still
-		// grows to the real count via append.
-		l.Records = make([]Record, 0, min(count, 4096))
+		// A released log's slice, or one whose preallocation is capped
+		// independently of the declared count: a corrupted or hostile
+		// header must not be able to demand gigabytes before a single
+		// record has parsed. The slice still grows to the real count
+		// via append.
+		if l.recs = recordLists.Get(); l.recs == nil {
+			l.recs = new([]Record)
+			*l.recs = make([]Record, 0, min(count, 4096))
+		}
+		l.Records = *l.recs
 	}
 	for i := uint64(0); i < count; i++ {
 		kind, err := br.ReadByte()

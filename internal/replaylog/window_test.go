@@ -117,6 +117,42 @@ func TestEqualNoticesCheckpointMutations(t *testing.T) {
 	}
 }
 
+// TestWindowSuffixReleasesNothing: a window's suffix aliases its log's
+// records, so releasing both hands them back once. The log is intact
+// after the suffix's Release, and two logs decoded after the log's own
+// Release, both held, get records of their own.
+func TestWindowSuffixReleasesNothing(t *testing.T) {
+	data := encodeLog(t, fixtures.RoundTripLogCheckpointed(4))
+	decode := func() *replaylog.Log {
+		l, err := replaylog.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l, want := decode(), decode()
+	defer want.Release()
+	from := int(l.Checkpoints[len(l.Checkpoints)-1].Outputs)
+	w, err := l.Window(from, from+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Start == nil || w.Suffix == l {
+		t.Fatal("the window does not resume from a checkpoint")
+	}
+	w.Suffix.Release()
+	if !l.Equal(want) {
+		t.Fatal("releasing a window's suffix changed its log")
+	}
+	l.Release()
+	a, b := decode(), decode()
+	defer a.Release()
+	defer b.Release()
+	if &a.Records[0] == &b.Records[0] {
+		t.Fatal("two held logs share one records slice: it went back twice")
+	}
+}
+
 // TestWindowSelection pins the segment-index query: which checkpoint
 // a window resumes from, how the record stream is sliced, and the
 // skipped-randoms count the engine fast-forwards with.

@@ -36,6 +36,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -221,6 +222,7 @@ type Reader struct {
 	pending    frame
 	hasPending bool
 	cursec     *sectionReader
+	sec        sectionReader // what cursec points to: one section at a time
 	done       bool
 	// scratch backs every frame payload this Reader yields. At most
 	// one frame is live at a time — a section's current chunk (cur) or
@@ -235,11 +237,14 @@ type Reader struct {
 }
 
 // readScratch is what a Reader reuses from container to container:
-// the frame buffer, and the one bufio.Reader its callers parse
-// sections through (at most one section is read at a time).
+// the frame buffer, the one bufio.Reader its callers parse sections
+// through (at most one section is read at a time), and the metadata
+// section's bytes with the reader that bounds them.
 type readScratch struct {
 	frame bufpool.Scratch
 	br    *bufio.Reader
+	meta  bytes.Buffer
+	limit io.LimitedReader
 }
 
 // readerScratch keeps the buffers of released Readers, grown to the
@@ -276,6 +281,7 @@ func (r *Reader) release() {
 		if s.br != nil {
 			s.br.Reset(nil) // drop the section, and with it this Reader
 		}
+		s.limit.R = nil
 		readerScratch.Put(s)
 		r.scratch = nil
 	}
@@ -371,7 +377,8 @@ func (r *Reader) Next() (FrameType, io.Reader, error) {
 		r.done = true
 		return 0, nil, io.EOF
 	}
-	r.cursec = &sectionReader{r: r, t: f.t, cur: f.payload}
+	r.sec = sectionReader{r: r, t: f.t, cur: f.payload}
+	r.cursec = &r.sec
 	return f.t, r.cursec, nil
 }
 

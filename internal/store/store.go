@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
@@ -70,6 +71,12 @@ type Entry struct {
 	// written before audit state existed round-trip unchanged.
 	Audit string `json:"audit,omitempty"`
 	Meta
+	// MetaCRC is the CRC of the metadata section's bytes admission
+	// decoded Meta from. A load that reads a section with this CRC
+	// takes Meta from here instead of decoding the section again. Zero
+	// on entries admitted before it was recorded: those loads decode
+	// it.
+	MetaCRC uint32 `json:"metaCRC,omitempty"`
 	// Triage is the ingest-time suspicion score (schema-versioned by
 	// triage.SchemaVersion). Nil for traces stored before triage
 	// existed or with scoring disabled — they read as Neutral via
@@ -626,15 +633,20 @@ func (s *Store) writeSidecar(e Entry) error {
 }
 
 // writeContainer encodes a reserved entry's container plus sidecar
-// atomically (temp file then rename).
-func (s *Store) writeContainer(e Entry, tr *detect.Trace) error {
+// atomically (temp file then rename), and records the CRC of its
+// metadata section in e: the section is e.Meta's JSON, as WriteTrace
+// writes it (were it not, a load would just decode the section).
+func (s *Store) writeContainer(e *Entry, tr *detect.Trace) error {
 	err := s.atomicWrite(e.File, func(w io.Writer) error {
 		return WriteTrace(w, e.Meta, tr)
 	})
 	if err != nil {
 		return err
 	}
-	return s.writeSidecar(e)
+	if mj, err := json.Marshal(e.Meta); err == nil {
+		e.MetaCRC = crc32.ChecksumIEEE(mj)
+	}
+	return s.writeSidecar(*e)
 }
 
 // checkedMeta completes the metadata and rejects a meta section that
@@ -680,7 +692,7 @@ func (s *Store) put(meta Meta, tr *detect.Trace) (Meta, error) {
 	if err != nil {
 		return full, err
 	}
-	if err := s.writeContainer(e, tr); err != nil {
+	if err := s.writeContainer(&e, tr); err != nil {
 		s.unreserve(e)
 		return full, err
 	}
@@ -732,10 +744,11 @@ func (s *Store) PutContainerScored(r io.Reader) (Meta, *triage.Score, error) {
 // Spooled is an upload SpoolContainer validated, scored and wrote to a
 // temp file in the store directory, awaiting AdmitSpooled.
 type Spooled struct {
-	tmp  string
-	meta Meta
-	log  *replaylog.Summary
-	sc   *triage.Score
+	tmp     string
+	meta    Meta
+	metaCRC uint32
+	log     *replaylog.Summary
+	sc      *triage.Score
 }
 
 // SpoolContainer is admission's first stage: it validates a container
@@ -761,7 +774,8 @@ func (s *Store) SpoolContainer(r io.Reader) (*Spooled, error) {
 	} else {
 		bw.Reset(f)
 	}
-	meta, tr, log, err := walkContainer(io.TeeReader(r, bw), false, nil)
+	var e Entry
+	tr, log, err := walkContainer(io.TeeReader(r, bw), false, nil, &e)
 	if ferr := bw.Flush(); err == nil && ferr != nil {
 		err = fmt.Errorf("store: spooling: %w", ferr)
 	}
@@ -770,14 +784,19 @@ func (s *Store) SpoolContainer(r io.Reader) (*Spooled, error) {
 	if cerr := f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("store: spooling: %w", cerr)
 	}
+	var meta Meta
 	if err == nil {
-		meta, err = checkedMeta(meta, len(tr.IPDs), log)
+		meta, err = checkedMeta(e.Meta, len(tr.IPDs), log)
 	}
 	if err != nil {
 		os.Remove(f.Name())
 		return nil, err
 	}
-	return &Spooled{tmp: f.Name(), meta: meta, log: log, sc: s.triageFor(meta, tr.IPDs)}, nil
+	sp := &Spooled{tmp: f.Name(), meta: meta, log: log, sc: s.triageFor(meta, tr.IPDs)}
+	if meta == e.Meta { // the entry holds what the section decodes to
+		sp.metaCRC = e.MetaCRC
+	}
+	return sp, nil
 }
 
 // spoolWriters keeps the spool files' write buffers between uploads.
@@ -803,6 +822,7 @@ func (s *Store) AdmitSpooled(sp *Spooled) (Meta, *triage.Score, error) {
 		s.unreserve(e)
 		return sp.meta, nil, err
 	}
+	e.MetaCRC = sp.metaCRC
 	s.commit(e, sp.log)
 	return sp.meta, sc, nil
 }
@@ -824,7 +844,9 @@ func (s *Store) LoadTrace(rel string) (Meta, *detect.Trace, error) {
 // before the load: resume maps the container's IPD count to the IPD
 // the window opens at, and only the checkpoint State that window
 // resumes from is retained (replaylog.DecodeWindow). Every frame is
-// still read and CRC-checked; a nil resume keeps everything.
+// still read and CRC-checked; a nil resume keeps everything. The
+// metadata of an admitted container comes from its manifest entry
+// while its metadata section is the one admitted (Entry.MetaCRC).
 func (s *Store) LoadTraceWindow(rel string, resume func(ipds int) int) (Meta, *detect.Trace, error) {
 	t := s.obs.Stage(obs.StageStoreDecode)
 	defer t.End()
@@ -833,8 +855,14 @@ func (s *Store) LoadTraceWindow(rel string, resume func(ipds int) int) (Meta, *d
 		return Meta{}, nil, err
 	}
 	defer f.Close()
-	meta, tr, _, err := walkContainer(f, true, resume)
-	return meta, tr, err
+	var e Entry
+	s.mu.Lock()
+	if i, ok := s.byFile[rel]; ok {
+		e = s.manifest.Traces[i]
+	}
+	s.mu.Unlock()
+	tr, _, err := walkContainer(f, true, resume, &e)
+	return e.Meta, tr, err
 }
 
 // LoadIPDs decodes only a trace's inter-packet delays by its

@@ -970,9 +970,10 @@ func TestReadRefusesVersion2(t *testing.T) {
 }
 
 // maxWindowLoadBytes bounds what loading one checkpointed container
-// for a trailing 12-IPD window allocates: 116 016 B measured when the
-// gate was set, plus a quarter.
-const maxWindowLoadBytes = 145_000
+// for a trailing 12-IPD window allocates: 1 648 B measured once its
+// records, IPDs and play outputs came from the released trace's
+// buffers (116 016 B before), plus headroom.
+const maxWindowLoadBytes = 4_000
 
 // TestLoadTraceWindowAllocBound gates the load stage of a windowed
 // audit: loading a multi-megabyte checkpointed container reads every

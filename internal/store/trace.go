@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
+	"unsafe"
 
 	"sanity/internal/bufpool"
 	"sanity/internal/core"
@@ -218,11 +220,11 @@ func encodeExec(w io.Writer, e *core.Execution) error {
 	return bw.Flush()
 }
 
-// decodeExec reads the execution section back through br. Output
-// payloads are carved from arena; the caller ties the arena's release
-// to the execution's lifetime. A nil arena is admission's walk: the
-// same checks, payloads discarded, no execution returned.
-func decodeExec(br *bufio.Reader, arena *bufpool.Arena) (*core.Execution, error) {
+// decodeExec reads the execution section back through br, into b's
+// outputs and payload arena; the caller ties b's release to the
+// execution's lifetime. A nil b is admission's walk: the same checks,
+// payloads discarded, no execution returned.
+func decodeExec(br *bufio.Reader, b *traceBuffers) (*core.Execution, error) {
 	var buf [8]byte
 	get := func() (int64, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -242,8 +244,11 @@ func decodeExec(br *bufio.Reader, arena *bufpool.Arena) (*core.Execution, error)
 		return nil, fmt.Errorf("store: implausible output count %d", n)
 	}
 	e := &core.Execution{Mode: core.Mode(mode)}
-	if arena != nil {
-		e.Outputs = make([]core.OutputEvent, 0, min(n, 4096))
+	if b != nil {
+		if b.outputs == nil {
+			b.outputs = make([]core.OutputEvent, 0, min(n, 4096))
+		}
+		e.Outputs = b.outputs
 	}
 	for i := int64(0); i < n; i++ {
 		var o core.OutputEvent
@@ -260,12 +265,13 @@ func decodeExec(br *bufio.Reader, arena *bufpool.Arena) (*core.Execution, error)
 		if plen < 0 || plen > execCap {
 			return nil, fmt.Errorf("store: output %d payload of %d bytes", i, plen)
 		}
-		if arena == nil {
+		if b == nil {
 			err = bufpool.Discard(br, int(plen))
 		} else {
-			o.Payload = arena.Alloc(int(plen))
+			o.Payload = b.payloads.Alloc(int(plen))
 			_, err = io.ReadFull(br, o.Payload)
 			e.Outputs = append(e.Outputs, o)
+			b.outputs = e.Outputs
 		}
 		if err != nil {
 			return nil, fmt.Errorf("store: execution output %d payload: %w", i, err)
@@ -283,47 +289,55 @@ func decodeExec(br *bufio.Reader, arena *bufpool.Arena) (*core.Execution, error)
 	default:
 		return nil, fmt.Errorf("store: after execution totals: %w", err)
 	}
-	if arena == nil {
+	if b == nil {
 		return nil, nil
 	}
 	return e, nil
 }
 
-// readMetaSection expects and decodes the leading 'M' section.
-func readMetaSection(fr *Reader) (Meta, error) {
-	var meta Meta
+// readMetaSection expects the leading 'M' section, decodes it into
+// e.Meta and sets e.MetaCRC to the CRC of its bytes. When e holds that
+// CRC already, e is the container's manifest entry and its Meta what
+// admission decoded from the same bytes: it is kept as it is.
+func readMetaSection(fr *Reader, e *Entry) error {
 	t, sec, err := fr.Next()
 	if err != nil {
-		return meta, fmt.Errorf("store: container has no sections: %w", err)
+		return fmt.Errorf("store: container has no sections: %w", err)
 	}
 	if t != FrameMeta {
-		return meta, fmt.Errorf("store: first section is %q, want metadata", byte(t))
+		return fmt.Errorf("store: first section is %q, want metadata", byte(t))
 	}
-	mj, err := io.ReadAll(io.LimitReader(sec, MaxFrame+1))
+	s := fr.getScratch()
+	s.meta.Reset()
+	s.limit = io.LimitedReader{R: sec, N: MaxFrame + 1}
+	if _, err := s.meta.ReadFrom(&s.limit); err != nil {
+		return err
+	}
+	if s.meta.Len() > MaxFrame {
+		return fmt.Errorf("%w: exceeds %d bytes", ErrMetaTooLarge, MaxFrame)
+	}
+	crc := crc32.ChecksumIEEE(s.meta.Bytes())
+	if e.MetaCRC != 0 && e.MetaCRC == crc {
+		return nil
+	}
+	var meta Meta // not e.Meta: that would take e to the heap
+	err = json.Unmarshal(s.meta.Bytes(), &meta)
+	e.Meta, e.MetaCRC = meta, crc
 	if err != nil {
-		return meta, err
+		return fmt.Errorf("store: decoding metadata: %w", err)
 	}
-	if len(mj) > MaxFrame {
-		return meta, fmt.Errorf("%w: exceeds %d bytes", ErrMetaTooLarge, MaxFrame)
-	}
-	if err := json.Unmarshal(mj, &meta); err != nil {
-		return meta, fmt.Errorf("store: decoding metadata: %w", err)
-	}
-	if err := meta.validate(); err != nil {
-		return meta, err
-	}
-	return meta, nil
+	return e.Meta.validate()
 }
 
 // readIPDSection decodes an 'I' section, read through br, of the
-// given expected length.
-func readIPDSection(br *bufio.Reader, want int) ([]int64, error) {
+// given expected length, appending to dst[:0]; a nil dst gets a fresh
+// slice.
+func readIPDSection(br *bufio.Reader, want int, dst []int64) ([]int64, error) {
 	var buf [8]byte
-	capHint := want + 1
-	if capHint > 4096 {
-		capHint = 4096
+	out := dst[:0]
+	if dst == nil {
+		out = make([]int64, 0, min(want+1, 4096))
 	}
-	out := make([]int64, 0, capHint)
 	for {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			if err == io.EOF {
@@ -347,10 +361,45 @@ var sectionOrder = map[FrameType]int{FrameMeta: 0, FrameIPD: 1, FrameLog: 2, Fra
 
 // ReadTrace decodes a complete container: metadata plus every data
 // section, verifying frame CRCs, section order, the end frame, and the
-// metadata's count cross-checks.
+// metadata's count cross-checks. The trace's IPDs, log and play
+// execution are decoded into pooled buffers: its owner may hand them
+// back with Release.
 func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
-	meta, tr, _, err := walkContainer(r, true, nil)
-	return meta, tr, err
+	var e Entry
+	tr, _, err := walkContainer(r, true, nil, &e)
+	return e.Meta, tr, err
+}
+
+// traceBuffers is what walkContainer decodes a kept trace's IPDs and
+// play outputs into, kept on a free list between loads; the trace's
+// Release hands it back.
+type traceBuffers struct {
+	ipds     []int64
+	outputs  []core.OutputEvent
+	payloads bufpool.Arena // the outputs' payloads
+}
+
+// traceBufferLists keeps the buffers of released traces.
+var traceBufferLists bufpool.FreeList[traceBuffers]
+
+// maxPooledTraceBytes caps the IPDs and outputs a released trace's
+// buffers may hold to go back on the free list; a trace that outgrew
+// it leaves them to the GC.
+const maxPooledTraceBytes = 1 << 20
+
+// release empties tr's IPDs and play outputs, which live in b, and
+// hands b back for the next load.
+func (b *traceBuffers) release(tr *detect.Trace) {
+	tr.IPDs = nil
+	if tr.Play != nil {
+		tr.Play.Outputs = nil
+	}
+	clear(b.outputs) // drop the payload slices
+	b.ipds, b.outputs = b.ipds[:0], b.outputs[:0]
+	b.payloads.Release()
+	if cap(b.ipds)*8+cap(b.outputs)*int(unsafe.Sizeof(core.OutputEvent{})) <= maxPooledTraceBytes {
+		traceBufferLists.Put(b)
+	}
 }
 
 // walkContainer is the one container reader: every frame is read and
@@ -360,24 +409,31 @@ func ReadTrace(r io.Reader) (Meta, *detect.Trace, error) {
 // decoders' own parsers and are dropped. With keep it is the whole
 // trace, minus, given resume, the checkpoint States an audit window
 // opening at IPD resume(meta.IPDs) never restores (DecodeWindow).
-func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *detect.Trace, *replaylog.Summary, error) {
+// The metadata goes to e (see readMetaSection).
+func walkContainer(r io.Reader, keep bool, resume func(ipds int) int, e *Entry) (*detect.Trace, *replaylog.Summary, error) {
 	fr, err := NewReader(r)
 	if err != nil {
-		return Meta{}, nil, nil, err
+		return nil, nil, err
 	}
 	defer fr.release()
-	meta, err := readMetaSection(fr)
-	if err != nil {
-		return Meta{}, nil, nil, err
+	if err := readMetaSection(fr, e); err != nil {
+		return nil, nil, err
 	}
-	tr := &detect.Trace{}
+	meta, tr := e.Meta, &detect.Trace{}
 	var log *replaylog.Summary
+	var bufs *traceBuffers
+	if keep {
+		if bufs = traceBufferLists.Get(); bufs == nil {
+			bufs = new(traceBuffers)
+		}
+		tr.OnRelease(func() { bufs.release(tr) })
+	}
 	// Error paths hand the partially-decoded trace's pooled buffers
 	// back immediately; a successful return transfers ownership (and
 	// the Release obligation) to the caller.
-	fail := func(err error) (Meta, *detect.Trace, *replaylog.Summary, error) {
+	fail := func(err error) (*detect.Trace, *replaylog.Summary, error) {
 		tr.Release()
-		return meta, nil, nil, err
+		return nil, nil, err
 	}
 	prev := FrameMeta
 	for {
@@ -394,8 +450,15 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 		prev = t
 		switch t {
 		case FrameIPD:
-			if tr.IPDs, err = readIPDSection(fr.buffered(sec), meta.IPDs); err != nil {
+			var dst []int64
+			if keep {
+				dst = bufs.ipds
+			}
+			if tr.IPDs, err = readIPDSection(fr.buffered(sec), meta.IPDs, dst); err != nil {
 				return fail(err)
+			}
+			if keep {
+				bufs.ipds = tr.IPDs
 			}
 		case FrameLog:
 			var sum replaylog.Summary
@@ -417,12 +480,7 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 				return fail(fmt.Errorf("store: log holds %d records, metadata says %d", log.Records, meta.Records))
 			}
 		case FrameExec:
-			var execArena *bufpool.Arena
-			if keep {
-				execArena = &bufpool.Arena{}
-				tr.OnRelease(execArena.Release)
-			}
-			if tr.Play, err = decodeExec(fr.buffered(sec), execArena); err != nil {
+			if tr.Play, err = decodeExec(fr.buffered(sec), bufs); err != nil {
 				return fail(err)
 			}
 		}
@@ -433,7 +491,7 @@ func walkContainer(r io.Reader, keep bool, resume func(ipds int) int) (Meta, *de
 	if meta.Records > 0 && log == nil {
 		return fail(fmt.Errorf("store: metadata promises %d log records but the section is missing", meta.Records))
 	}
-	return meta, tr, log, nil
+	return tr, log, nil
 }
 
 // ReadMeta decodes only the leading metadata section, leaving the rest
@@ -444,7 +502,9 @@ func ReadMeta(r io.Reader) (Meta, error) {
 		return Meta{}, err
 	}
 	defer fr.release()
-	return readMetaSection(fr)
+	var e Entry
+	err = readMetaSection(fr, &e)
+	return e.Meta, err
 }
 
 // ReadIPDs decodes the metadata and IPD sections and stops, skipping
@@ -456,10 +516,11 @@ func ReadIPDs(r io.Reader) (Meta, []int64, error) {
 		return Meta{}, nil, err
 	}
 	defer fr.release()
-	meta, err := readMetaSection(fr)
-	if err != nil {
+	var e Entry
+	if err := readMetaSection(fr, &e); err != nil {
 		return Meta{}, nil, err
 	}
+	meta := e.Meta
 	if meta.IPDs == 0 {
 		return meta, nil, nil
 	}
@@ -474,7 +535,7 @@ func ReadIPDs(r io.Reader) (Meta, []int64, error) {
 		if t != FrameIPD {
 			continue
 		}
-		ipds, err := readIPDSection(fr.buffered(sec), meta.IPDs)
+		ipds, err := readIPDSection(fr.buffered(sec), meta.IPDs, nil)
 		if err != nil {
 			return meta, nil, err
 		}
