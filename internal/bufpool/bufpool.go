@@ -1,13 +1,13 @@
 // Package bufpool provides size-classed pooled byte buffers for the
 // decode hot paths (replaylog record payloads, store exec payloads),
-// and FreeList, a list of larger reusable state that the GC does not
-// empty: engine kits, frame scratch, checkpoint assembly, and the
-// slices a loaded trace is decoded into (a log's records, a trace's
-// IPDs and play outputs, a replay's outputs and events, the
-// detectors' float scratch). The load stage used to allocate a fresh
-// make([]byte, n) per record — ~35MB of churn per audited trace at
-// bench scale — almost all of which dies as soon as the trace is
-// audited. An Arena turns that churn into pool round-trips.
+// and FreeList, a list of reusable state that the GC does not empty:
+// the buffers' size classes, engine kits, frame scratch, checkpoint
+// assembly, the log walker's reader, and the slices a loaded trace is
+// decoded into (a log's records, a trace's IPDs and play outputs, a
+// replay's outputs and events, the detectors' scratch). The load
+// stage used to allocate a fresh make([]byte, n) per record — ~35MB of
+// churn per audited trace at bench scale — almost all of which dies as
+// soon as the trace is audited. An Arena turns that churn into pool round-trips.
 //
 // Ownership contract (documented in README "Performance"): buffers
 // handed out by an Arena belong to the Arena's owner until Release is
@@ -43,7 +43,10 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
-var classes [numClasses]sync.Pool
+// classes holds each size class's free blocks. They are FreeLists, not
+// sync.Pools, so that a collection between two decodes does not turn
+// the second into fresh allocations.
+var classes [numClasses]FreeList[block]
 
 // live counts the pooled blocks arenas currently hold, process-wide.
 var live atomic.Int64
@@ -64,17 +67,15 @@ func classFor(n int) int {
 	return b - minClassBits
 }
 
-// block is one pooled buffer. The pools hold *block, not []byte: a
-// slice header stored in an interface is boxed, which would cost an
-// allocation per returned block.
+// block is one pooled buffer.
 type block struct {
 	buf []byte
 	cls int
 }
 
 func getClass(c int) *block {
-	if v := classes[c].Get(); v != nil {
-		return v.(*block)
+	if b := classes[c].Get(); b != nil {
+		return b
 	}
 	return &block{buf: make([]byte, 1<<(minClassBits+c)), cls: c}
 }

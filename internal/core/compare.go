@@ -242,9 +242,12 @@ func CompareWindow(play, replay *Execution, fromIPD, toIPD int, cal Calibration)
 
 // rescalePs maps a picosecond quantity between machine timebases,
 // rounding to the nearest integer so comparisons stay bit-exact for a
-// fixed (execution, scale) pair.
+// fixed (execution, scale) pair. The conversion rounds the product
+// before the half is added: without it the compiler may fuse the two
+// into one multiply-add (arm64 does), which rounds once and so can
+// land a verdict's IPD a picosecond away from an amd64 build's.
 func rescalePs(ps int64, scale float64) int64 {
-	s := float64(ps) * scale
+	s := float64(float64(ps) * scale)
 	if s < 0 {
 		return int64(s - 0.5)
 	}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"sanity/internal/bufpool"
 	"sanity/internal/core"
@@ -269,19 +268,22 @@ func NewCCE(training [][]int64, q, maxM int) (*CCE, error) {
 }
 
 // cceScratch is what one CCE computation reuses: the symbol buffer
-// and the kernel's scratch. Pooled because one CCE detector serves
-// concurrent audit workers.
+// and the kernel's scratch. On a free list because one CCE detector
+// serves concurrent audit workers.
 type cceScratch struct {
 	symbols []int
 	kernel  stats.CCEKernel
 }
 
-var cceScratchPool = sync.Pool{New: func() any { return new(cceScratch) }}
+var cceScratches bufpool.FreeList[cceScratch]
 
 // cce computes the raw statistic for one IPD sequence.
 func (c *CCE) cce(ipds []int64) float64 {
-	s := cceScratchPool.Get().(*cceScratch)
-	defer cceScratchPool.Put(s)
+	s := cceScratches.Get()
+	if s == nil {
+		s = new(cceScratch)
+	}
+	defer cceScratches.Put(s)
 	s.symbols = s.symbols[:0]
 	for _, d := range ipds {
 		s.symbols = append(s.symbols, stats.BinIndex(c.cuts, float64(d)))

@@ -3,6 +3,7 @@ package detect_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestKSScoreIsKSStatistic(t *testing.T) {
 // scratch; both CCE paths reuse one kernel's scratch.
 func TestStatScoresDoNotAllocate(t *testing.T) {
 	if fixtures.RaceDetector() {
-		t.Skip("sync.Pool drops scratch at random under -race")
+		t.Skip("allocation counts are held without -race")
 	}
 	set := corpus()
 	shape, err := detect.NewShape(set.Training)
@@ -63,6 +64,17 @@ func TestStatScoresDoNotAllocate(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(20, func() { d.Score(tr) }); a != 0 {
 			t.Errorf("%s: Score allocates %v times per trace, want 0", d.Name(), a)
+		}
+		// The scratch is on free lists, which collections leave alone
+		// (two empty a sync.Pool).
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d.Score(tr)
+		runtime.ReadMemStats(&after)
+		if a := after.Mallocs - before.Mallocs; a != 0 {
+			t.Errorf("%s: Score allocates %d times after two GCs, want 0", d.Name(), a)
 		}
 	}
 

@@ -494,8 +494,9 @@ func RoundTripLog(seed uint64) *replaylog.Log {
 }
 
 // RaceDetector reports whether the running binary was built with the
-// race detector. Under it sync.Pool drops pooled blocks at random, so
-// tests that hold an allocation budget skip the budget.
+// race detector. Under it sync.Pool (the standard library's included)
+// drops what it holds at random, so tests that hold an allocation
+// budget skip the budget.
 func RaceDetector() bool {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {

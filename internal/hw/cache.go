@@ -1,20 +1,39 @@
 package hw
 
-// A slot is one cache line's or one TLB entry's bookkeeping, packed so
-// that a set is contiguous: the tag, and in meta the LRU clock value
-// of the slot's last touch (a cache keeps the dirty bit below it). A
-// slot is live — holds content — while its meta is newer than the
-// owner's last Flush; invalidating one zeroes its meta. Live slots of
-// one structure carry distinct clock values, so comparing metas
-// compares ages.
+// A slot is one cache line's bookkeeping in 8 bytes, packed so that a
+// set is contiguous: tag is the physical line number, which
+// MachineSpec.Validate keeps within 32 bits, and meta holds the LRU
+// stamp of the slot's last touch shifted left by one, with the dirty
+// bit below it. A slot is live — holds content — while its meta is newer
+// than the owner's last Flush; invalidating one zeroes its meta. Live
+// slots of one set carry distinct stamps, so comparing metas compares
+// ages.
+//
+// A stamp is the cache's 31-bit clock, which is never reset: when it
+// reaches clockLimit the cache re-ranks (rerank) before it stamps
+// again, renumbering each set's live slots 1..k in LRU order.
 type slot struct {
+	tag  uint32
+	meta uint32
+}
+
+// A tlbSlot is a TLB entry's bookkeeping, live on the same rule: its
+// virtual page number and the LRU clock value of its last touch. A TLB
+// has few entries (64 on the modelled machines), so it keeps 64-bit
+// stamps that never wrap.
+type tlbSlot struct {
 	tag  uint64
 	meta uint64
 }
 
 const (
-	slotDirty      uint64 = 1
+	slotDirty      uint32 = 1
 	slotClockShift        = 1
+	// clockLimit is the largest stamp a meta holds beside the dirty bit.
+	clockLimit = 1<<31 - 1
+	// maxWays bounds a cache's associativity, so rerank orders a set in
+	// an array on the stack.
+	maxWays = 16
 )
 
 // Cache is one level of a physically-indexed, set-associative cache
@@ -29,8 +48,12 @@ type Cache struct {
 	lineBits uint
 	setMask  int64
 	slots    []slot // sets*ways entries, one set after another
-	clock    uint64 // monotone access counter, drives LRU
-	flushed  uint64 // every meta at or below this predates the last Flush
+	clock    uint32 // access counter that drives LRU; at most clockLimit
+	flushed  uint32 // every meta at or below this predates the last Flush
+	// base counts the clock values rerank has taken back: base+clock is
+	// the number of stamps the cache has made, since the clock it
+	// starts from.
+	base uint64
 	// evictions counts EvictRandom calls. A victim probe chose stands
 	// only while no eviction ran since: an invalidated slot comes
 	// before it in the order Fill picks victims in.
@@ -55,9 +78,9 @@ func (c *Cache) reshape(spec CacheSpec) {
 
 // resize returns s with length n, reallocated only when its capacity
 // is short. A fresh array is all empty slots.
-func resize(s []slot, n int64) []slot {
+func resize[S slot | tlbSlot](s []S, n int64) []S {
 	if int64(cap(s)) < n {
-		return make([]slot, n)
+		return make([]S, n)
 	}
 	return s[:n]
 }
@@ -77,7 +100,9 @@ func (c *Cache) Spec() CacheSpec { return c.spec }
 func (c *Cache) live(s *slot) bool { return s.meta > c.flushed }
 
 // touch is a hit on slot i: advance the LRU clock, stamp the slot,
-// mark it dirty on a write, count the hit.
+// mark it dirty on a write, count the hit. The clock must be below
+// clockLimit: touch is inlined into the platform's fast path, which
+// checks that, and the rest of the cache re-ranks first (stamp).
 func (c *Cache) touch(i int, write bool) {
 	c.clock++
 	s := &c.slots[i]
@@ -103,10 +128,10 @@ func (c *Cache) Lookup(paddr int64, write bool) bool {
 // choose now — the set's first empty slot, else its least recently
 // used. fill takes that victim.
 func (c *Cache) probe(paddr int64, write bool) (int, bool) {
-	tag := uint64(paddr >> c.lineBits)
+	tag := uint32(paddr >> c.lineBits)
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	victim, empty := base, -1
-	var oldest uint64 = ^uint64(0)
+	var oldest uint32 = ^uint32(0)
 	for i, end := base, base+int(c.ways); i < end; i++ {
 		s := &c.slots[i]
 		if !c.live(s) {
@@ -116,6 +141,7 @@ func (c *Cache) probe(paddr int64, write bool) (int, bool) {
 			continue
 		}
 		if s.tag == tag {
+			c.stamp()
 			c.touch(i, write)
 			return i, true
 		}
@@ -143,7 +169,7 @@ func (c *Cache) Fill(paddr int64, write bool) (evictedDirty bool) {
 func (c *Cache) victim(paddr int64) int {
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	victim := base
-	var oldest uint64 = ^uint64(0)
+	var oldest uint32 = ^uint32(0)
 	for i, end := base, base+int(c.ways); i < end; i++ {
 		s := &c.slots[i]
 		if !c.live(s) {
@@ -166,13 +192,61 @@ func (c *Cache) fill(victim int, evictions uint64, paddr int64, write bool) (slo
 	}
 	v := &c.slots[victim]
 	evictedDirty = c.live(v) && v.meta&slotDirty != 0
+	c.stamp()
 	c.clock++
-	v.tag = uint64(paddr >> c.lineBits)
+	v.tag = uint32(paddr >> c.lineBits)
 	v.meta = c.clock << slotClockShift
 	if write {
 		v.meta |= slotDirty
 	}
 	return victim, evictedDirty
+}
+
+// stamp makes room for one more stamp: at clockLimit it re-ranks.
+func (c *Cache) stamp() {
+	if c.clock >= clockLimit {
+		c.rerank()
+	}
+}
+
+// rerank renumbers each set's live slots 1..k in LRU order, keeping
+// their tags and dirty bits, zeroes the dead ones, and moves the clock
+// and the flush mark down to match: the clock to the associativity,
+// past every new stamp, and the mark to zero. Victim choice compares
+// stamps within a set only, and liveness is unchanged, so every choice
+// and every L1 line memo entry stays as it was. base takes what the
+// clock gives back. Each set is ordered in place by insertion, on the
+// stack: rerank allocates nothing.
+//
+// The slots past the array's length, left by a larger geometry, are
+// zeroed too: a reshape back to it must find them empty, and their
+// stamps may be newer than the lowered mark.
+func (c *Cache) rerank() {
+	clear(c.slots[len(c.slots):cap(c.slots)])
+	ways := int(c.ways)
+	var order [maxWays]int
+	for base := 0; base < len(c.slots); base += ways {
+		set := c.slots[base : base+ways]
+		k := 0
+		for i := range set {
+			if !c.live(&set[i]) {
+				set[i].meta = 0
+				continue
+			}
+			j := k
+			for ; j > 0 && set[order[j-1]].meta > set[i].meta; j-- {
+				order[j] = order[j-1]
+			}
+			order[j] = i
+			k++
+		}
+		for r, i := range order[:k] {
+			set[i].meta = uint32(r+1)<<slotClockShift | set[i].meta&slotDirty
+		}
+	}
+	c.base += uint64(c.clock) - uint64(ways)
+	c.clock = uint32(ways)
+	c.flushed = 0
 }
 
 // Flush invalidates every line, as Sanity does with wbinvd during
@@ -250,7 +324,7 @@ const lineMemoSize = 128
 // without translating the address. The zero value matches no line.
 type vline struct {
 	key  uint64 // lineKey of the virtual line
-	tag  uint64 // its physical line number
+	tag  uint32 // its physical line number
 	vpn  uint64 // its virtual page number, the TLB's tag for it
 	tlb  int32  // the TLB slot that mapped its page
 	slot int32  // the cache slot that held it
@@ -264,7 +338,7 @@ func lineKey(vl int64) uint64 { return uint64(vl)<<1 | 1 }
 func (c *l1Cache) remember(vaddr, paddr, vpn int64, entry, slot int) {
 	vl := vaddr >> c.lineBits
 	c.lines[vl&(lineMemoSize-1)] = vline{
-		key: lineKey(vl), tag: uint64(paddr >> c.lineBits), vpn: uint64(vpn), tlb: int32(entry), slot: int32(slot),
+		key: lineKey(vl), tag: uint32(paddr >> c.lineBits), vpn: uint64(vpn), tlb: int32(entry), slot: int32(slot),
 	}
 }
 
@@ -294,7 +368,7 @@ type TLB struct {
 	spec    TLBSpec
 	ways    int64
 	setMask int64
-	slots   []slot
+	slots   []tlbSlot
 	clock   uint64
 	flushed uint64
 	// memo remembers, per group of pages (pageHash), the slot that last
@@ -328,7 +402,7 @@ func (t *TLB) reshape(spec TLBSpec) {
 	t.memo = [tlbMemoSize]int{}
 }
 
-func (t *TLB) live(s *slot) bool { return s.meta > t.flushed }
+func (t *TLB) live(s *tlbSlot) bool { return s.meta > t.flushed }
 
 // maps reports whether e's TLB slot still maps e's page, live: the
 // slot Lookup would hit, since at most one live slot maps a page.

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,7 @@ func TestCacheSpecValidate(t *testing.T) {
 		// 64 sets of 8 ways of 48 B: only the line size is wrong.
 		{CacheSpec{SizeBytes: 64 * 8 * 48, LineBytes: 48, Ways: 8}, "line size 48"},
 		{CacheSpec{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8, HitCycles: -1}, "latency -1"},
+		{CacheSpec{SizeBytes: 32 << 10, LineBytes: 64, Ways: 32, HitCycles: 4}, "32 ways, more than 16"},
 	} {
 		if err := tc.spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%+v: got %v, want an error about %q", tc.spec, err, tc.want)
@@ -299,12 +301,34 @@ func TestMachineSpecValidate(t *testing.T) {
 		{func(m *MachineSpec) { m.TLB.Entries = 48 }, "TLB set count 12"},
 		{func(m *MachineSpec) { m.TLB.WalkCycles = -1 }, "walk -1"},
 		{func(m *MachineSpec) { m.DRAMCycles = -1 }, "DRAM -1"},
+		// 2^27 frames of 64 lines are 2^33 line numbers; 2^26 would fit.
+		{func(m *MachineSpec) { m.Frames = 1 << 27 }, "134217728 frames of 4096 bytes hold more 64-byte lines than a 32-bit cache tag numbers"},
+		{func(m *MachineSpec) { m.Frames = 1 << 62 }, "frames of 4096 bytes hold more 64-byte lines"},
+		// 256 lines a page: 2^24 frames fit, 2^25 do not.
+		{func(m *MachineSpec) {
+			m.Frames = 1 << 25
+			m.L1D = CacheSpec{SizeBytes: 8 << 10, LineBytes: 16, Ways: 8, HitCycles: 4}
+		}, "33554432 frames of 4096 bytes hold more 16-byte lines"},
 	} {
 		m := Optiplex9020()
 		tc.mutate(&m)
 		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("got %v, want an error about %q", err, tc.want)
 		}
+	}
+}
+
+// TestLargestTaggedMachineValidates: the line-number bound is exact.
+func TestLargestTaggedMachineValidates(t *testing.T) {
+	m := Optiplex9020()
+	m.Frames = 1 << 26 // 2^32 lines of 64 bytes, numbered 0..2^32-1
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m.Frames = 1 << 24
+	m.L1D = CacheSpec{SizeBytes: 8 << 10, LineBytes: 16, Ways: 8, HitCycles: 4}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -587,6 +611,25 @@ func BenchmarkPlatformAccessHot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Access(hotData+int64(i*8)%hotBytes, 8, i&3 == 0)
+	}
+}
+
+// maxOptiplexPlatformBytes bounds what NewPlatform allocates for the
+// Optiplex: 1 106 560 B with 8-byte cache slots, of which the L3's
+// 131 072 slots are 1 MB (16-byte slots made it 2 196 096 B). Each audit
+// worker keeps one such platform in its engine kit.
+const maxOptiplexPlatformBytes = 1_200_000
+
+func TestNewPlatformBytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewPlatform(Optiplex) allocates %d bytes", n)
+	if n > maxOptiplexPlatformBytes {
+		t.Fatalf("NewPlatform(Optiplex) allocates %d bytes, want <= %d", n, maxOptiplexPlatformBytes)
 	}
 }
 

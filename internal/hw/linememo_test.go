@@ -314,7 +314,7 @@ func duplicateFromPrefill(t *testing.T, spec MachineSpec, seed uint64) bool {
 // lookupSlot is the slot a scan of c finds paddr's line in, changing
 // nothing.
 func (c *Cache) lookupSlot(paddr int64) (int, bool) {
-	tag := uint64(paddr >> c.lineBits)
+	tag := uint32(paddr >> c.lineBits)
 	base := int(((paddr >> c.lineBits) & c.setMask) * c.ways)
 	for i := base; i < base+int(c.ways); i++ {
 		if s := &c.slots[i]; s.tag == tag && c.live(s) {

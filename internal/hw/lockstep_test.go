@@ -18,8 +18,10 @@ type lockstep struct {
 	ops int
 	// clock0 is how far each of the platform's five LRU clocks was
 	// ahead of the reference's when the pair was formed (Reset keeps
-	// them, so a reused platform starts ahead). The leads must never
-	// change: every stamp either side makes advances its clock.
+	// them, so a reused platform starts ahead). A cache's clock here is
+	// the count of stamps it made (stamps), which its re-ranks leave
+	// alone. The leads must never change: every stamp either side
+	// makes advances its clock.
 	clock0 [5]int64
 }
 
@@ -36,8 +38,8 @@ func pairUp(ref *refPlatform, got *Platform) *lockstep {
 func (l *lockstep) clockLeads() [5]int64 {
 	r, g := l.ref, l.got
 	return [5]int64{
-		int64(g.l1i.clock - r.l1i.clock), int64(g.l1d.clock - r.l1d.clock),
-		int64(g.l2.clock - r.l2.clock), int64(g.l3.clock - r.l3.clock), int64(g.tlb.clock - r.tlb.clock),
+		int64(g.l1i.stamps() - r.l1i.clock), int64(g.l1d.stamps() - r.l1d.clock),
+		int64(g.l2.stamps() - r.l2.clock), int64(g.l3.stamps() - r.l3.clock), int64(g.tlb.clock - r.tlb.clock),
 	}
 }
 
@@ -142,7 +144,7 @@ func (l *lockstep) deep() string {
 		got  *Cache
 	}{{"l1i", r.l1i, &g.l1i.Cache}, {"l1d", r.l1d, &g.l1d.Cache}, {"l2", r.l2, g.l2}, {"l3", r.l3, g.l3}} {
 		if d := sameSets(c.name, c.ref.spec.Ways, c.ref.tags, c.ref.valid, c.ref.dirty, c.ref.stamp,
-			c.got.slots, c.got.flushed, slotClockShift); d != "" {
+			c.got.slots, uint64(c.got.flushed), slotClockShift); d != "" {
 			return d
 		}
 		if ro, gocc := c.ref.Occupancy(), c.got.Occupancy(); ro != gocc {
@@ -152,7 +154,11 @@ func (l *lockstep) deep() string {
 	return sameSets("tlb", r.tlb.spec.Ways, r.tlb.tags, r.tlb.valid, nil, r.tlb.stamp, g.tlb.slots, g.tlb.flushed, 0)
 }
 
-func sameSets(name string, ways int, tags []uint64, valid, dirty []bool, stamp []uint64, slots []slot, flushed uint64, clockShift uint) string {
+// fields widens a cache or TLB slot for sameSets.
+func (s slot) fields() (tag, meta uint64)    { return uint64(s.tag), uint64(s.meta) }
+func (s tlbSlot) fields() (tag, meta uint64) { return s.tag, s.meta }
+
+func sameSets[S interface{ fields() (uint64, uint64) }](name string, ways int, tags []uint64, valid, dirty []bool, stamp []uint64, slots []S, flushed uint64, clockShift uint) string {
 	if len(tags) != len(slots) {
 		return fmt.Sprintf("%s: reference has %d slots, platform %d", name, len(tags), len(slots))
 	}
@@ -160,23 +166,25 @@ func sameSets(name string, ways int, tags []uint64, valid, dirty []bool, stamp [
 	for base := 0; base < len(slots); base += ways {
 		live = live[:0]
 		for i := base; i < base+ways; i++ {
-			isLive := slots[i].meta > flushed
+			tag, meta := slots[i].fields()
+			isLive := meta > flushed
 			if valid[i] != isLive {
 				return fmt.Sprintf("%s slot %d: reference valid=%v, platform live=%v", name, i, valid[i], isLive)
 			}
 			if !isLive {
 				continue
 			}
-			if tags[i] != slots[i].tag {
-				return fmt.Sprintf("%s slot %d: reference tag %#x, platform %#x", name, i, tags[i], slots[i].tag)
+			if tags[i] != tag {
+				return fmt.Sprintf("%s slot %d: reference tag %#x, platform %#x", name, i, tags[i], tag)
 			}
-			if dirty != nil && dirty[i] != (slots[i].meta&slotDirty != 0) {
-				return fmt.Sprintf("%s slot %d: reference dirty=%v, platform meta %#x", name, i, dirty[i], slots[i].meta)
+			if dirty != nil && dirty[i] != (meta&uint64(slotDirty) != 0) {
+				return fmt.Sprintf("%s slot %d: reference dirty=%v, platform meta %#x", name, i, dirty[i], meta)
 			}
 			for _, j := range live {
-				if (stamp[j] < stamp[i]) != (slots[j].meta>>clockShift < slots[i].meta>>clockShift) {
+				_, mj := slots[j].fields()
+				if (stamp[j] < stamp[i]) != (mj>>clockShift < meta>>clockShift) {
 					return fmt.Sprintf("%s slots %d and %d: LRU order: reference stamps %d, %d, platform %d, %d",
-						name, j, i, stamp[j], stamp[i], slots[j].meta>>clockShift, slots[i].meta>>clockShift)
+						name, j, i, stamp[j], stamp[i], mj>>clockShift, meta>>clockShift)
 				}
 			}
 			live = append(live, i)
@@ -286,6 +294,15 @@ func runOps(l *lockstep, data []byte, reshapes bool) string {
 			d = l.step(func(p *refPlatform) { p.SetDMAActive(on) }, func(p *Platform) { p.SetDMAActive(on) },
 				"SetDMAActive(%v)", on)
 		case 12:
+			if op&16 != 0 && r.u8()%4 == 0 {
+				// Every cache's clock to within 255 stamps of the limit
+				// where it re-ranks: the L1s cross it within a few
+				// operations, the L2 and L3 within as many misses. Rare,
+				// since the jump is a pass over every slot.
+				margin := uint32(r.u8())
+				d = l.step(func(*refPlatform) {}, func(p *Platform) { p.nearWrap(margin) }, "nearWrap(%d)", margin)
+				break
+			}
 			var rj, gj int64
 			d = l.step(func(p *refPlatform) { rj = p.SliceJitter() }, func(p *Platform) { gj = p.SliceJitter() }, "SliceJitter")
 			if d == "" && rj != gj {
@@ -481,6 +498,81 @@ func TestReshapeEqualsFresh(t *testing.T) {
 	}
 }
 
+// TestRerankLockstep: on both machine types and every lockstep
+// profile, a platform whose caches' clocks are moved again and again to
+// just below the limit where they re-rank charges in lockstep with the
+// reference across every re-rank: the same costs, counts and stamps
+// made, and after each re-rank the same valid lines, tags, dirty bits
+// and LRU order in every set. Each cache must re-rank at least once
+// per pair, or the test proves nothing.
+func TestRerankLockstep(t *testing.T) {
+	total := 0
+	for mi, spec := range KnownMachines() {
+		for pi, profile := range lockstepProfiles() {
+			l := newLockstep(spec, profile, uint64(10+mi*7+pi))
+			if d := l.step(func(p *refPlatform) { p.Initialize() }, func(p *Platform) { p.Initialize() }, "Initialize"); d != "" {
+				t.Fatalf("%s/%s: %s", spec.Name, profile.Name, d)
+			}
+			g := l.got
+			caches := [...]*Cache{&g.l1i.Cache, &g.l1d.Cache, g.l2, g.l3}
+			var reranks [len(caches)]int
+			rng := NewRNG(uint64(mi*31 + pi))
+			for round := 0; round < 6; round++ {
+				g.nearWrap(uint32(rng.Int63n(64)))
+				var bases [len(caches)]uint64
+				for i, c := range caches {
+					bases[i] = c.base
+				}
+				d := runOps(l, randomOps(rng.Uint64(), 2000), false)
+				if d != "" {
+					t.Fatalf("%s/%s round %d: %s", spec.Name, profile.Name, round, d)
+				}
+				for i, c := range caches {
+					if c.base != bases[i] {
+						reranks[i]++
+					}
+				}
+			}
+			for i, n := range reranks {
+				if n == 0 {
+					t.Errorf("%s/%s: cache %d never re-ranked", spec.Name, profile.Name, i)
+				}
+				total += n
+			}
+		}
+	}
+	t.Logf("%d re-ranks", total)
+}
+
+// TestRerankClearsSlotsPastTheGeometry: an Optiplex L3 filled with
+// lines, reshaped to the SlowerT's L3 of half the slots, re-ranks
+// there, and reshaped back it must come up as empty as a fresh one.
+func TestRerankClearsSlotsPastTheGeometry(t *testing.T) {
+	p := MustNewPlatform(Optiplex9020(), ProfileSanity(), 1)
+	p.Initialize()
+	for a := int64(0); a < 16<<20; a += 64 {
+		p.Access(0x2000_0000+a, 8, false)
+	}
+	if err := p.Reshape(SlowerT(), ProfileSanity(), 2); err != nil {
+		t.Fatal(err)
+	}
+	p.Initialize()
+	p.nearWrap(0)
+	base := p.l3.base
+	p.Access(0x2000_0000, 8, false)
+	if p.l3.base == base {
+		t.Fatal("the L3 did not re-rank")
+	}
+	if err := p.Reshape(Optiplex9020(), ProfileSanity(), 3); err != nil {
+		t.Fatal(err)
+	}
+	l := pairUp(mustNewRefPlatform(Optiplex9020(), ProfileSanity(), 3), p)
+	if d := l.deep(); d != "" {
+		t.Fatalf("right after Reshape: %s", d)
+	}
+	churn(t, l, 8, 4000)
+}
+
 // TestQuiesceDependsOnlyOnEpochSeed: two platforms with different
 // seeds, histories, DMA-independent clocks and cache contents charge
 // identical relative costs after a Quiesce with the same epoch seed —
@@ -523,6 +615,10 @@ func TestResetAndQuiesceDoNotAllocate(t *testing.T) {
 	p.Initialize()
 	for i := int64(0); i < 5000; i++ {
 		p.Access(i*4096, 8, true) // map many pages, so the table has grown
+	}
+	// A re-rank sorts each set on the stack.
+	if n := testing.AllocsPerRun(20, p.l3.rerank); n != 0 {
+		t.Errorf("rerank allocates %v times", n)
 	}
 	seed := uint64(0)
 	if n := testing.AllocsPerRun(50, func() { seed++; p.Reset(seed) }); n != 0 {
@@ -588,7 +684,7 @@ func TestCacheLockstepWithDuplicates(t *testing.T) {
 			if rc.Hits != gc.Hits || rc.Misses != gc.Misses || rt.Hits != gt.Hits || rt.Misses != gt.Misses || er.state != eg.state {
 				t.Fatalf("seed %d op %d %s: counters diverged", seed, op, what)
 			}
-			d := sameSets("cache", spec.Ways, rc.tags, rc.valid, rc.dirty, rc.stamp, gc.slots, gc.flushed, slotClockShift)
+			d := sameSets("cache", spec.Ways, rc.tags, rc.valid, rc.dirty, rc.stamp, gc.slots, uint64(gc.flushed), slotClockShift)
 			if d == "" {
 				d = sameSets("tlb", tspec.Ways, rt.tags, rt.valid, nil, rt.stamp, gt.slots, gt.flushed, 0)
 			}

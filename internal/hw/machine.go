@@ -44,6 +44,9 @@ func (c CacheSpec) Validate() error {
 	if c.HitCycles < 0 {
 		return fmt.Errorf("hw: cache hit latency %d is negative", c.HitCycles)
 	}
+	if c.Ways > maxWays {
+		return fmt.Errorf("hw: cache has %d ways, more than %d", c.Ways, maxWays)
+	}
 	if c.SizeBytes%(c.LineBytes*int64(c.Ways)) != 0 {
 		return fmt.Errorf("hw: cache size %d not divisible by line*ways", c.SizeBytes)
 	}
@@ -91,9 +94,19 @@ func (m MachineSpec) PsPerCycle() int64 {
 	return int64(1000.0/m.ClockGHz + 0.5)
 }
 
+// prefillSpan bounds the physical addresses Initialize's unflushed
+// prefill fills the caches with. Its line numbers fit a 32-bit tag
+// whatever the line size, because its addresses do (the conversion
+// does not compile otherwise).
+const prefillSpan = 1 << 30
+
+const _ = uint32(prefillSpan - 1)
+
 // Validate checks the whole specification. Beyond each cache's own
 // geometry, a line lies within one page (an L1 remembers lines by
-// virtual address, so a line must not span two translations), the
+// virtual address, so a line must not span two translations), every
+// physical line number of the frames fits in a cache's 32-bit tag
+// (those of Initialize's prefill always do: see prefillSpan), the
 // TLB's set count is a power of two (it picks a set by masking), and
 // no latency is negative.
 func (m MachineSpec) Validate() error {
@@ -109,6 +122,10 @@ func (m MachineSpec) Validate() error {
 		}
 		if c.LineBytes > m.PageSize {
 			return fmt.Errorf("hw: cache line size %d exceeds the page size %d", c.LineBytes, m.PageSize)
+		}
+		// Counted in pages: frames × page size can overflow.
+		if m.Frames > (1<<32)/(m.PageSize/c.LineBytes) {
+			return fmt.Errorf("hw: %d frames of %d bytes hold more %d-byte lines than a 32-bit cache tag numbers", m.Frames, m.PageSize, c.LineBytes)
 		}
 	}
 	if m.Frames <= 0 {

@@ -82,7 +82,7 @@ func (p *Platform) Initialize() {
 	} else {
 		r := p.rng.Split()
 		for i := 0; i < 2000; i++ {
-			addr := r.Int63n(1 << 30)
+			addr := r.Int63n(prefillSpan)
 			p.l1d.Fill(addr, r.Uint64()&1 == 0)
 			p.l2.Fill(addr, false)
 			p.l3.Fill(addr, false)
@@ -321,10 +321,12 @@ func (p *Platform) FetchInstr(vaddr int64) { p.Instr(vaddr, 0) }
 //
 // In the common case that is one probe and one addition: the fetch's
 // line is resident where l1i's virtual-line memo says (see l1Cache),
-// the clock is unscaled, and the fetch's hit latency plus base ends
-// before the next noise event. The charge then makes the stamps and
-// counts of a TLB hit and an l1i hit on the remembered slots, in the
-// order translation and Lookup would, and adds the two costs at once.
+// the clock is unscaled, the fetch's hit latency plus base ends before
+// the next noise event, and l1i's LRU clock is below the limit where
+// the cache re-ranks its stamps (which memAccess's probe does). The
+// charge then makes the stamps and counts of a TLB hit and an l1i hit
+// on the remembered slots, in the order translation and Lookup would,
+// and adds the two costs at once.
 // Outside that case a sum is not the answer (scaling truncates each
 // charge separately, and an event between two charges evicts lines
 // through the noise generator), so the fetch walks the hierarchy and
@@ -334,7 +336,7 @@ func (p *Platform) Instr(vaddr, base int64) {
 	l1 := p.l1i
 	lat := l1.spec.HitCycles
 	if e := l1.entry(vaddr); e != nil && base >= 0 && p.cycles+lat+base < p.noise.fastEnd &&
-		p.tlb.maps(e) && l1.holds(e) {
+		l1.clock < clockLimit && p.tlb.maps(e) && l1.holds(e) {
 		p.chargeHit(l1, e, false, lat+base)
 		return
 	}
@@ -356,7 +358,7 @@ func (p *Platform) Access(vaddr int64, size int64, write bool) {
 		return
 	}
 	if e := l1.entry(vaddr); e != nil && p.cycles+lat < p.noise.fastEnd &&
-		p.tlb.maps(e) && l1.holds(e) {
+		l1.clock < clockLimit && p.tlb.maps(e) && l1.holds(e) {
 		p.chargeHit(l1, e, write, lat)
 		return
 	}

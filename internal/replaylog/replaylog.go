@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"sanity/internal/bufpool"
@@ -361,10 +360,10 @@ func (l *Log) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// brPool recycles the walker's bufio.Reader: a log is walked once per
+// readers recycles the walker's bufio.Reader: a log is walked once per
 // admitted upload and once per audited trace, and the 4KB reader
 // buffer is pure churn otherwise.
-var brPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+var readers bufpool.FreeList[bufio.Reader]
 
 // Summary is what a walk learns about a log whether or not it keeps
 // it: the identity the log claims and the sizes of its two sections.
@@ -516,11 +515,15 @@ func (w *walker) appendLits(n int) error {
 }
 
 func walk(r io.Reader, l *Log, resume int64) (Summary, error) {
-	br := brPool.Get().(*bufio.Reader)
-	br.Reset(r)
+	br := readers.Get()
+	if br == nil {
+		br = bufio.NewReader(r)
+	} else {
+		br.Reset(r)
+	}
 	defer func() {
 		br.Reset(nil)
-		brPool.Put(br)
+		readers.Put(br)
 	}()
 	w := &walker{br: br, log: l, resume: resume}
 	var s Summary

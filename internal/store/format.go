@@ -348,7 +348,7 @@ func (r *Reader) Next() (FrameType, io.Reader, error) {
 		return 0, nil, io.EOF
 	}
 	if r.cursec != nil {
-		if _, err := io.Copy(io.Discard, r.cursec); err != nil {
+		if err := r.cursec.skip(); err != nil {
 			return 0, nil, err
 		}
 		r.cursec = nil
@@ -409,4 +409,18 @@ func (s *sectionReader) Read(p []byte) (int, error) {
 	n := copy(p, s.cur)
 	s.cur = s.cur[n:]
 	return n, nil
+}
+
+// skip drops the rest of the section without copying it (io.Discard
+// would borrow a buffer from a sync.Pool, which a GC empties).
+func (s *sectionReader) skip() error {
+	for {
+		s.cur = nil
+		if _, err := s.Read(nil); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
 }

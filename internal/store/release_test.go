@@ -56,15 +56,29 @@ func TestWarmLoadAllocBound(t *testing.T) {
 	if fixtures.RaceDetector() {
 		t.Skip("allocation budget is held without -race")
 	}
-	// One P: with more, a pooled payload block can sit in another P's
-	// private sync.Pool slot, out of reach.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	load := warmLoader(t)
+	load() // fills the free lists
+	var allocated []uint64
+	for i := 0; i < 5; i++ {
+		allocated = append(allocated, load())
+	}
+	sort.Slice(allocated, func(i, j int) bool { return allocated[i] < allocated[j] })
+	median := allocated[len(allocated)/2]
+	t.Logf("warm LoadTrace+Release allocates %d bytes (median of %v)", median, allocated)
+	if median > maxWarmLoadBytes {
+		t.Fatalf("warm LoadTrace+Release allocates %d bytes, want <= %d", median, maxWarmLoadBytes)
+	}
+}
+
+// warmLoader stores a played 120-packet trace and returns a function
+// that loads and releases it, reporting the bytes that allocated.
+func warmLoader(t *testing.T) func() uint64 {
 	tr, err := fixtures.PlayTrace(120, 42, 42, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, files := storeWith(t, tr)
-	load := func() uint64 {
+	return func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, got, err := st.LoadTrace(files[0])
@@ -77,16 +91,26 @@ func TestWarmLoadAllocBound(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	load() // fills the free lists
-	var allocated []uint64
-	for i := 0; i < 5; i++ {
-		allocated = append(allocated, load())
+}
+
+// TestWarmLoadSurvivesGC: collections between two warm loads do not
+// change what the second allocates. Everything a load reuses — payload
+// blocks, the log walker's reader, the decoded slices — sits on free
+// lists the GC does not empty; a sync.Pool on that path would lose its
+// contents to the two collections (the first moves them to the pool's
+// victim cache, the second drops them).
+func TestWarmLoadSurvivesGC(t *testing.T) {
+	if fixtures.RaceDetector() {
+		t.Skip("allocation budget is held without -race")
 	}
-	sort.Slice(allocated, func(i, j int) bool { return allocated[i] < allocated[j] })
-	median := allocated[len(allocated)/2]
-	t.Logf("warm LoadTrace+Release allocates %d bytes (median of %v)", median, allocated)
-	if median > maxWarmLoadBytes {
-		t.Fatalf("warm LoadTrace+Release allocates %d bytes, want <= %d", median, maxWarmLoadBytes)
+	load := warmLoader(t)
+	load()
+	load() // fills the free lists
+	before := load()
+	runtime.GC()
+	runtime.GC()
+	if after := load(); after != before {
+		t.Fatalf("a warm LoadTrace+Release allocates %d bytes, and %d after two GCs", before, after)
 	}
 }
 
